@@ -11,7 +11,6 @@ from .engine import (
     MatrixPolyCoefficients,
     MatrixSeries,
     Orientation,
-    Source,
     TailBound,
     compute_coefficients,
     compute_coefficients_explicit,
@@ -33,7 +32,6 @@ __all__ = [
     "MatrixPolyCoefficients",
     "MatrixSeries",
     "Orientation",
-    "Source",
     "TailBound",
     "compute_coefficients",
     "compute_coefficients_explicit",

@@ -21,8 +21,6 @@ MultiIndex = tuple[int, ...]
 
 __all__ = [
     "MultiIndex",
-    "total_index",
-    "total_exponent",
     "max_total_index",
     "enumerate_index_set",
     "enumerate_restricted_index_set",
@@ -31,14 +29,6 @@ __all__ = [
     "multinomial_pi_sum",
     "term_count",
 ]
-
-
-def total_index(m: MultiIndex) -> int:
-    return sum(m)
-
-
-def total_exponent(m: MultiIndex) -> int:
-    return len(m)
 
 
 def max_total_index(n: int, p: int) -> int:

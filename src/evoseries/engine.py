@@ -27,8 +27,8 @@ from .scalar import majorant_coefficients, majorant_total
 
 __all__ = [
     "Orientation",
-    "Source",
     "TermBudgetError",
+    "MatrixPolynomial",
     "MatrixPolyCoefficients",
     "MatrixSeries",
     "TailBound",
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 EXPLICIT_TERM_BUDGET = 1_000_000
+# Largest grid solve_stepped accepts: a million local expansions already take
+# minutes even for 2x2 families, so a larger count is a mistaken step.
+MAX_STEPS = 1_000_000
 
 
 class Orientation(enum.Enum):
@@ -56,11 +59,6 @@ class Orientation(enum.Enum):
 
     LEFT = "left"
     RIGHT = "right"
-
-
-class Source(enum.Enum):
-    RECURSION = "recursion"
-    EXPLICIT = "explicit"
 
 
 class TermBudgetError(RuntimeError):
@@ -75,56 +73,85 @@ class TermBudgetError(RuntimeError):
         )
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=float)
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float array, copied unless it already is one."""
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        return values
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixPolyCoefficients:
+class MatrixPolynomial:
+    """Square matrices C_0..C_k, the coefficients of t^0..t^k, as one (k+1, d, d) stack.
+
+    The stack is read-only.  Construction checks it once: at least one
+    coefficient, all square and of one shape, every entry finite.
+    """
+
+    stack: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            stack = _frozen(self.stack)
+        except ValueError:
+            raise ValueError("coefficients must be real square matrices of one shape") from None
+        if len(stack) == 0:
+            raise ValueError("need at least the degree-0 coefficient")
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(
+                f"coefficients must be square matrices of one shape, got {stack.shape[1:]}"
+            )
+        if not np.isfinite(stack).all():
+            k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+            raise ValueError(f"coefficient of t^{k} has a non-finite entry")
+        object.__setattr__(self, "stack", stack)
+
+    @property
+    def dim(self) -> int:
+        return self.stack.shape[1]
+
+    @property
+    def degree(self) -> int:
+        return len(self.stack) - 1
+
+    def coefficient(self, k: int) -> np.ndarray:
+        """Degree-k coefficient; zero matrix beyond the stored degree."""
+        if k < 0:
+            raise ValueError(f"degree must be >= 0, got {k}")
+        if k <= self.degree:
+            return self.stack[k]
+        return np.zeros((self.dim, self.dim))
+
+    def min_degree(self) -> int | None:
+        """Lowest degree with a nonzero coefficient, or None for the zero polynomial."""
+        nonzero = np.flatnonzero(self.stack.any(axis=(1, 2)))
+        return int(nonzero[0]) if nonzero.size else None
+
+    def value_at(self, t: float) -> np.ndarray:
+        """The polynomial at t by Horner evaluation."""
+        acc = np.array(self.stack[-1])
+        for mat in self.stack[-2::-1]:
+            acc *= t
+            acc += mat
+        return acc
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixPolyCoefficients(MatrixPolynomial):
     """Coefficients A_0..A_p of a matrix polynomial plus the side it acts on.
 
     RIGHT orientation is the row-vector convention used for Markov generators,
     where distributions evolve as p(t) = p(0) R(t).
     """
 
-    matrices: tuple[np.ndarray, ...]
     orientation: Orientation = Orientation.LEFT
 
-    def __post_init__(self) -> None:
-        if len(self.matrices) == 0:
-            raise ValueError("need at least the constant coefficient A_0")
-        frozen = []
-        dim = None
-        for j, mat in enumerate(self.matrices):
-            arr = np.asarray(mat, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"coefficient A_{j} is not a square matrix")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise ValueError(
-                    f"coefficient A_{j} is {arr.shape[0]}x{arr.shape[1]}, "
-                    f"expected {dim}x{dim}"
-                )
-            frozen.append(_frozen(arr))
-        object.__setattr__(self, "matrices", tuple(frozen))
-
     @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def degree(self) -> int:
-        return len(self.matrices) - 1
-
-    def value_at(self, t: float) -> np.ndarray:
-        """A(t) by Horner evaluation."""
-        acc = np.array(self.matrices[-1])
-        for mat in reversed(self.matrices[:-1]):
-            acc = acc * t + mat
-        return acc
+    def matrices(self) -> np.ndarray:
+        """The read-only (p+1, d, d) stack of A_0..A_p."""
+        return self.stack
 
 
 def operator_norm(mat: np.ndarray, orientation: Orientation) -> float:
@@ -141,28 +168,20 @@ def operator_norm(mat: np.ndarray, orientation: Orientation) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixSeries:
+class MatrixSeries(MatrixPolynomial):
     """Terms R_0 = I, R_1, ..., R_N of the series solution."""
 
-    terms: tuple[np.ndarray, ...]
     orientation: Orientation
-    source: Source
 
     def __post_init__(self) -> None:
-        if len(self.terms) == 0:
-            raise ValueError("series needs at least the order-0 term")
-        dim = self.terms[0].shape[0]
-        if not np.array_equal(self.terms[0], np.eye(dim)):
+        super().__post_init__()
+        if not np.array_equal(self.stack[0], np.eye(self.dim)):
             raise ValueError("order-0 term must be exactly the identity")
-        object.__setattr__(self, "terms", tuple(_frozen(m) for m in self.terms))
 
     @property
-    def order(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0].shape[0]
+    def terms(self) -> np.ndarray:
+        """The read-only (N+1, d, d) stack of R_0..R_N."""
+        return self.stack
 
 
 @dataclass(frozen=True)
@@ -194,17 +213,21 @@ def compute_coefficients(
         raise ValueError(f"series order must be >= 1, got {order}")
     dim = coeffs.dim
     left = coeffs.orientation is Orientation.LEFT
-    mats = coeffs.matrices
-    terms = [np.eye(dim)]
+    # Lists of views: a list lookup costs less than indexing the array.
+    mats = list(coeffs.matrices)
+    stack = np.zeros((order + 1, dim, dim))
+    terms = list(stack)
+    terms[0] += np.eye(dim)
     for n in range(1, order + 1):
-        acc = np.zeros((dim, dim))
+        acc = terms[n]
         for j in range(min(coeffs.degree, n - 1) + 1):
             if left:
                 acc += mats[j] @ terms[n - 1 - j]
             else:
                 acc += terms[n - 1 - j] @ mats[j]
-        terms.append(acc / n)
-    return MatrixSeries(tuple(terms), coeffs.orientation, Source.RECURSION)
+        acc /= n
+    stack.setflags(write=False)
+    return MatrixSeries(stack, coeffs.orientation)
 
 
 def compute_coefficients_explicit(
@@ -221,7 +244,9 @@ def compute_coefficients_explicit(
     """
     if n < 1:
         raise ValueError(f"coefficient order must be >= 1, got {n}")
-    mats = coeffs.matrices
+    # A list of views, as in compute_coefficients: the product loop indexes it
+    # thousands of times, and a list lookup costs less than indexing the array.
+    mats = list(coeffs.matrices)
     p = coeffs.degree
     if p == 0:
         return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
@@ -242,10 +267,7 @@ def compute_coefficients_explicit(
 
 def evaluate(series: MatrixSeries, t: float) -> np.ndarray:
     """Value of the truncated series at t, by Horner evaluation."""
-    acc = np.array(series.terms[-1])
-    for term in reversed(series.terms[:-1]):
-        acc = acc * t + term
-    return acc
+    return series.value_at(t)
 
 
 def majorant_fit(coeffs: MatrixPolyCoefficients) -> tuple[float, float]:
@@ -344,13 +366,12 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     """
     p = coeffs.degree
     mats = coeffs.matrices
-    shifted = []
-    for j in range(p + 1):
-        acc = np.zeros((coeffs.dim, coeffs.dim))
+    shifted = np.zeros_like(mats)
+    for j, acc in enumerate(shifted):
         for k in range(j, p + 1):
             acc += math.comb(k, j) * t0 ** (k - j) * mats[k]
-        shifted.append(acc)
-    return MatrixPolyCoefficients(tuple(shifted), coeffs.orientation)
+    shifted.setflags(write=False)
+    return MatrixPolyCoefficients(shifted, coeffs.orientation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,21 +393,31 @@ def solve_stepped(
     propagators by multiplication on the orientation side.  The reported
     bound accumulates the local truncation bounds through the products
     (e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| e_prev), so it certifies
-    the composed value rather than just the last step.  A final partial step
-    covers t_final when it is not a multiple of step.
+    the composed value rather than just the last step.
+
+    When t_final is a multiple of step up to a few ulps, the grid has
+    round(t_final / step) steps and ends exactly at t_final, with no sliver
+    step; otherwise a final partial step covers t_final.  A grid of more than
+    MAX_STEPS steps is refused before any work.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if not math.isfinite(t_final) or t_final < 0:
         raise ValueError(f"final time must be finite and >= 0, got {t_final}")
+    if t_final / step > MAX_STEPS:
+        raise ValueError(
+            f"final time {t_final} over step {step} needs more than {MAX_STEPS} steps"
+        )
+    steps = round(t_final / step)
+    if abs(steps * step - t_final) > 4 * math.ulp(t_final):
+        steps = math.ceil(t_final / step)
     left = coeffs.orientation is Orientation.LEFT
     current = np.eye(coeffs.dim)
     err = 0.0
     out = [SolveStep(0.0, _frozen(current), 0.0)]
     t_prev = 0.0
-    k = 1
-    while t_prev < t_final:
-        t_next = min(k * step, t_final)
+    for k in range(1, steps + 1):
+        t_next = t_final if k == steps else k * step
         h = t_next - t_prev
         local = recenter(coeffs, t_prev)
         series = compute_coefficients(local, order)
@@ -398,7 +429,6 @@ def solve_stepped(
         err = bound_loc * (norm_prev + err) + norm_loc * err
         out.append(SolveStep(t_next, _frozen(current), err))
         t_prev = t_next
-        k += 1
     return out
 
 

@@ -2,10 +2,13 @@
 
 One matrix row per line, whitespace-separated decimal floats; a blank line
 ends one coefficient matrix and starts the next, so a degree-p polynomial is
-p+1 blocks.  Parse errors always carry the offending line number.
+p+1 blocks.  Entries must be finite.  Parse errors always carry the
+offending line number.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +40,8 @@ def parse_coefficient_text(text: str, source: str = "<string>") -> list[np.ndarr
             values = [float(tok) for tok in stripped.split()]
         except ValueError:
             raise MatrixFileError(source, lineno, f"unparseable row {stripped!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise MatrixFileError(source, lineno, f"non-finite entry in row {stripped!r}")
         if rows and len(values) != len(rows[0]):
             raise MatrixFileError(
                 source,

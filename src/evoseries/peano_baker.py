@@ -12,10 +12,18 @@ share no recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .engine import MatrixPolyCoefficients, MatrixSeries, Orientation, compute_coefficients
+from .engine import (
+    MatrixPolyCoefficients,
+    MatrixPolynomial,
+    MatrixSeries,
+    Orientation,
+    compute_coefficients,
+)
 
 __all__ = [
     "MatrixPolynomial",
@@ -26,107 +34,39 @@ __all__ = [
 ]
 
 
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, dtype=float)
-    out.setflags(write=False)
+def _family_times(coeffs: MatrixPolyCoefficients, stack: np.ndarray) -> np.ndarray:
+    # A(t) P(t) for LEFT, P(t) A(t) for RIGHT; exact convolution of the stacks.
+    left = coeffs.orientation is Orientation.LEFT
+    out = np.zeros((coeffs.degree + len(stack), coeffs.dim, coeffs.dim))
+    for j, aj in enumerate(coeffs.matrices):
+        out[j : j + len(stack)] += aj @ stack if left else stack @ aj
     return out
 
 
-def _trim(coeffs: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    last = 0
-    for k, mat in enumerate(coeffs):
-        if np.any(mat):
-            last = k
-    return tuple(coeffs[: last + 1])
+def _integrate(stack: np.ndarray) -> np.ndarray:
+    # Antiderivative vanishing at 0: C_k t^k integrates to C_k t^(k+1)/(k+1).
+    out = np.zeros((len(stack) + 1,) + stack.shape[1:])
+    out[1:] = stack / np.arange(1, len(stack) + 1)[:, None, None]
+    return out
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixPolynomial:
-    """Dense matrix coefficients by power of t, trailing zero matrices trimmed."""
-
-    coeffs: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("polynomial needs at least one coefficient")
-        dim = self.coeffs[0].shape[0]
-        for mat in self.coeffs:
-            if mat.shape != (dim, dim):
-                raise ValueError("all polynomial coefficients must share one square shape")
-        trimmed = _trim([np.asarray(m, dtype=float) for m in self.coeffs])
-        object.__setattr__(self, "coeffs", tuple(_frozen(m) for m in trimmed))
-
-    @classmethod
-    def identity(cls, dim: int) -> "MatrixPolynomial":
-        return cls((np.eye(dim),))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs[0].shape[0]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> np.ndarray:
-        """Degree-k coefficient; zero matrix beyond the stored degree."""
-        if k < 0:
-            raise ValueError(f"degree must be >= 0, got {k}")
-        if k <= self.degree:
-            return self.coeffs[k]
-        return np.zeros((self.dim, self.dim))
-
-    def min_degree(self) -> int | None:
-        """Lowest degree with a nonzero coefficient, or None for the zero polynomial."""
-        for k, mat in enumerate(self.coeffs):
-            if np.any(mat):
-                return k
-        return None
-
-    def __add__(self, other: "MatrixPolynomial") -> "MatrixPolynomial":
-        if self.dim != other.dim:
-            raise ValueError("polynomial dimensions differ")
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            out.append(self.coefficient(k) + other.coefficient(k))
-        return MatrixPolynomial(tuple(out))
-
-    def integrate(self) -> "MatrixPolynomial":
-        """Antiderivative vanishing at 0: C_k t^k integrates to C_k t^(k+1)/(k+1)."""
-        out = [np.zeros((self.dim, self.dim))]
-        for k, mat in enumerate(self.coeffs):
-            out.append(mat / (k + 1))
-        return MatrixPolynomial(tuple(out))
-
-    def truncated(self, max_degree: int) -> "MatrixPolynomial":
-        """Drop every term of degree above max_degree."""
-        if max_degree < 0:
-            raise ValueError(f"degree must be >= 0, got {max_degree}")
-        return MatrixPolynomial(self.coeffs[: max_degree + 1])
-
-    def value_at(self, t: float) -> np.ndarray:
-        acc = np.array(self.coeffs[-1])
-        for mat in reversed(self.coeffs[:-1]):
-            acc = acc * t + mat
-        return acc
+def _terms(coeffs: MatrixPolyCoefficients, max_degree: int | None) -> Iterator[np.ndarray]:
+    # U_0, U_1, ... as coefficient stacks; U_n has length n (p + 1) + 1 before
+    # the cut at max_degree.
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"degree must be >= 0, got {max_degree}")
+    term = np.eye(coeffs.dim)[np.newaxis]
+    while True:
+        yield term
+        term = _integrate(_family_times(coeffs, term))
+        if max_degree is not None:
+            term = term[: max_degree + 1]
 
 
-def _family_times_poly(
-    coeffs: MatrixPolyCoefficients, poly: MatrixPolynomial
-) -> MatrixPolynomial:
-    # A(t) * poly(t) for LEFT, poly(t) * A(t) for RIGHT; exact convolution.
-    if coeffs.dim != poly.dim:
-        raise ValueError("coefficient and polynomial dimensions differ")
-    left = coeffs.orientation is Orientation.LEFT
-    out = [np.zeros((poly.dim, poly.dim)) for _ in range(coeffs.degree + poly.degree + 1)]
-    for j, aj in enumerate(coeffs.matrices):
-        for k, ck in enumerate(poly.coeffs):
-            if left:
-                out[j + k] += aj @ ck
-            else:
-                out[j + k] += ck @ aj
-    return MatrixPolynomial(tuple(out))
+def _polynomial(stack: np.ndarray) -> MatrixPolynomial:
+    # Trailing zero matrices dropped; C_0 is always kept.
+    nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
+    return MatrixPolynomial(stack[: nonzero[-1] + 1 if nonzero.size else 1])
 
 
 def pb_term(
@@ -137,31 +77,26 @@ def pb_term(
     Each integration raises the minimum degree by at least one, so U_n has no
     terms below degree n.  Passing max_degree discards higher terms after each
     integration, which keeps long runs cheap without touching the kept range.
+    Trailing zero coefficients are trimmed from the result.
     """
     if n < 0:
         raise ValueError(f"term index must be >= 0, got {n}")
-    term = MatrixPolynomial.identity(coeffs.dim)
-    for _ in range(n):
-        term = _family_times_poly(coeffs, term).integrate()
-        if max_degree is not None and term.degree > max_degree:
-            term = term.truncated(max_degree)
-    return term
+    return _polynomial(next(islice(_terms(coeffs, max_degree), n, None)))
 
 
 def pb_partial_sum(
     coeffs: MatrixPolyCoefficients, order: int, max_degree: int | None = None
 ) -> MatrixPolynomial:
-    """U_0 + U_1 + ... + U_order as one matrix polynomial."""
+    """U_0 + U_1 + ... + U_order as one matrix polynomial, trailing zeros trimmed."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    term = MatrixPolynomial.identity(coeffs.dim)
-    total = term
-    for _ in range(order):
-        term = _family_times_poly(coeffs, term).integrate()
-        if max_degree is not None and term.degree > max_degree:
-            term = term.truncated(max_degree)
-        total = total + term
-    return total
+    size = order * (coeffs.degree + 1) + 1
+    if max_degree is not None:
+        size = min(size, max_degree + 1)
+    total = np.zeros((size, coeffs.dim, coeffs.dim))
+    for term in islice(_terms(coeffs, max_degree), order + 1):
+        total[: len(term)] += term
+    return _polynomial(total)
 
 
 @dataclass(frozen=True)

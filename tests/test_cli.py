@@ -105,6 +105,14 @@ def test_solve_malformed_file_single_error_line(capsys, tmp_path):
     assert err.startswith("error:") and ":2:" in err and err.count("\n") == 1
 
 
+def test_solve_non_finite_file_single_error_line(capsys, tmp_path):
+    path = tmp_path / "nan.mat"
+    path.write_text("1 0\n0 nan\n")
+    code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and ":2:" in err and err.count("\n") == 1
+
+
 def test_compare_pb_csv(capsys, tmp_path):
     path = tmp_path / "example.mat"
     path.write_text(EXAMPLE_MAT)

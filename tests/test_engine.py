@@ -5,10 +5,10 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from evoseries.engine import (
+    MAX_STEPS,
     MatrixPolyCoefficients,
     MatrixSeries,
     Orientation,
-    Source,
     TermBudgetError,
     compute_coefficients,
     compute_coefficients_explicit,
@@ -69,6 +69,16 @@ def test_coefficients_validation():
         coeffs.matrices[0][0, 0] = 5.0  # frozen
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficients_reject_non_finite(bad):
+    mat = np.zeros((2, 2))
+    mat[1, 0] = bad
+    with pytest.raises(ValueError, match=r"t\^2 has a non-finite entry"):
+        MatrixPolyCoefficients((np.eye(2), np.eye(2), mat))
+    with pytest.raises(ValueError, match=r"t\^1 has a non-finite entry"):
+        MatrixSeries((np.eye(2), mat), Orientation.LEFT)
+
+
 def test_value_at(example_left, example_pair):
     a0, a1 = example_pair
     t = 0.3
@@ -83,7 +93,6 @@ def test_operator_norm_sides():
 
 def test_recursion_matches_worked_example(example_left):
     series = compute_coefficients(example_left, 4)
-    assert series.source is Source.RECURSION
     r2 = np.array([[3.0, 2.0, 3.0], [-0.5, 2.5, 1.5], [1.0, -0.5, 3.5]])
     r3 = np.array(
         [
@@ -139,7 +148,7 @@ def test_scalar_embedding_orientation_free():
 
 def test_series_identity_term_enforced():
     with pytest.raises(ValueError):
-        MatrixSeries((np.zeros((2, 2)),), Orientation.LEFT, Source.RECURSION)
+        MatrixSeries((np.zeros((2, 2)),), Orientation.LEFT)
 
 
 def test_explicit_low_orders(example_left, example_pair):
@@ -316,6 +325,23 @@ def test_solve_stepped_grid_and_errors(example_left):
     assert [round(s.t, 12) for s in path] == [0.0, 0.3, 0.6, 0.9, 1.0]
     assert np.array_equal(path[0].value, np.eye(3))
     assert path[0].tail_bound == 0.0
+
+
+@pytest.mark.parametrize("t_final", [0.05, 0.25, 0.99, 1.0, 1.5, 3.0])
+def test_solve_stepped_grid_has_no_sliver(t_final):
+    # step = T / steps can leave steps * step an ulp short of T; the grid
+    # must still have exactly steps + 1 points ending at T.
+    coeffs = MatrixPolyCoefficients((np.zeros((1, 1)),))
+    for steps in range(1, 61):
+        times = [s.t for s in solve_stepped(coeffs, t_final, t_final / steps, 1)]
+        assert len(times) == steps + 1 and times[-1] == t_final, steps
+        assert min(np.diff(times)) > 0.5 * t_final / steps, steps
+
+
+def test_solve_stepped_refuses_step_count_over_cap(example_left):
+    for step in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
+        with pytest.raises(ValueError, match=str(MAX_STEPS)):
+            solve_stepped(example_left, 1.0, step, 5)
 
 
 def test_solve_stepped_single_step_equals_direct(example_left):

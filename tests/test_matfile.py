@@ -42,6 +42,12 @@ def test_parse_reports_line_numbers():
         parse_coefficient_text("\n\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_parse_rejects_non_finite(token):
+    with pytest.raises(MatrixFileError, match=":4: non-finite"):
+        parse_coefficient_text(f"1 2\n3 4\n\n0 {token}\n0 0\n")
+
+
 def test_roundtrip(tmp_path):
     mats = [np.array([[0.5, -1.25], [3.0, 2.0]]), np.zeros((2, 2))]
     path = tmp_path / "coeffs.mat"

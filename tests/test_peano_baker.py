@@ -23,8 +23,17 @@ def random_family(rng, dim_max=3, p_max=2, orientation=Orientation.LEFT):
 
 def test_polynomial_basics():
     poly = MatrixPolynomial((np.eye(2), np.zeros((2, 2))))
-    assert poly.degree == 0  # trailing zero trimmed
-    assert poly.min_degree() == 0
+    assert poly.degree == 1 and poly.min_degree() == 0
+    assert np.array_equal(poly.coefficient(3), np.zeros((2, 2)))
+    # Results are trimmed: A_1 = 0 leaves U_1 = A_0 t, and the nilpotent A_0
+    # makes U_2 and every later term the zero polynomial.
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    coeffs = MatrixPolyCoefficients((nil, np.zeros((2, 2))))
+    u1 = pb_term(coeffs, 1)
+    assert u1.degree == 1 and np.array_equal(u1.coefficient(1), nil)
+    u2 = pb_term(coeffs, 2)
+    assert u2.degree == 0 and u2.min_degree() is None
+    assert pb_partial_sum(coeffs, 4).degree == 1
     zero = MatrixPolynomial((np.zeros((2, 2)),))
     assert zero.min_degree() is None
     with pytest.raises(ValueError):
@@ -34,8 +43,9 @@ def test_polynomial_basics():
 
 
 def test_integrate_shifts_degrees():
-    poly = MatrixPolynomial((np.eye(2) * 2.0, np.eye(2) * 6.0))
-    integral = poly.integrate()
+    # U_1 is the integral of A(s) = 2 I + 6 I s.
+    coeffs = MatrixPolyCoefficients((np.eye(2) * 2.0, np.eye(2) * 6.0))
+    integral = pb_term(coeffs, 1)
     assert np.array_equal(integral.coefficient(0), np.zeros((2, 2)))
     assert np.array_equal(integral.coefficient(1), np.eye(2) * 2.0)
     assert np.array_equal(integral.coefficient(2), np.eye(2) * 3.0)
