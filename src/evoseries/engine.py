@@ -231,7 +231,7 @@ def compute_coefficients(
 
 
 def compute_coefficients_explicit(
-    coeffs: MatrixPolyCoefficients, n: int, term_budget: int = EXPLICIT_TERM_BUDGET
+    coeffs: MatrixPolyCoefficients, n: int
 ) -> np.ndarray:
     """The single coefficient R_n from the explicit weighted-product formula.
 
@@ -240,7 +240,7 @@ def compute_coefficients_explicit(
     RIGHT orientation.  Shares no code path with the recursion, which is the
     point: the two must agree to float accuracy.
 
-    Refuses to run when the number of products exceeds term_budget.
+    Refuses to run when the number of products exceeds EXPLICIT_TERM_BUDGET.
     """
     if n < 1:
         raise ValueError(f"coefficient order must be >= 1, got {n}")
@@ -251,8 +251,8 @@ def compute_coefficients_explicit(
     if p == 0:
         return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
     count = term_count(n, p)
-    if count > term_budget:
-        raise TermBudgetError(count, term_budget)
+    if count > EXPLICIT_TERM_BUDGET:
+        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET)
     left = coeffs.orientation is Orientation.LEFT
     total = np.zeros((coeffs.dim, coeffs.dim))
     for q in range(max_total_index(n, p) + 1):
@@ -300,8 +300,8 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> TailBoun
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     b, d = majorant_fit(coeffs)
     if d == 0.0:
         return TailBound(order, t, 0.0, b, d)
@@ -324,8 +324,12 @@ def residual(
     """
     if h <= 0:
         raise ValueError(f"finite-difference step must be > 0, got {h}")
-    derivative = (evaluate(series, t + h) - evaluate(series, t - h)) / (2.0 * h)
-    value = evaluate(series, t)
+    return _defect(coeffs, lambda s: evaluate(series, s), t, h)
+
+
+def _defect(coeffs: MatrixPolyCoefficients, value_at, t: float, h: float) -> float:
+    derivative = (value_at(t + h) - value_at(t - h)) / (2.0 * h)
+    value = value_at(t)
     at = coeffs.value_at(t)
     if coeffs.orientation is Orientation.LEFT:
         defect = derivative - at @ value
@@ -400,10 +404,10 @@ def solve_stepped(
     step; otherwise a final partial step covers t_final.  A grid of more than
     MAX_STEPS steps is refused before any work.
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
     if not math.isfinite(t_final) or t_final < 0:
         raise ValueError(f"final time must be finite and >= 0, got {t_final}")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError(f"step must be finite and > 0, got {step}")
     if t_final / step > MAX_STEPS:
         raise ValueError(
             f"final time {t_final} over step {step} needs more than {MAX_STEPS} steps"
@@ -476,10 +480,6 @@ def counterexample_report(
     rows = []
     for t in times:
         series_res = residual(coeffs, series, t, h)
-        plus = naive_exponential(coeffs, t + h, exp_terms)
-        minus = naive_exponential(coeffs, t - h, exp_terms)
-        center = naive_exponential(coeffs, t, exp_terms)
-        defect = (plus - minus) / (2.0 * h) - coeffs.value_at(t) @ center
-        exp_res = operator_norm(defect, coeffs.orientation)
+        exp_res = _defect(coeffs, lambda s: naive_exponential(coeffs, s, exp_terms), t, h)
         rows.append(ResidualComparison(t, series_res, exp_res))
     return rows

@@ -6,6 +6,7 @@ import pytest
 
 from evoseries.cli import main
 from evoseries.matfile import format_coefficients
+from evoseries.shift_algebra import POWER_GUARD
 
 EXAMPLE_MAT = """\
 1 -1 2
@@ -113,6 +114,23 @@ def test_solve_non_finite_file_single_error_line(capsys, tmp_path):
     assert err.startswith("error:") and ":2:" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (("--t", "1", "--step", "inf"), "step"),
+        (("--t", "1", "--step", "nan"), "step"),
+        (("--t", "nan"), "time"),
+    ],
+)
+def test_solve_non_finite_step_or_time_single_error_line(capsys, tmp_path, argv, quantity):
+    path = tmp_path / "example.mat"
+    path.write_text(EXAMPLE_MAT)
+    code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {quantity} must be finite") and err.count("\n") == 1
+    assert err.rstrip().endswith(argv[-1])  # the message names the bad value
+
+
 def test_compare_pb_csv(capsys, tmp_path):
     path = tmp_path / "example.mat"
     path.write_text(EXAMPLE_MAT)
@@ -168,7 +186,7 @@ def test_algebra_power_lines(capsys):
 
 
 def test_algebra_guard_single_error_line(capsys):
-    code, _, err = run_cli(capsys, "algebra", "power", "13")
+    code, _, err = run_cli(capsys, "algebra", "power", str(POWER_GUARD + 1))
     assert code == 1
     assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
 

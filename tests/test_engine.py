@@ -173,9 +173,10 @@ def test_explicit_matches_recursion_random():
 
 
 def test_explicit_budget_guard(example_left):
+    # p = 1 at n = 30 needs 1,346,269 products, refused before enumerating any
     with pytest.raises(TermBudgetError) as err:
-        compute_coefficients_explicit(example_left, 6, term_budget=5)
-    assert "13" in str(err.value)  # the refusal reports the term count
+        compute_coefficients_explicit(example_left, 30)
+    assert "1346269" in str(err.value)  # the refusal reports the term count
 
 
 def test_evaluate_identity_at_zero(example_left):
@@ -325,6 +326,14 @@ def test_solve_stepped_grid_and_errors(example_left):
     assert [round(s.t, 12) for s in path] == [0.0, 0.3, 0.6, 0.9, 1.0]
     assert np.array_equal(path[0].value, np.eye(3))
     assert path[0].tail_bound == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_step_and_time_reject_non_finite(example_left, bad):
+    with pytest.raises(ValueError, match=f"step must be finite and > 0, got {bad}"):
+        solve_stepped(example_left, 1.0, bad, 5)
+    with pytest.raises(ValueError, match=f"time must be finite and >= 0, got {bad}"):
+        tail_bound(example_left, 5, bad)
 
 
 @pytest.mark.parametrize("t_final", [0.05, 0.25, 0.99, 1.0, 1.5, 3.0])

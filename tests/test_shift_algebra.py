@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoseries.shift_algebra import (
+    POWER_GUARD,
     BinomialGroupDecomposition,
     ShiftPolynomial,
     binomial_group,
@@ -133,16 +135,15 @@ def test_binomial_group_cubic_table():
 
 
 def test_binomial_group_recombines():
-    for m, j in [(1, 1), (2, 2), (0, 4), (3, 1), (2, 3)]:
+    # oracle: reduce every interleaving word, for every group with m + j <= 7
+    for m, j in [(m, k - m) for k in range(1, 8) for m in range(k + 1)]:
         group = binomial_group(m, j)
         direct = ShiftPolynomial.zero()
-        import itertools
-
         for positions in itertools.combinations(range(m + j), m):
             chosen = set(positions)
             word = "".join("U" if i in chosen else "SU" for i in range(m + j))
             direct = direct + reduce(word)
-        assert group.combined() == direct
+        assert group.combined() == direct, (m, j)
 
 
 def test_binomial_group_head_power_cap():
@@ -154,7 +155,7 @@ def test_binomial_group_head_power_cap():
 
 def test_binomial_group_guard():
     with pytest.raises(ValueError):
-        binomial_group(7, 6)
+        binomial_group(POWER_GUARD - 5, 6)
     with pytest.raises(ValueError):
         binomial_group(0, 0)
 
@@ -181,10 +182,8 @@ def test_power_expand_cubic_matches_group_table():
 
 def test_power_expand_binomial_oracle():
     # expand (lam U - mu S U)^k the brute way: 2^k sign words
-    import itertools
-
     lam, mu = Fraction(2), Fraction(3)
-    for k in (2, 3, 4):
+    for k in range(1, 7):
         direct = ShiftPolynomial.zero()
         for picks in itertools.product((0, 1), repeat=k):
             word = "".join("U" if c == 0 else "SU" for c in picks)
@@ -195,9 +194,20 @@ def test_power_expand_binomial_oracle():
 
 def test_power_expand_guard():
     with pytest.raises(ValueError):
-        power_expand(13, 1, 1)
+        power_expand(POWER_GUARD + 1, 1, 1)
     with pytest.raises(ValueError):
         power_expand(0, 1, 1)
+
+
+def test_power_expand_past_rewriting_range_matches_matrix_power():
+    # k = 20 is out of reach of word enumeration; the realized power must
+    # still equal the 20th power of the realized factor on a leading block
+    lam, mu = Fraction(3, 7), Fraction(5, 2)
+    size, k = 60, 20
+    got = realize(power_expand(k, lam, mu), size)[:k, :k]
+    factor = realize(power_expand(1, lam, mu), size)
+    want = np.linalg.matrix_power(factor, k)[:k, :k]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_realize_small_cases():
