@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    MatrixPolyCoefficients,
-    MatrixSeries,
-    Orientation,
-    compute_coefficients,
-    solve_stepped,
-)
+from .engine import MatrixPolyCoefficients, Orientation, solve_stepped
 
 __all__ = [
     "Boundary",
@@ -86,17 +80,13 @@ def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
     """
     n = spec.states
     gen = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    gen[idx, idx + 1] = lam
+    gen[idx + 1, idx] = mu
+    np.fill_diagonal(gen, -(lam + mu))
     gen[0, 0] = -lam
-    gen[0, 1] = lam
-    for i in range(1, n - 1):
-        gen[i, i - 1] = mu
-        gen[i, i] = -(lam + mu)
-        gen[i, i + 1] = lam
-    gen[n - 1, n - 2] = mu
     if spec.boundary is Boundary.ABSORB_LAST:
         gen[n - 1, n - 1] = -mu
-    else:
-        gen[n - 1, n - 1] = -(lam + mu)
     return gen
 
 
@@ -121,12 +111,13 @@ def solve_bdp(
     steps: int,
     order: int,
     initial: np.ndarray | None = None,
-) -> tuple[DistributionTrajectory, MatrixSeries]:
-    """Distribution trajectory on an even grid, plus the series expansion at 0.
+) -> tuple[DistributionTrajectory, MatrixPolyCoefficients]:
+    """Distribution trajectory on an even grid, plus the generator family it solves.
 
     The default initial distribution puts all mass on the first state.  The
-    returned MatrixSeries is the order-N expansion of R at the origin, handy
-    for coefficient-level checks like R_2 = (A_0^2 + A_1) / 2.
+    returned family is A_0 + A_1 t with RIGHT orientation; expanding it with
+    compute_coefficients gives coefficient-level checks such as
+    R_2 = (A_0^2 + A_1) / 2.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -149,8 +140,7 @@ def solve_bdp(
     dists = np.vstack([p0 @ s.value for s in path])
     leakage = np.abs(1.0 - dists.sum(axis=1))
     bounds = np.array([s.tail_bound for s in path])
-    series = compute_coefficients(coeffs, order)
-    return DistributionTrajectory(times, dists, leakage, bounds), series
+    return DistributionTrajectory(times, dists, leakage, bounds), coeffs
 
 
 @dataclass(frozen=True)

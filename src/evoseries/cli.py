@@ -12,8 +12,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import bdp as bdp_mod
 from . import shift_algebra
 from .combinatorics import (
@@ -26,11 +24,8 @@ from .combinatorics import (
 from .engine import (
     MatrixPolyCoefficients,
     Orientation,
-    compute_coefficients,
     counterexample_report,
-    evaluate,
     solve_stepped,
-    tail_bound,
 )
 from .matfile import load_coefficients
 from .peano_baker import pb_equivalence_report
@@ -118,19 +113,13 @@ def cmd_solve(args) -> int:
     d = args.digits
     header = "t," + ",".join(_entry_headers(coeffs.dim)) + ",tail_bound"
     lines = [header]
-    if args.step is None:
-        series = compute_coefficients(coeffs, args.order)
-        value = evaluate(series, args.t)
-        bound = tail_bound(coeffs, args.order, args.t).value
-        points = [(args.t, value, bound)]
-    else:
-        points = [
-            (s.t, s.value, s.tail_bound)
-            for s in solve_stepped(coeffs, args.t, args.step, args.order)
-        ]
-    for t, value, bound in points:
-        entries = ",".join(_fmt(v, d) for v in np.asarray(value).ravel())
-        lines.append(f"{_fmt(t, d)},{entries},{_fmt(bound, d)}")
+    step = max(args.t, 1.0) if args.step is None else args.step
+    path = solve_stepped(coeffs, args.t, step, args.order)
+    if args.step is None:  # one step, or the lone t = 0 point: print its end only
+        path = path[-1:]
+    for s in path:
+        entries = ",".join(_fmt(v, d) for v in s.value.ravel())
+        lines.append(f"{_fmt(s.t, d)},{entries},{_fmt(s.tail_bound, d)}")
     _emit(lines, args.out)
     return 0
 
@@ -199,11 +188,12 @@ def cmd_bdp(args) -> int:
     )
     traj, _ = bdp_mod.solve_bdp(spec, args.T, args.steps, args.order)
     d = args.digits
-    header = "t," + ",".join(f"p_{i}" for i in range(1, spec.states + 1)) + ",leakage"
+    header = "t," + ",".join(f"p_{i}" for i in range(1, spec.states + 1)) + ",leakage,tail_bound"
     lines = [header]
-    for i, t in enumerate(traj.times):
-        entries = ",".join(_fmt(v, d) for v in traj.distributions[i])
-        lines.append(f"{_fmt(t, d)},{entries},{_fmt(traj.leakage[i], d)}")
+    rows = zip(traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
+    for t, dist, leak, bound in rows:
+        entries = ",".join(_fmt(v, d) for v in dist)
+        lines.append(f"{_fmt(t, d)},{entries},{_fmt(leak, d)},{_fmt(bound, d)}")
     _emit(lines, args.out)
     return 0
 

@@ -322,8 +322,10 @@ def residual(
     measured in the orientation norm.  Small residual at many t is evidence
     the truncated series actually solves the equation there.
     """
-    if h <= 0:
-        raise ValueError(f"finite-difference step must be > 0, got {h}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    if not math.isfinite(h) or h <= 0:
+        raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
     return _defect(coeffs, lambda s: evaluate(series, s), t, h)
 
 
@@ -405,7 +407,7 @@ def solve_stepped(
     MAX_STEPS steps is refused before any work.
     """
     if not math.isfinite(t_final) or t_final < 0:
-        raise ValueError(f"final time must be finite and >= 0, got {t_final}")
+        raise ValueError(f"time must be finite and >= 0, got {t_final}")
     if not math.isfinite(step) or step <= 0:
         raise ValueError(f"step must be finite and > 0, got {step}")
     if t_final / step > MAX_STEPS:
@@ -416,21 +418,22 @@ def solve_stepped(
     if abs(steps * step - t_final) > 4 * math.ulp(t_final):
         steps = math.ceil(t_final / step)
     left = coeffs.orientation is Orientation.LEFT
-    current = np.eye(coeffs.dim)
-    err = 0.0
-    out = [SolveStep(0.0, _frozen(current), 0.0)]
+    out = [SolveStep(0.0, _frozen(np.eye(coeffs.dim)), 0.0)]
     t_prev = 0.0
     for k in range(1, steps + 1):
         t_next = t_final if k == steps else k * step
         h = t_next - t_prev
         local = recenter(coeffs, t_prev)
-        series = compute_coefficients(local, order)
-        r_loc = evaluate(series, h)
+        r_loc = evaluate(compute_coefficients(local, order), h)
         bound_loc = tail_bound(local, order, h).value
-        norm_prev = operator_norm(current, coeffs.orientation)
-        norm_loc = operator_norm(r_loc, coeffs.orientation)
-        current = r_loc @ current if left else current @ r_loc
-        err = bound_loc * (norm_prev + err) + norm_loc * err
+        if k == 1:
+            # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
+            current, err = r_loc, bound_loc
+        else:
+            norm_prev = operator_norm(current, coeffs.orientation)
+            norm_loc = operator_norm(r_loc, coeffs.orientation)
+            current = r_loc @ current if left else current @ r_loc
+            err = bound_loc * (norm_prev + err) + norm_loc * err
         out.append(SolveStep(t_next, _frozen(current), err))
         t_prev = t_next
     return out

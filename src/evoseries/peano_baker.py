@@ -17,13 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .engine import (
-    MatrixPolyCoefficients,
-    MatrixPolynomial,
-    MatrixSeries,
-    Orientation,
-    compute_coefficients,
-)
+from .engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation, compute_coefficients
 
 __all__ = [
     "MatrixPolynomial",
@@ -108,9 +102,7 @@ class DegreeGap:
     rel_gap: float
 
 
-def pb_equivalence_report(
-    coeffs: MatrixPolyCoefficients, order: int, series: MatrixSeries | None = None
-) -> list[DegreeGap]:
+def pb_equivalence_report(coeffs: MatrixPolyCoefficients, order: int) -> list[DegreeGap]:
     """Per-degree gap between the iterated-integral sum and the recursion series.
 
     Terms past U_order start at degree > order, so the degree-truncated
@@ -121,8 +113,7 @@ def pb_equivalence_report(
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     poly = pb_partial_sum(coeffs, order, max_degree=order)
-    if series is None:
-        series = compute_coefficients(coeffs, order)
+    series = compute_coefficients(coeffs, order)
     rows = []
     for k in range(order + 1):
         gap = float(np.abs(poly.coefficient(k) - series.terms[k]).max())

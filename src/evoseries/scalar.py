@@ -89,12 +89,17 @@ def scalar_closed_form(a: Sequence[float], t: float) -> float:
     """exp of the antiderivative: exp(sum_j a_j t^(j+1) / (j+1)).
 
     Overflow is reported as +inf with a RuntimeWarning instead of an
-    exception, so sweeps over (a, t) grids keep running.
+    exception, so sweeps over (a, t) grids keep running.  A non-finite time
+    or coefficient is an error.
     """
     if len(a) == 0:
         raise ValueError("need at least the constant coefficient a_0")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     exponent = 0.0
     for j, aj in enumerate(a):
+        if not math.isfinite(aj):
+            raise ValueError(f"coefficient a_{j} must be finite, got {aj}")
         exponent += aj * t ** (j + 1) / (j + 1)
     try:
         return math.exp(exponent)

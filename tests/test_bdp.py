@@ -9,6 +9,7 @@ from evoseries.bdp import (
     solve_bdp,
     stochasticity_report,
 )
+from evoseries.engine import Orientation, compute_coefficients
 from evoseries.shift_algebra import ShiftPolynomial, realize
 
 
@@ -71,10 +72,12 @@ def test_solve_inputs_checked():
 
 def test_initial_distribution_and_coefficient():
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=20)
-    traj, series = solve_bdp(spec, 0.5, 5, 20)
+    traj, coeffs = solve_bdp(spec, 0.5, 5, 20)
     assert traj.distributions[0][0] == 1.0 and traj.distributions[0][1:].max() == 0.0
     a0 = build_generator(1.0, 1.0, spec)
     a1 = build_generator(0.5, 0.5, spec)
+    assert coeffs.orientation is Orientation.RIGHT
+    series = compute_coefficients(coeffs, 20)
     assert np.array_equal(series.terms[2], (a0 @ a0 + a1) / 2)
 
 

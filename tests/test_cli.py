@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -62,6 +63,21 @@ def test_scalar_output(capsys):
     assert set(lines) == {"series", "closed_form", "abs_gap"}
     assert float(lines["abs_gap"]) < 1e-12
     assert float(lines["series"]) == pytest.approx(np.exp(0.625), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("scalar", "--a", "1,1", "--t", "nan"), "time must be finite"),
+        (("scalar", "--a", "1,nan", "--t", "0.5"), "a_1 must be finite"),
+        (("counterexample", "--h", "nan", "--times", "0.5"), "step must be finite"),
+    ],
+)
+def test_non_finite_scalar_or_counterexample_single_error_line(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and bad in err and err.count("\n") == 1
+    assert err.rstrip().endswith("nan")  # the message names the bad value
 
 
 def test_solve_zero_family_is_identity(capsys, tmp_path):
@@ -201,12 +217,13 @@ def test_bdp_csv(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     lines = out_path.read_text().strip().splitlines()
-    assert lines[0] == "t," + ",".join(f"p_{i}" for i in range(1, 31)) + ",leakage"
+    assert lines[0] == "t," + ",".join(f"p_{i}" for i in range(1, 31)) + ",leakage,tail_bound"
     assert len(lines) == 7
     final = [float(v) for v in lines[-1].split(",")]
     assert final[0] == 0.5
-    assert abs(sum(final[1:-1]) - 1.0) < 1e-9
-    assert final[-1] < 1e-9
+    assert abs(sum(final[1:-2]) - 1.0) < 1e-9
+    assert final[-2] < 1e-9
+    assert math.isfinite(final[-1]) and final[-1] < 1e-9  # the accumulated certificate
 
 
 def test_bdp_rejects_bad_rate(capsys):

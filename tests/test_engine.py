@@ -259,8 +259,9 @@ def test_residual_decreases_with_order_until_fd_floor(example_left):
 
 def test_residual_rejects_bad_step(example_left):
     series = compute_coefficients(example_left, 5)
-    with pytest.raises(ValueError):
-        residual(example_left, series, 0.1, 0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            residual(example_left, series, 0.1, bad)
 
 
 def test_naive_exponential_at_zero(example_left):
@@ -358,7 +359,18 @@ def test_solve_stepped_single_step_equals_direct(example_left):
     path = solve_stepped(example_left, 0.2, 0.5, 15)
     direct = evaluate(compute_coefficients(example_left, 15), 0.2)
     assert len(path) == 2
-    assert np.allclose(path[1].value, direct, rtol=0, atol=1e-14)
+    assert np.array_equal(path[1].value, direct)
+    assert path[1].tail_bound == tail_bound(example_left, 15, 0.2).value
+
+
+def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
+    # one step far outside the window: the value overflows entrywise and the
+    # bound is inf; composing with R(0) = I must not turn inf * 0 into NaN
+    with np.errstate(over="ignore"):
+        last = solve_stepped(example_left, 1e8, 1e8, 40)[-1]
+        direct = evaluate(compute_coefficients(example_left, 40), 1e8)
+    assert last.tail_bound == math.inf
+    assert np.array_equal(last.value, direct)
 
 
 def test_solve_stepped_scalar_accuracy():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evoseries.engine import MatrixPolyCoefficients, Orientation, compute_coefficients
+from evoseries.engine import MatrixPolyCoefficients, Orientation
 from evoseries.peano_baker import (
     MatrixPolynomial,
     pb_equivalence_report,
@@ -122,8 +122,3 @@ def test_report_zero_family():
     rows = pb_equivalence_report(zero, 4)
     assert all(r.abs_gap == 0.0 for r in rows)
 
-
-def test_report_accepts_precomputed_series(example_left):
-    series = compute_coefficients(example_left, 6)
-    rows = pb_equivalence_report(example_left, 6, series=series)
-    assert max(r.rel_gap for r in rows) < 1e-12
