@@ -6,6 +6,10 @@ A(t) = A_0 + A_1 t, each A_i the tridiagonal generator built from one
 convention distributions evolve as p(t) = p(0) R(t) with dR/dt = R(t) A(t),
 so everything runs through the series engine with RIGHT orientation.
 
+The distribution itself is carried from step to step: the recursion
+n p_n = sum_j p_{n-1-j} A_j runs on the row vector, so no n x n propagator
+is ever formed.
+
 Truncating the state space loses probability mass.  The leakage column
 records |1 - sum(p)| at each grid time; nothing is ever renormalized.
 """
@@ -13,11 +17,20 @@ records |1 - sum(p)| at each grid time; nothing is ever renormalized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import MatrixPolyCoefficients, Orientation, solve_stepped
+from .engine import (
+    MatrixPolyCoefficients,
+    Orientation,
+    _expand,
+    _horner,
+    _step_ends,
+    recenter,
+    tail_bound,
+)
 
 __all__ = [
     "Boundary",
@@ -63,6 +76,9 @@ class BirthDeathSpec:
     def __post_init__(self) -> None:
         if len(self.lam) != 2 or len(self.mu) != 2:
             raise ValueError("lam and mu must each hold (constant, linear) rates")
+        for name, rates in (("lam", self.lam), ("mu", self.mu)):
+            if not all(math.isfinite(r) for r in rates):
+                raise ValueError(f"{name} rates must be finite, got {tuple(rates)}")
         if self.lam[0] <= 0 or self.mu[0] <= 0:
             raise ValueError("constant rate parts must be > 0")
         if self.lam[1] < 0 or self.mu[1] < 0:
@@ -94,9 +110,10 @@ def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
 class DistributionTrajectory:
     """Distributions on an even time grid plus bookkeeping columns.
 
-    distributions[i] is the row p(times[i]); leakage[i] = |1 - sum of row|;
-    tail_bounds[i] is the engine's accumulated truncation bound, valid for
-    the distribution too since the initial row has unit l1 norm.
+    distributions[i] is the row p(times[i]), propagated directly (no
+    propagator is formed); leakage[i] = |1 - sum of row|; tail_bounds[i]
+    bounds the l1 distance of that row from the exact distribution.  The
+    bound scales with ||p(0)||_1: doubling the initial row doubles it.
     """
 
     times: np.ndarray
@@ -114,10 +131,25 @@ def solve_bdp(
 ) -> tuple[DistributionTrajectory, MatrixPolyCoefficients]:
     """Distribution trajectory on an even grid, plus the generator family it solves.
 
-    The default initial distribution puts all mass on the first state.  The
+    The default initial distribution puts all mass on the first state.  Each
+    step recenters the family at its left end, expands the row p~ reached so
+    far to the given order and sums that series at the step length h.  The
     returned family is A_0 + A_1 t with RIGHT orientation; expanding it with
     compute_coefficients gives coefficient-level checks such as
     R_2 = (A_0^2 + A_1) / 2.
+
+    The bound grows by ||p~_prev||_1 times the local tail bound each step.
+    With S_k the local truncated series and R_k the exact local propagator,
+    p~_k - p_k = p~_{k-1} (S_k - R_k) + (p~_{k-1} - p_{k-1}) R_k, and
+    ||x M||_1 <= ||x||_1 ||M|| in the max-row-sum norm.  Every A(t), t >= 0,
+    has nonnegative off-diagonals and row sums <= 0 under both boundaries
+    (BirthDeathSpec keeps the rates nonnegative), so R_k is substochastic and
+    ||R_k|| <= 1: earlier error is carried forward without growth.  Under
+    REFLECT_NONE mass leaks and ||R_k||, the largest row sum of R_k, can be
+    well below 1, so the carried error is scaled by min(1, that row sum plus
+    its error), with the row sums taken from the backward equation by
+    _row_sums.  That keeps the bound no looser than the one composed from
+    full propagators.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -127,20 +159,69 @@ def solve_bdp(
     a1 = build_generator(spec.lam[1], spec.mu[1], spec)
     coeffs = MatrixPolyCoefficients((a0, a1), Orientation.RIGHT)
     if initial is None:
-        p0 = np.zeros(spec.states)
-        p0[0] = 1.0
+        p = np.zeros(spec.states)
+        p[0] = 1.0
     else:
-        p0 = np.asarray(initial, dtype=float)
-        if p0.shape != (spec.states,):
+        p = np.asarray(initial, dtype=float)
+        if p.shape != (spec.states,):
             raise ValueError(
-                f"initial distribution must have shape ({spec.states},), got {p0.shape}"
+                f"initial distribution must have shape ({spec.states},), got {p.shape}"
             )
-    path = solve_stepped(coeffs, t_final, t_final / steps, order)
-    times = np.array([s.t for s in path])
-    dists = np.vstack([p0 @ s.value for s in path])
-    leakage = np.abs(1.0 - dists.sum(axis=1))
-    bounds = np.array([s.tail_bound for s in path])
-    return DistributionTrajectory(times, dists, leakage, bounds), coeffs
+        if not np.isfinite(p).all():
+            raise ValueError("initial distribution has a non-finite entry")
+    leaky = spec.boundary is Boundary.REFLECT_NONE
+    times = [0.0, *_step_ends(t_final, t_final / steps)]
+    dists, bounds = [p], [0.0]
+    # Overflow shows as a refused series or an inf value and bound, so numpy's
+    # floating-point warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_prev, t_next in zip(times, times[1:]):
+            h = t_next - t_prev
+            local = recenter(coeffs, t_prev)
+            local_bound = tail_bound(local, order, h).value
+            carried = bounds[-1]
+            if leaky and carried:
+                sums, error = _row_sums(coeffs, t_prev, t_next, order)
+                carried *= min(1.0, float(sums.max()) + error)
+            mass = float(np.abs(p).sum())
+            # A zero row stays exactly zero, even where the local bound is inf.
+            bounds.append(carried + mass * local_bound if mass else carried)
+            terms = _expand(local, p, order)
+            if not np.isfinite(terms).all():
+                raise ValueError(
+                    f"the series of the distribution overflows on the step from t = {t_prev}"
+                )
+            p = _horner(terms, h)
+            dists.append(p)
+        dists = np.vstack(dists)
+        leakage = np.abs(1.0 - dists.sum(axis=1))
+    traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
+    return traj, coeffs
+
+
+def _row_sums(
+    coeffs: MatrixPolyCoefficients, t_prev: float, t_next: float, order: int
+) -> tuple[np.ndarray, float]:
+    """Row sums of the exact propagator R from t_prev to t_next, and a bound on their error.
+
+    The forward recursion run on the column of ones gives the row sums of
+    the LEFT propagator, which multiplies in reverse time order; they differ
+    from those of R whenever A_0 and A_1 do not commute on that column.  The
+    row sums u(s) of the propagator from s to t_next instead solve the
+    backward equation du/ds = -A(s) u, u(t_next) = 1.  In tau = t_next - s
+    that is du/dtau = B(tau) u with B(tau) = A(t_next - tau): the family
+    recentered at t_next with its odd coefficients negated, LEFT-oriented,
+    expanded from the column of ones and summed at h = t_next - t_prev.  The
+    tail bound of the same matrices in the max-row-sum norm, which is
+    submultiplicative, bounds the max-norm error of those sums.
+    """
+    h = t_next - t_prev
+    shifted = recenter(coeffs, t_next).matrices
+    signs = (-1.0) ** np.arange(len(shifted))
+    back = MatrixPolyCoefficients(shifted * signs[:, None, None], Orientation.RIGHT)
+    error = tail_bound(back, order, h).value
+    column = replace(back, orientation=Orientation.LEFT)
+    return _horner(_expand(column, np.ones(coeffs.dim), order), h), error
 
 
 @dataclass(frozen=True)

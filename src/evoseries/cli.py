@@ -9,6 +9,7 @@ nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,13 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _table(rows: list[list[str]]) -> list[str]:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
+def _warn_if_lost(times, bounds, digits: int) -> None:
+    """One stderr line naming the first time whose certified bound is not finite."""
+    lost = [t for t, bound in zip(times, bounds) if not math.isfinite(bound)]
+    if lost:
+        print(f"warning: certificate lost from t = {_fmt(lost[0], digits)}", file=sys.stderr)
 
 
 def _load_poly(path: str, orientation: str) -> MatrixPolyCoefficients:
@@ -121,6 +129,7 @@ def cmd_solve(args) -> int:
         entries = ",".join(_fmt(v, d) for v in s.value.ravel())
         lines.append(f"{_fmt(s.t, d)},{entries},{_fmt(s.tail_bound, d)}")
     _emit(lines, args.out)
+    _warn_if_lost([s.t for s in path], [s.tail_bound for s in path], d)
     return 0
 
 
@@ -195,6 +204,7 @@ def cmd_bdp(args) -> int:
         entries = ",".join(_fmt(v, d) for v in dist)
         lines.append(f"{_fmt(t, d)},{entries},{_fmt(leak, d)},{_fmt(bound, d)}")
     _emit(lines, args.out)
+    _warn_if_lost(traj.times, traj.tail_bounds, d)
     return 0
 
 

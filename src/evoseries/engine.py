@@ -82,6 +82,20 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _horner(stack: np.ndarray, t: float) -> np.ndarray:
+    """sum_k stack[k] t^k by Horner's rule, for a stack of matrices or of vectors.
+
+    Overflow gives inf entries without a floating-point warning: a caller
+    that certifies the value reports the lost certificate through its bound.
+    """
+    acc = np.array(stack[-1])
+    with np.errstate(over="ignore"):
+        for term in stack[-2::-1]:
+            acc *= t
+            acc += term
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Square matrices C_0..C_k, the coefficients of t^0..t^k, as one (k+1, d, d) stack.
@@ -131,11 +145,8 @@ class MatrixPolynomial:
 
     def value_at(self, t: float) -> np.ndarray:
         """The polynomial at t by Horner evaluation."""
-        acc = np.array(self.stack[-1])
-        for mat in self.stack[-2::-1]:
-            acc *= t
-            acc += mat
-        return acc
+        return _horner(self.stack, t)
+
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,23 +222,34 @@ def compute_coefficients(
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    dim = coeffs.dim
+    stack = _expand(coeffs, np.eye(coeffs.dim), order)
+    stack.setflags(write=False)
+    return MatrixSeries(stack, coeffs.orientation)
+
+
+def _expand(coeffs: MatrixPolyCoefficients, start: np.ndarray, order: int) -> np.ndarray:
+    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} (RIGHT: T_{n-1-j} A_j) as one stack.
+
+    The recursion is linear, so it runs from any start block: the identity
+    gives the series terms R_n, and a row vector p RIGHT-oriented gives the
+    terms p R_n of the distribution p R(t) without forming any R_n.
+    """
     left = coeffs.orientation is Orientation.LEFT
+    degree = coeffs.degree
     # Lists of views: a list lookup costs less than indexing the array.
     mats = list(coeffs.matrices)
-    stack = np.zeros((order + 1, dim, dim))
+    stack = np.zeros((order + 1, *start.shape))
     terms = list(stack)
-    terms[0] += np.eye(dim)
+    terms[0] += start
     for n in range(1, order + 1):
         acc = terms[n]
-        for j in range(min(coeffs.degree, n - 1) + 1):
+        for j in range(min(degree, n - 1) + 1):
             if left:
                 acc += mats[j] @ terms[n - 1 - j]
             else:
                 acc += terms[n - 1 - j] @ mats[j]
         acc /= n
-    stack.setflags(write=False)
-    return MatrixSeries(stack, coeffs.orientation)
+    return stack
 
 
 def compute_coefficients_explicit(
@@ -320,7 +342,8 @@ def residual(
 
     The product A(t) R(t) is taken on the orientation side and the defect is
     measured in the orientation norm.  Small residual at many t is evidence
-    the truncated series actually solves the equation there.
+    the truncated series actually solves the equation there.  A time where
+    the series or the defect overflows raises ValueError.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
@@ -330,14 +353,21 @@ def residual(
 
 
 def _defect(coeffs: MatrixPolyCoefficients, value_at, t: float, h: float) -> float:
-    derivative = (value_at(t + h) - value_at(t - h)) / (2.0 * h)
-    value = value_at(t)
-    at = coeffs.value_at(t)
-    if coeffs.orientation is Orientation.LEFT:
-        defect = derivative - at @ value
-    else:
-        defect = derivative - value @ at
-    return operator_norm(defect, coeffs.orientation)
+    # An overflow anywhere below leaves an inf or nan in the defect, which is
+    # refused with one error naming the time; numpy's warnings would only
+    # repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivative = (value_at(t + h) - value_at(t - h)) / (2.0 * h)
+        value = value_at(t)
+        at = coeffs.value_at(t)
+        if coeffs.orientation is Orientation.LEFT:
+            defect = derivative - at @ value
+        else:
+            defect = derivative - value @ at
+        norm = operator_norm(defect, coeffs.orientation)
+    if not math.isfinite(norm):
+        raise ValueError(f"the defect at time {t} overflows")
+    return norm
 
 
 def naive_exponential(
@@ -355,7 +385,11 @@ def naive_exponential(
     dim = coeffs.dim
     b = np.zeros((dim, dim))
     for j, mat in enumerate(coeffs.matrices):
-        b += mat * (t ** (j + 1) / (j + 1))
+        try:
+            power = t ** (j + 1)
+        except OverflowError:
+            raise ValueError(f"time {t} is too large: t^{j + 1} overflows") from None
+        b += mat * (power / (j + 1))
     out = np.eye(dim)
     term = np.eye(dim)
     for k in range(1, terms):
@@ -389,17 +423,8 @@ class SolveStep:
     tail_bound: float
 
 
-def solve_stepped(
-    coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int
-) -> list[SolveStep]:
-    """R(t) on the grid {0, step, 2 step, ..., t_final}, one local expansion per step.
-
-    Each step recenters the coefficients at the left endpoint, expands to the
-    given order, advances by the step with the local series, and composes the
-    propagators by multiplication on the orientation side.  The reported
-    bound accumulates the local truncation bounds through the products
-    (e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| e_prev), so it certifies
-    the composed value rather than just the last step.
+def _step_ends(t_final: float, step: float) -> list[float]:
+    """End times of the steps of the grid {0, step, 2 step, ..., t_final}.
 
     When t_final is a multiple of step up to a few ulps, the grid has
     round(t_final / step) steps and ends exactly at t_final, with no sliver
@@ -417,11 +442,28 @@ def solve_stepped(
     steps = round(t_final / step)
     if abs(steps * step - t_final) > 4 * math.ulp(t_final):
         steps = math.ceil(t_final / step)
+    return [k * step for k in range(1, steps)] + [t_final] if steps else []
+
+
+def solve_stepped(
+    coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int
+) -> list[SolveStep]:
+    """R(t) on the grid {0, step, 2 step, ..., t_final}, one local expansion per step.
+
+    Each step recenters the coefficients at the left endpoint, expands to the
+    given order, advances by the step with the local series, and composes the
+    propagators by multiplication on the orientation side.  The reported
+    bound accumulates the local truncation bounds through the products
+    (e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| e_prev), so it certifies
+    the composed value rather than just the last step.
+
+    The grid is _step_ends(t_final, step): no float sliver at its end, and
+    at most MAX_STEPS steps.
+    """
     left = coeffs.orientation is Orientation.LEFT
     out = [SolveStep(0.0, _frozen(np.eye(coeffs.dim)), 0.0)]
     t_prev = 0.0
-    for k in range(1, steps + 1):
-        t_next = t_final if k == steps else k * step
+    for k, t_next in enumerate(_step_ends(t_final, step), start=1):
         h = t_next - t_prev
         local = recenter(coeffs, t_prev)
         r_loc = evaluate(compute_coefficients(local, order), h)

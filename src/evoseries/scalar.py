@@ -100,16 +100,34 @@ def scalar_closed_form(a: Sequence[float], t: float) -> float:
     for j, aj in enumerate(a):
         if not math.isfinite(aj):
             raise ValueError(f"coefficient a_{j} must be finite, got {aj}")
-        exponent += aj * t ** (j + 1) / (j + 1)
+        if aj:  # a zero coefficient adds nothing, even where t^(j+1) overflows
+            try:
+                power = t ** (j + 1)
+            except OverflowError:  # float ** int raises where float * float gives inf
+                power = math.copysign(math.inf, t) ** (j + 1)
+            exponent += aj * power / (j + 1)
+    if math.isnan(exponent):
+        # Terms overflowed to +inf and -inf; the one of largest magnitude decides.
+        _, sign = max(
+            (
+                math.log(abs(aj)) + (j + 1) * math.log(abs(t)) - math.log(j + 1),
+                math.copysign(1.0, aj) * math.copysign(1.0, t) ** (j + 1),
+            )
+            for j, aj in enumerate(a)
+            if aj
+        )
+        exponent = sign * math.inf
     try:
-        return math.exp(exponent)
+        value = math.exp(exponent)
     except OverflowError:
+        value = math.inf
+    if value == math.inf:
         warnings.warn(
             "closed-form value exceeds float range, returning inf",
             RuntimeWarning,
             stacklevel=2,
         )
-        return math.inf
+    return value
 
 
 def coefficient_bound(c: float, d: float, n: int) -> float:
@@ -159,7 +177,12 @@ def majorant_total(b: float, d: float, t: float) -> float:
 
     The family a_j = d b^j sums to d / (1 - b t) inside t < 1/b, so the
     solution is (1 - b t)^(-d/b); for b = 0 it degenerates to exp(d t).
-    Returns inf at or beyond the radius, where the majorant certifies nothing.
+    Returns inf at or beyond the radius, where the majorant certifies nothing,
+    and where the value exceeds the float range.
+
+    The power turns the rounding of 1 - b t into a relative error of about
+    d/b ulps (at b t below half an ulp it returns 1 for any d), so when d/b
+    is over 64 the value is computed as exp(-(d/b) log1p(-b t)) instead.
     """
     if d <= 0 or b < 0:
         raise ValueError("majorant requires d > 0 and b >= 0")
@@ -173,4 +196,9 @@ def majorant_total(b: float, d: float, t: float) -> float:
     x = b * t
     if x >= 1.0:
         return math.inf
-    return (1.0 - x) ** (-d / b)
+    try:
+        if d <= 64.0 * b:
+            return (1.0 - x) ** (-d / b)
+        return math.exp(-d / b * math.log1p(-x))
+    except OverflowError:
+        return math.inf

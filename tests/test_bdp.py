@@ -1,16 +1,68 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from evoseries.bdp import (
     BirthDeathSpec,
     Boundary,
+    _row_sums,
     build_generator,
     solve_bdp,
     stochasticity_report,
 )
-from evoseries.engine import Orientation, compute_coefficients
+from evoseries.engine import (
+    MatrixPolyCoefficients,
+    Orientation,
+    compute_coefficients,
+    recenter,
+    solve_stepped,
+)
 from evoseries.shift_algebra import ShiftPolynomial, realize
+
+
+def uniformized(gen: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
+    """p0 exp(t A) by Jensen's uniformization, without scipy.
+
+    With q >= every exit rate, P = I + A / q is substochastic and
+    p0 exp(t A) = sum_k e^(-q t) (q t)^k / k! p0 P^k, all terms nonnegative
+    for a nonnegative p0.  The sum stops 12 standard deviations plus 40 terms
+    past the Poisson mean, where the dropped weight is far below 1e-16.
+    """
+    q = max(float(-gen.diagonal().min()), 1e-300)
+    step = np.eye(len(gen)) + gen / q
+    qt = q * t
+    weight = math.exp(-qt)
+    term = p0.copy()
+    total = weight * term
+    for k in range(1, int(qt + 12 * math.sqrt(qt)) + 40):
+        term = term @ step
+        weight *= qt / k
+        total += weight * term
+    return total
+
+
+def recursion_reference(coeffs: MatrixPolyCoefficients, order: int) -> np.ndarray:
+    """The fundamental recursion as one plain loop, matched bit for bit by compute_coefficients."""
+    dim = coeffs.dim
+    left = coeffs.orientation is Orientation.LEFT
+    mats = list(coeffs.matrices)
+    stack = np.zeros((order + 1, dim, dim))
+    terms = list(stack)
+    terms[0] += np.eye(dim)
+    for n in range(1, order + 1):
+        acc = terms[n]
+        for j in range(min(coeffs.degree, n - 1) + 1):
+            if left:
+                acc += mats[j] @ terms[n - 1 - j]
+            else:
+                acc += terms[n - 1 - j] @ mats[j]
+        acc /= n
+    return stack
 
 
 def test_spec_validation():
@@ -21,6 +73,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=2)
     BirthDeathSpec(lam=(1.0, 0.0), mu=(1.0, 0.0), states=3)  # autonomous is fine
+
+
+@pytest.mark.parametrize("field", ["lam", "mu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_rejects_non_finite_rates(field, bad):
+    rates = {"lam": (1.0, 0.5), "mu": (1.0, 0.5)}
+    rates[field] = (1.0, bad)
+    with pytest.raises(ValueError, match=f"{field} rates must be finite"):
+        BirthDeathSpec(states=10, **rates)
 
 
 def test_generator_structure():
@@ -68,6 +129,126 @@ def test_solve_inputs_checked():
         solve_bdp(spec, 1.0, 0, 10)
     with pytest.raises(ValueError):
         solve_bdp(spec, 1.0, 5, 10, initial=np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_initial(bad):
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=5)
+    initial = np.array([0.5, bad, 0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_bdp(spec, 1.0, 5, 10, initial=initial)
+
+
+def test_bound_scales_with_initial_mass():
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=30)
+    unit, _ = solve_bdp(spec, 1.0, 4, 12)
+    p0 = np.zeros(30)
+    p0[0] = 2.0
+    double, _ = solve_bdp(spec, 1.0, 4, 12, initial=p0)
+    assert np.array_equal(double.distributions, 2.0 * unit.distributions)
+    assert unit.tail_bounds[-1] > 0.0
+    assert np.array_equal(double.tail_bounds, 2.0 * unit.tail_bounds)
+
+
+def test_zero_initial_row_has_zero_bound():
+    # One step far past the certified window: the local bound is inf, but a
+    # zero row stays exactly zero.
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10)
+    traj, coeffs = solve_bdp(spec, 3.0, 1, 5, initial=np.zeros(10))
+    assert math.isinf(solve_stepped(coeffs, 3.0, 3.0, 5)[-1].tail_bound)
+    assert not traj.distributions.any() and not traj.tail_bounds.any()
+
+
+def test_leaky_chain_bound_not_looser_than_propagator_bound():
+    # On a 3-state raw chain every local propagator leaks mass, so ||R_loc||
+    # is well below 1; carrying the error with factor 1 would make this bound
+    # 45% looser than the full-propagator one.
+    spec = BirthDeathSpec(
+        lam=(3.0, 0.0), mu=(0.5, 0.0), states=3, boundary=Boundary.REFLECT_NONE
+    )
+    traj, coeffs = solve_bdp(spec, 2.0, 4, 20)
+    full = np.array([s.tail_bound for s in solve_stepped(coeffs, 2.0, 0.5, 20)])
+    assert np.all(traj.tail_bounds <= full * (1 + 1e-12))
+
+
+def test_leak_factor_uses_row_sums_of_the_forward_propagator():
+    # lam_1 mu_0 != lam_0 mu_1, so A_0 and A_1 do not commute on the column of
+    # ones: the forward recursion run on it misses rows 1 and 2 by ~1e-3.
+    spec = BirthDeathSpec(
+        lam=(3.0, 0.0), mu=(0.5, 2.0), states=3, boundary=Boundary.REFLECT_NONE
+    )
+    _, coeffs = solve_bdp(spec, 1.0, 1, 10)
+    t_prev, t_next = 0.3, 0.5
+    h = t_next - t_prev
+    local = solve_stepped(recenter(coeffs, t_prev), h, h, 40)[-1]
+    exact = local.value.sum(axis=1)
+    sums, error = _row_sums(coeffs, t_prev, t_next, 20)
+    assert 0.0 < error < 1e-10
+    assert np.all(np.abs(sums - exact) <= error + local.tail_bound)
+    assert min(1.0, sums.max() + error) >= exact.max() - local.tail_bound
+
+
+def test_autonomous_limit_matches_uniformization():
+    spec = BirthDeathSpec(lam=(1.5, 0.0), mu=(1.0, 0.0), states=40)
+    p0 = np.zeros(40)
+    p0[:4] = 0.25
+    traj, _ = solve_bdp(spec, 1.5, 6, 30, initial=p0)
+    gen = build_generator(1.5, 1.0, spec)
+    for t, dist, bound in zip(traj.times, traj.distributions, traj.tail_bounds):
+        reference = uniformized(gen, p0, t)
+        assert np.abs(reference - p0 @ expm(t * gen)).sum() < 1e-13  # the two oracles agree
+        assert np.abs(dist - reference).sum() <= bound + 1e-13
+
+
+rate = st.floats(0.1, 3.0)
+linear_rate = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+
+
+@given(
+    lam=st.tuples(rate, linear_rate),
+    mu=st.tuples(rate, linear_rate),
+    boundary=st.sampled_from(Boundary),
+    states=st.integers(3, 40),
+    t_final=st.floats(0.1, 2.0),
+    steps=st.integers(1, 6),
+    order=st.integers(10, 30),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_row_solve_within_bound_of_propagator_and_references(
+    lam, mu, boundary, states, t_final, steps, order, data
+):
+    spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=states, max_size=states))
+    p0 = np.array(weights)
+    p0[data.draw(st.integers(0, states - 1))] += data.draw(st.floats(1e-3, 5.0))
+    mass = p0.sum()
+    traj, coeffs = solve_bdp(spec, t_final, steps, order, initial=p0)
+    path = solve_stepped(coeffs, t_final, t_final / steps, order)
+    assert np.array_equal(traj.times, [s.t for s in path])  # one shared grid
+    full = mass * np.array([s.tail_bound for s in path])
+    assert np.all(traj.tail_bounds <= full * (1 + 1e-12))
+    slack = 1e-12 * mass
+    propagated = np.vstack([p0 @ s.value for s in path])
+    gap = np.abs(traj.distributions - propagated).sum(axis=1)
+    assert np.all(gap <= traj.tail_bounds + full + slack)
+    a0 = build_generator(lam[0], mu[0], spec)
+    a1 = build_generator(lam[1], mu[1], spec)
+    if not a1.any():
+        reference = np.vstack([uniformized(a0, p0, t) for t in traj.times])
+    else:
+        sol = solve_ivp(
+            lambda t, p: p @ a0 + t * (p @ a1), (0.0, t_final), p0,
+            t_eval=traj.times, method="DOP853", rtol=1e-13, atol=1e-16,
+        )
+        reference = sol.y.T
+    gap = np.abs(traj.distributions - reference).sum(axis=1)
+    assert np.all(gap <= traj.tail_bounds + 1e-10 * mass)
+    for orientation in Orientation:
+        family = MatrixPolyCoefficients(coeffs.matrices, orientation)
+        assert np.array_equal(
+            compute_coefficients(family, order).terms, recursion_reference(family, order)
+        )
 
 
 def test_initial_distribution_and_coefficient():

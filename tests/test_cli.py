@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,52 @@ def test_non_finite_scalar_or_counterexample_single_error_line(capsys, argv, bad
     assert code == 1 and out == ""
     assert err.startswith("error:") and bad in err and err.count("\n") == 1
     assert err.rstrip().endswith("nan")  # the message names the bad value
+
+
+@pytest.mark.parametrize("time", ["1e100", "1e200"])
+def test_counterexample_overflowing_time_single_error_line(capsys, time):
+    # 1e100 overflows the series value, 1e200 already t^2 in exp(B(t)).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        code, out, err = run_cli(capsys, "counterexample", "--times", time)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and repr(float(time)) in err and err.count("\n") == 1
+    assert "(34," not in err  # no errno tuple
+
+
+def test_solve_lost_certificate_warns_once(tmp_path):
+    # A subprocess, so numpy's own warnings would show on stderr as a user sees them.
+    path = tmp_path / "example.mat"
+    path.write_text(EXAMPLE_MAT)
+    argv = ["solve", "--coeffs", str(path), "--t", "1e8", "--order", "40"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: certificate lost from t = 100000000\n"
+    rows = proc.stdout.strip().splitlines()
+    assert len(rows) == 2 and rows[1].endswith(",inf")
+
+
+def test_solve_lost_certificate_names_first_lost_time(capsys, tmp_path):
+    path = tmp_path / "example.mat"
+    path.write_text(EXAMPLE_MAT)
+    code, out, err = run_cli(
+        capsys, "solve", "--coeffs", str(path), "--t", "3", "--step", "1", "--order", "10"
+    )
+    assert code == 0 and len(out.strip().splitlines()) == 5
+    assert err == "warning: certificate lost from t = 1\n"
+    code, _, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "0.2")
+    assert code == 0 and err == ""  # a finite bound prints no warning
+
+
+def test_solve_past_float_range_is_inf_not_error(capsys, tmp_path):
+    # b = 2e-4 and d = 5: the majorant (1 - b t)^(-d/b) exceeds the float range
+    path = tmp_path / "one.mat"
+    path.write_text("5\n\n0.001\n")
+    code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "150")
+    assert code == 0 and out.strip().splitlines()[1].endswith(",inf")
+    assert err == "warning: certificate lost from t = 150\n"
 
 
 def test_solve_zero_family_is_identity(capsys, tmp_path):
@@ -230,6 +277,33 @@ def test_bdp_rejects_bad_rate(capsys):
     code, _, err = run_cli(capsys, "bdp", "--lam0", "0")
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bdp_non_finite_rate_names_it(capsys):
+    code, out, err = run_cli(capsys, "bdp", "--mu1", "nan")
+    assert code == 1 and out == ""
+    assert err.startswith("error: mu rates must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rate", ["--lam0", "--lam1"])
+def test_bdp_overflowing_series_single_error_line(rate):
+    # A subprocess, so numpy's own warnings would show on stderr as a user sees them.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", "bdp", "--states", "5", rate, "1e300"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the series of the distribution overflows")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_bdp_lost_certificate_warns_once(capsys):
+    code, out, err = run_cli(
+        capsys, "bdp", "--states", "10", "--T", "3", "--steps", "1", "--order", "5"
+    )
+    assert code == 0 and out.strip().splitlines()[-1].endswith(",inf")
+    assert err == "warning: certificate lost from t = 3\n"
 
 
 def test_usage_error_is_single_line(capsys):

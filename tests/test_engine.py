@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,29 @@ def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
         direct = evaluate(compute_coefficients(example_left, 40), 1e8)
     assert last.tail_bound == math.inf
     assert np.array_equal(last.value, direct)
+
+
+def test_overflowed_evaluation_warns_nothing(example_left):
+    series = compute_coefficients(example_left, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = evaluate(series, 1e8)
+    assert np.isinf(value).any()
+
+
+def test_naive_exponential_overflowing_time_names_it(example_left):
+    with pytest.raises(ValueError, match=r"time 1e\+200 .*t\^2 overflows"):
+        naive_exponential(example_left, 1e200)
+
+
+def test_tail_bound_certifies_a_tiny_linear_part():
+    # b t = 5e-21 rounds 1 - b t to 1; the bound must still cover the true tail
+    coeffs = MatrixPolyCoefficients((np.array([[2.0]]), np.array([[1e-20]])))
+    truth = math.exp(2.0 + 0.5e-20)
+    partial = evaluate(compute_coefficients(coeffs, 10), 1.0)[0, 0]
+    bound = tail_bound(coeffs, 10, 1.0).value
+    assert truth - partial > 1e-5
+    assert truth - partial <= bound <= 2 * (truth - partial)
 
 
 def test_solve_stepped_scalar_accuracy():

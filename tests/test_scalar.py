@@ -77,6 +77,21 @@ def test_closed_form_overflow_is_flagged_inf():
         assert scalar_closed_form((1000.0,), 10.0) == math.inf
 
 
+def test_closed_form_overflowing_power_is_flagged_inf():
+    # t^2 alone leaves the float range; the value is inf with the warning,
+    # and a zero coefficient or a negative exponent still gives its limit.
+    with pytest.warns(RuntimeWarning):
+        assert scalar_closed_form((1.0, 1.0), 1e300) == math.inf
+    with pytest.warns(RuntimeWarning):
+        assert scalar_closed_form((1.0, 0.0), 1e300) == math.inf
+    assert scalar_closed_form((-1.0, -1.0), 1e300) == 0.0
+    # t^2 / 2 gives +inf and t^3 / 3 gives -inf; the cubic dominates, so 0
+    assert scalar_closed_form((0.0, 1.0, 1.0), -1e200) == 0.0
+    # here the quadratic term is the larger one, and it is positive
+    with pytest.warns(RuntimeWarning):
+        assert scalar_closed_form((0.0, 1e300, -1e-300), 1e200) == math.inf
+
+
 def test_series_converges_to_closed_form():
     s = scalar_coefficients((1.0, 1.0), 30)
     t = 0.5
@@ -138,3 +153,15 @@ def test_majorant_total_values():
     assert majorant_total(2.0, 1.0, 0.7) == math.inf
     with pytest.raises(ValueError):
         majorant_total(1.0, 1.0, -0.1)
+
+
+def test_majorant_total_tiny_base_and_overflow():
+    # b t below half an ulp: the power form returned 1 for every d
+    assert majorant_total(1e-20, 2.0, 1.0) == pytest.approx(math.exp(2.0), rel=1e-14)
+    # (d/b) (-log(1 - x)) = 2e6 (x + x^2/2 + x^3/3 + ...) at x = 1e-6
+    assert majorant_total(1e-6, 2.0, 1.0) == pytest.approx(
+        math.exp(2.0 + 1e-6 + 2e6 * 1e-18 / 3), rel=1e-14
+    )
+    # past the float range inside the window: inf, not OverflowError
+    assert majorant_total(0.01, 5.0, 95.0) == math.inf
+    assert majorant_total(1e-4, 5.0, 150.0) == math.inf
