@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def solve_bdp(
             mass = float(np.abs(p).sum())
             # A zero row stays exactly zero, even where the local bound is inf.
             bounds.append(carried + mass * local_bound if mass else carried)
-            terms = _expand(local, p, order)
+            terms = _expand(local.matrices, local.orientation, p, order)
             if not np.isfinite(terms).all():
                 raise ValueError(
                     f"the series of the distribution overflows on the step from t = {t_prev}"
@@ -220,8 +220,8 @@ def _row_sums(
     signs = (-1.0) ** np.arange(len(shifted))
     back = MatrixPolyCoefficients(shifted * signs[:, None, None], Orientation.RIGHT)
     error = tail_bound(back, order, h).value
-    column = replace(back, orientation=Orientation.LEFT)
-    return _horner(_expand(column, np.ones(coeffs.dim), order), h), error
+    sums = _expand(back.matrices, Orientation.LEFT, np.ones(coeffs.dim), order)
+    return _horner(sums, h), error
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bdp as bdp_mod
@@ -109,10 +110,14 @@ def cmd_pisum(args) -> int:
 def cmd_scalar(args) -> int:
     a = [float(tok) for tok in args.a.split(",") if tok != ""]
     series = scalar_coefficients(a, args.order).partial_sum(args.t)
-    closed = scalar_closed_form(a, args.t)
+    with warnings.catch_warnings(record=True) as overflowed:
+        warnings.simplefilter("always")
+        closed = scalar_closed_form(a, args.t)
     print(f"series {_fmt(series, args.digits)}")
     print(f"closed_form {_fmt(closed, args.digits)}")
     print(f"abs_gap {_fmt(abs(series - closed), args.digits)}")
+    if overflowed:
+        print("warning: closed-form value exceeds float range", file=sys.stderr)
     return 0
 
 
@@ -125,9 +130,9 @@ def cmd_solve(args) -> int:
     path = solve_stepped(coeffs, args.t, step, args.order)
     if args.step is None:  # one step, or the lone t = 0 point: print its end only
         path = path[-1:]
+    row = ",".join([f"{{:.{d}g}}"] * (coeffs.dim**2 + 2))  # t, the entries, the bound
     for s in path:
-        entries = ",".join(_fmt(v, d) for v in s.value.ravel())
-        lines.append(f"{_fmt(s.t, d)},{entries},{_fmt(s.tail_bound, d)}")
+        lines.append(row.format(s.t, *s.value.ravel().tolist(), s.tail_bound))
     _emit(lines, args.out)
     _warn_if_lost([s.t for s in path], [s.tail_bound for s in path], d)
     return 0

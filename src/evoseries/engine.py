@@ -52,6 +52,11 @@ EXPLICIT_TERM_BUDGET = 1_000_000
 # Largest grid solve_stepped accepts: a million local expansions already take
 # minutes even for 2x2 families, so a larger count is a mistaken step.
 MAX_STEPS = 1_000_000
+# Most doubles in the series terms of one block of solve_stepped, stacked
+# over its steps: (order + 1) * steps * d * d.  Enough steps to spread
+# numpy's per-call cost over many, few enough that a long grid of large
+# matrices does not raise the peak memory.
+_BLOCK_DOUBLES = 2**16
 
 
 class Orientation(enum.Enum):
@@ -82,8 +87,11 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _horner(stack: np.ndarray, t: float) -> np.ndarray:
+def _horner(stack: np.ndarray, t) -> np.ndarray:
     """sum_k stack[k] t^k by Horner's rule, for a stack of matrices or of vectors.
+
+    t is a float, or an array that broadcasts against one term: a (S, 1, 1)
+    array evaluates a (k+1, S, d, d) stack at one time per step.
 
     Overflow gives inf entries without a floating-point warning: a caller
     that certifies the value reports the lost certificate through its bound.
@@ -94,6 +102,12 @@ def _horner(stack: np.ndarray, t: float) -> np.ndarray:
             acc *= t
             acc += term
     return acc
+
+
+def _require_finite(finite: np.ndarray) -> None:
+    """Refuse a stack whose per-degree flags finite[k] are not all set, naming the first k."""
+    if not finite.all():
+        raise ValueError(f"coefficient of t^{int(np.argmin(finite))} has a non-finite entry")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +131,7 @@ class MatrixPolynomial:
             raise ValueError(
                 f"coefficients must be square matrices of one shape, got {stack.shape[1:]}"
             )
-        if not np.isfinite(stack).all():
-            k = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-            raise ValueError(f"coefficient of t^{k} has a non-finite entry")
+        _require_finite(np.isfinite(stack).all(axis=(1, 2)))
         object.__setattr__(self, "stack", stack)
 
     @property
@@ -171,11 +183,13 @@ def operator_norm(mat: np.ndarray, orientation: Orientation) -> float:
     LEFT acts on column vectors, so the induced norm is the max absolute
     column sum; RIGHT acts on row vectors, max absolute row sum.
     """
-    arr = np.abs(np.asarray(mat, dtype=float))
-    if arr.size == 0:
-        return 0.0
-    axis = 0 if orientation is Orientation.LEFT else 1
-    return float(arr.sum(axis=axis).max())
+    return float(_norms(np.asarray(mat, dtype=float), orientation))
+
+
+def _norms(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """operator_norm of each matrix of a (..., d, d) stack, as an array of the leading shape."""
+    axis = -2 if orientation is Orientation.LEFT else -1
+    return np.abs(mats).sum(axis=axis).max(axis=-1, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,22 +236,27 @@ def compute_coefficients(
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    stack = _expand(coeffs, np.eye(coeffs.dim), order)
+    stack = _expand(coeffs.matrices, coeffs.orientation, np.eye(coeffs.dim), order)
     stack.setflags(write=False)
     return MatrixSeries(stack, coeffs.orientation)
 
 
-def _expand(coeffs: MatrixPolyCoefficients, start: np.ndarray, order: int) -> np.ndarray:
+def _expand(
+    mats: np.ndarray, orientation: Orientation, start: np.ndarray, order: int
+) -> np.ndarray:
     """T_0 = start and n T_n = sum_j A_j T_{n-1-j} (RIGHT: T_{n-1-j} A_j) as one stack.
 
-    The recursion is linear, so it runs from any start block: the identity
-    gives the series terms R_n, and a row vector p RIGHT-oriented gives the
-    terms p R_n of the distribution p R(t) without forming any R_n.
+    mats is the stack A_0..A_p.  The recursion is linear, so it runs from
+    any start block: the identity gives the series terms R_n, and a row
+    vector p RIGHT-oriented gives the terms p R_n of the distribution
+    p R(t) without forming any R_n.  A (p+1, S, d, d) family with a
+    (S, d, d) start expands S families at once; each one's products and
+    sums are those of its own expansion, so the bits are too.
     """
-    left = coeffs.orientation is Orientation.LEFT
-    degree = coeffs.degree
+    left = orientation is Orientation.LEFT
+    degree = len(mats) - 1
     # Lists of views: a list lookup costs less than indexing the array.
-    mats = list(coeffs.matrices)
+    mats = list(mats)
     stack = np.zeros((order + 1, *start.shape))
     terms = list(stack)
     terms[0] += start
@@ -300,7 +319,11 @@ def majorant_fit(coeffs: MatrixPolyCoefficients) -> tuple[float, float]:
     then the smallest base covering the remaining coefficients.  An all-zero
     family fits (0, 0), for which every tail is exactly zero.
     """
-    norms = [operator_norm(m, coeffs.orientation) for m in coeffs.matrices]
+    return _fit(_norms(coeffs.matrices, coeffs.orientation).tolist())
+
+
+def _fit(norms: list[float]) -> tuple[float, float]:
+    """majorant_fit from the coefficient norms ||A_0||, ..., ||A_p||."""
     if max(norms) == 0.0:
         return 0.0, 0.0
     d = norms[0] if norms[0] > 0 else max(norms)
@@ -320,11 +343,16 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> TailBoun
     subtraction is padded outward by an order-proportional few ulps of the
     closed form, so the certificate survives its own float rounding.
     """
+    return _tail(_norms(coeffs.matrices, coeffs.orientation).tolist(), order, t)
+
+
+def _tail(norms: list[float], order: int, t: float) -> TailBound:
+    """tail_bound from the coefficient norms ||A_0||, ..., ||A_p||."""
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    b, d = majorant_fit(coeffs)
+    b, d = _fit(norms)
     if d == 0.0:
         return TailBound(order, t, 0.0, b, d)
     total = majorant_total(b, d, t)
@@ -404,14 +432,26 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     Same degree, same orientation; exact apart from float rounding in the
     powers of t0.
     """
-    p = coeffs.degree
-    mats = coeffs.matrices
-    shifted = np.zeros_like(mats)
-    for j, acc in enumerate(shifted):
-        for k in range(j, p + 1):
-            acc += math.comb(k, j) * t0 ** (k - j) * mats[k]
+    shifted = _shift(coeffs.matrices, [[t0**e for e in range(coeffs.degree + 1)]])[:, 0]
     shifted.setflags(write=False)
     return MatrixPolyCoefficients(shifted, coeffs.orientation)
+
+
+def _shift(mats: np.ndarray, powers: list[list[float]]) -> np.ndarray:
+    """The binomial shift of the stack A_0..A_p to S origins t_s, as (p+1, S, d, d).
+
+    powers[s][e] is the float t_s ** e.  Entry [j, s] is the degree-j
+    coefficient of u -> A(t_s + u): the sum over k >= j, in increasing k,
+    of the double comb(k, j) t_s^(k-j) times A_k.  The weights are Python
+    floats, not numpy powers, so each origin gets the bits of its own shift.
+    """
+    p = len(mats) - 1
+    weights = np.array(powers)
+    shifted = np.zeros((p + 1, len(powers), *mats.shape[1:]))
+    for j, acc in enumerate(shifted):
+        for k in range(j, p + 1):
+            acc += (math.comb(k, j) * weights[:, k - j])[:, None, None] * mats[k]
+    return shifted
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,28 +497,92 @@ def solve_stepped(
     (e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| e_prev), so it certifies
     the composed value rather than just the last step.
 
+    The local expansions of each block of consecutive steps run as one
+    stack (_local_propagators), bit for bit what recenter,
+    compute_coefficients, evaluate and tail_bound give step by step; only
+    the products and the bound recurrence run one step at a time.  Overflow
+    shows as inf in the values and bounds, or as the error of the first step
+    whose series is not finite, never as a numpy warning.
+
     The grid is _step_ends(t_final, step): no float sliver at its end, and
     at most MAX_STEPS steps.
     """
+    ends = _step_ends(t_final, step)
+    dim = coeffs.dim
+    out = [SolveStep(0.0, _frozen(np.eye(dim)), 0.0)]
+    if ends and order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+    starts = [0.0, *ends[:-1]]
+    hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
+    per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
     left = coeffs.orientation is Orientation.LEFT
-    out = [SolveStep(0.0, _frozen(np.eye(coeffs.dim)), 0.0)]
-    t_prev = 0.0
-    for k, t_next in enumerate(_step_ends(t_final, step), start=1):
-        h = t_next - t_prev
-        local = recenter(coeffs, t_prev)
-        r_loc = evaluate(compute_coefficients(local, order), h)
-        bound_loc = tail_bound(local, order, h).value
-        if k == 1:
-            # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
-            current, err = r_loc, bound_loc
-        else:
-            norm_prev = operator_norm(current, coeffs.orientation)
-            norm_loc = operator_norm(r_loc, coeffs.orientation)
-            current = r_loc @ current if left else current @ r_loc
-            err = bound_loc * (norm_prev + err) + norm_loc * err
-        out.append(SolveStep(t_next, _frozen(current), err))
-        t_prev = t_next
+    current, err, norm_prev = None, 0.0, 0.0
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while i < len(ends):
+            values, bounds = _local_propagators(
+                coeffs, starts[i : i + per_block], hs[i : i + per_block], order
+            )
+            composed = np.empty_like(values)
+            for r_loc, value in zip(values, composed):
+                if current is None:
+                    # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
+                    value[...] = r_loc
+                elif left:
+                    np.matmul(r_loc, current, out=value)
+                else:
+                    np.matmul(current, r_loc, out=value)
+                current = value
+            composed.setflags(write=False)
+            norms_loc = _norms(values, coeffs.orientation).tolist()
+            norms = _norms(composed, coeffs.orientation).tolist()
+            for s, bound_loc in enumerate(bounds):
+                if i + s == 0:
+                    err = bound_loc
+                else:
+                    err = bound_loc * (norm_prev + err) + norms_loc[s] * err
+                norm_prev = norms[s]
+                out.append(SolveStep(ends[i + s], composed[s], err))
+            i += len(bounds)
     return out
+
+
+def _local_propagators(
+    coeffs: MatrixPolyCoefficients, starts: list[float], hs: list[float], order: int
+) -> tuple[np.ndarray, list[float]]:
+    """Local propagators and tail bounds of the steps [t0, t0 + h], stacked over steps.
+
+    Returns the (S, d, d) values of the order-N local series at h and the S
+    tail_bound values.  A step whose t0 powers overflow ends the block before
+    it, so that the steps ahead of it raise their own errors first; as the
+    first step it raises OverflowError, as recenter does.  The first step
+    whose recentered family or series has a non-finite entry raises the
+    ValueError that constructing it would.
+    """
+    powers = []
+    for t0 in starts:
+        try:
+            powers.append([t0**e for e in range(coeffs.degree + 1)])
+        except OverflowError:
+            if not powers:
+                raise
+            break
+    steps, dim = len(powers), coeffs.dim
+    shifted = _shift(coeffs.matrices, powers)
+    start = np.broadcast_to(np.eye(dim), (steps, dim, dim))
+    terms = _expand(shifted, coeffs.orientation, start, order)
+    values = _horner(terms, np.array(hs[:steps])[:, None, None])
+    shift_finite = np.isfinite(shifted).all(axis=(2, 3))
+    series_finite = np.isfinite(terms).all(axis=(2, 3))
+    finite = (shift_finite.all(axis=0) & series_finite.all(axis=0)).tolist()
+    norms = _norms(shifted, coeffs.orientation).T.tolist()
+    bounds = []
+    for s in range(steps):
+        if not finite[s]:
+            _require_finite(shift_finite[:, s])
+            _require_finite(series_finite[:, s])
+        bounds.append(_tail(norms[s], order, hs[s]).value)
+    return values, bounds
 
 
 def counterexample_coefficients() -> MatrixPolyCoefficients:

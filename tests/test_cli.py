@@ -106,6 +106,38 @@ def test_solve_lost_certificate_warns_once(tmp_path):
     assert len(rows) == 2 and rows[1].endswith(",inf")
 
 
+def run_subprocess(*argv):
+    # A subprocess, so Python's and numpy's warnings show on stderr as a user sees them.
+    return subprocess.run(
+        [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True
+    )
+
+
+def test_scalar_overflowing_closed_form_warns_in_one_line():
+    proc = run_subprocess("scalar", "--a", "1,1", "--t", "1e300")
+    assert proc.returncode == 0
+    assert proc.stdout == "series inf\nclosed_form inf\nabs_gap nan\n"
+    assert proc.stderr == "warning: closed-form value exceeds float range\n"
+
+
+def test_solve_overflowing_series_is_one_error_line(tmp_path):
+    path = tmp_path / "big.mat"
+    path.write_text("1e200 0\n0 1e200\n")
+    proc = run_subprocess("solve", "--coeffs", str(path), "--t", "1", "--order", "5")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: coefficient of t^2 has a non-finite entry\n"
+
+
+def test_solve_overflowing_product_only_warns_of_the_lost_certificate(tmp_path):
+    # The composed propagator overflows from the second step on.
+    path = tmp_path / "example.mat"
+    path.write_text(EXAMPLE_MAT)
+    argv = ["--t", "1e8", "--step", "1e7", "--order", "10"]
+    proc = run_subprocess("solve", "--coeffs", str(path), *argv)
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 12
+    assert proc.stderr == "warning: certificate lost from t = 10000000\n"
+
+
 def test_solve_lost_certificate_names_first_lost_time(capsys, tmp_path):
     path = tmp_path / "example.mat"
     path.write_text(EXAMPLE_MAT)

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from evoseries.engine import (
     MAX_STEPS,
+    _step_ends,
     MatrixPolyCoefficients,
     MatrixSeries,
     Orientation,
@@ -24,7 +27,7 @@ from evoseries.engine import (
     solve_stepped,
     tail_bound,
 )
-from evoseries.scalar import scalar_closed_form
+from evoseries.scalar import majorant_coefficients, majorant_total, scalar_closed_form
 
 
 def random_family(rng, dim_max=4, p_max=2, orientation=Orientation.LEFT):
@@ -424,3 +427,145 @@ def test_solve_stepped_right_orientation(example_right):
     path = solve_stepped(example_right, 0.8, 0.1, 20)
     oracle = integrate_oracle(example_right, 0.8)
     assert np.abs(path[-1].value - oracle).max() < 1e-9
+
+
+def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int):
+    """solve_stepped as one plain loop over the steps, matched bit for bit by the stacked solve.
+
+    Every kernel is written out here on single 2-D matrices, in the order of
+    its sums: the binomial shift, the recursion, Horner, the norms and the
+    majorant tail.  Only the grid and the constructors' checks are shared.
+    Returns [(t, value, bound)].
+    """
+    left = coeffs.orientation is Orientation.LEFT
+
+    def norm(mat):
+        return float(np.abs(mat).sum(axis=0 if left else 1).max())
+
+    def local_bound(local, h):
+        norms = [norm(m) for m in local.matrices]
+        if max(norms) == 0.0:
+            return 0.0
+        d = norms[0] if norms[0] > 0 else max(norms)
+        b = 0.0
+        for j, nj in enumerate(norms[1:], start=1):
+            if nj > 0:
+                b = max(b, (nj / d) ** (1.0 / j))
+        total = majorant_total(b, d, h)
+        if math.isinf(total):
+            return math.inf
+        partial = majorant_coefficients(b, d, order).partial_sum(h)
+        return max(total - partial, 0.0) + (2 * order + 10) * math.ulp(total)
+
+    p = coeffs.degree
+    out = [(0.0, np.eye(coeffs.dim), 0.0)]
+    t_prev = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t_next in enumerate(_step_ends(t_final, step), start=1):
+            h = t_next - t_prev
+            shifted = np.zeros_like(coeffs.matrices)
+            for j, acc in enumerate(shifted):
+                for i in range(j, p + 1):
+                    acc += math.comb(i, j) * t_prev ** (i - j) * coeffs.matrices[i]
+            local = MatrixPolyCoefficients(shifted, coeffs.orientation)
+            if order < 1:
+                raise ValueError(f"series order must be >= 1, got {order}")
+            terms = [np.eye(coeffs.dim)]
+            for n in range(1, order + 1):
+                acc = np.zeros((coeffs.dim, coeffs.dim))
+                for j in range(min(p, n - 1) + 1):
+                    if left:
+                        acc += local.matrices[j] @ terms[n - 1 - j]
+                    else:
+                        acc += terms[n - 1 - j] @ local.matrices[j]
+                acc /= n
+                terms.append(acc)
+            MatrixSeries(np.array(terms), coeffs.orientation)
+            r_loc = np.array(terms[-1])
+            for term in terms[-2::-1]:
+                r_loc *= h
+                r_loc += term
+            bound_loc = local_bound(local, h)
+            if k == 1:
+                current, err = r_loc, bound_loc
+            else:
+                norm_prev = norm(current)
+                norm_loc = norm(r_loc)
+                current = r_loc @ current if left else current @ r_loc
+                err = bound_loc * (norm_prev + err) + norm_loc * err
+            out.append((t_next, current, err))
+            t_prev = t_next
+    return out
+
+
+def assert_solve_matches_reference(coeffs, t_final, step, order):
+    try:
+        expected = stepped_reference(coeffs, t_final, step, order)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            solve_stepped(coeffs, t_final, step, order)
+        assert str(info.value) == str(exc)
+        return
+    path = solve_stepped(coeffs, t_final, step, order)
+    assert [s.t for s in path] == [t for t, _, _ in expected]
+    # An overflowed value has NaN entries, and then a NaN bound.
+    bounds = [s.tail_bound for s in path]
+    assert np.array_equal(bounds, [bound for _, _, bound in expected], equal_nan=True)
+    for s, (_, value, _) in zip(path, expected):
+        # Bit for bit: signed zeros and the bits of any overflow-made NaN too.
+        assert s.value.shape == value.shape and s.value.tobytes() == value.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 20),
+    degree=st.integers(0, 3),
+    left=st.booleans(),
+    order=st.integers(1, 30),
+    steps=st.integers(0, 40),
+    partial=st.booleans(),
+    log_step=st.floats(-3.0, 8.0),
+    log_scale=st.sampled_from([-2.0, 0.0, 1.0, 60.0, 200.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_solve_stepped_equals_per_step_loop(
+    seed, dim, degree, left, order, steps, partial, log_step, log_scale
+):
+    # steps = 0 without a partial step is the lone t = 0 point; a large scale
+    # or step overflows the series (refused) or the values (inf bounds).
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((degree + 1, dim, dim)) * 10.0**log_scale
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    coeffs = MatrixPolyCoefficients(mats, orientation)
+    step = 10.0**log_step
+    assert_solve_matches_reference(coeffs, step * (steps + 0.5 * partial), step, order)
+
+
+M = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "mats, t_final, step, order",
+    [
+        # several blocks: 8x8 at order 30 takes 33 steps a block, 2x2 at order 20 takes 780
+        (np.random.default_rng(1).standard_normal((2, 8, 8)), 1.92, 0.01, 30),
+        (np.random.default_rng(2).standard_normal((3, 2, 2)), 2.0, 0.001, 20),
+        # d = 40: one step a block
+        (np.random.default_rng(3).standard_normal((2, 40, 40)) / 40, 0.3, 0.05, 40),
+        # refusals: the series at the first step, the shift at the second
+        ((1e200 * M,), 1.0, 2.0, 5),
+        ((M, 1e150 * M), 10.0, 1.0, 5),
+        # t0^2 overflows a float at the fourth step, inside the first block
+        ((M, M, 1e-300 * M), 2e154, 5e153, 5),
+        # the majorant's b^j overflows a float at the 16th step
+        ((np.array([[1.0]]), np.array([[-1e20]])), 40 * 5e-22, 5e-22, 16),
+        ((M,), 1.0, 0.5, 0),
+        ((M,), 0.0, 0.5, 0),
+    ],
+)
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_solve_stepped_blocks_and_refusals_equal_per_step_loop(
+    mats, t_final, step, order, orientation
+):
+    coeffs = MatrixPolyCoefficients(mats, orientation)
+    assert_solve_matches_reference(coeffs, t_final, step, order)
