@@ -35,8 +35,7 @@ def main() -> None:
     bound = tail_bound(coeffs, ORDER, T)
     print(f"\nR({T}) =")
     print(value)
-    print(f"tail bound at order {ORDER}: {bound.value:.3e}"
-          f"  (majorant fit b={bound.b:g}, d={bound.d:g})")
+    print(f"tail bound at order {ORDER}: {bound:.3e}")
     print(f"defect |R' - A R| at t={T}: {residual(coeffs, series, T, 1e-5):.3e}")
 
     # same answer, integral route: truncated iterated integrals vs the series

@@ -2,8 +2,8 @@
 
 dR/dt = A(t) R(t) (or R(t) A(t)) with matrix-polynomial A(t), solved by an
 explicit Maclaurin construction with exact combinatorial weights, certified
-truncation bounds, and independent cross-checks (iterated integrals, scalar
-closed forms, shift-operator algebra).
+error bounds that include rounding, and independent cross-checks (iterated
+integrals, scalar closed forms, shift-operator algebra).
 """
 
 from . import bdp, combinatorics, engine, matfile, peano_baker, scalar, shift_algebra
@@ -11,7 +11,6 @@ from .engine import (
     MatrixPolyCoefficients,
     MatrixSeries,
     Orientation,
-    TailBound,
     compute_coefficients,
     compute_coefficients_explicit,
     evaluate,
@@ -32,7 +31,6 @@ __all__ = [
     "MatrixPolyCoefficients",
     "MatrixSeries",
     "Orientation",
-    "TailBound",
     "compute_coefficients",
     "compute_coefficients_explicit",
     "evaluate",

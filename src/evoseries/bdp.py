@@ -27,9 +27,11 @@ from .engine import (
     Orientation,
     _expand,
     _horner,
+    _local_bound,
+    _norm_bounds,
     _step_ends,
+    _up,
     recenter,
-    tail_bound,
 )
 
 __all__ = [
@@ -138,9 +140,10 @@ def solve_bdp(
     compute_coefficients gives coefficient-level checks such as
     R_2 = (A_0^2 + A_1) / 2.
 
-    The bound grows by ||p~_prev||_1 times the local tail bound each step.
-    With S_k the local truncated series and R_k the exact local propagator,
-    p~_k - p_k = p~_{k-1} (S_k - R_k) + (p~_{k-1} - p_{k-1}) R_k, and
+    The bound grows by ||p~_prev||_1 times the local bound each step.  With
+    R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
+    (p~_{k-1} - p_{k-1}) R_k; the first part, rounding included, is at most
+    ||p~_{k-1}||_1 times the engine's _local_bound (its sums rounded up), and
     ||x M||_1 <= ||x||_1 ||M|| in the max-row-sum norm.  Every A(t), t >= 0,
     has nonnegative off-diagonals and row sums <= 0 under both boundaries
     (BirthDeathSpec keeps the rates nonnegative), so R_k is substochastic and
@@ -170,6 +173,7 @@ def solve_bdp(
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
     leaky = spec.boundary is Boundary.REFLECT_NONE
+    unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     dists, bounds = [p], [0.0]
     # Overflow shows as a refused series or an inf value and bound, so numpy's
@@ -178,14 +182,15 @@ def solve_bdp(
         for t_prev, t_next in zip(times, times[1:]):
             h = t_next - t_prev
             local = recenter(coeffs, t_prev)
-            local_bound = tail_bound(local, order, h).value
+            norms = _norm_bounds(local.matrices, local.orientation).tolist()
+            local_bound = _local_bound(norms, unshifted, t_prev, coeffs.dim, order, h)
             carried = bounds[-1]
             if leaky and carried:
-                sums, error = _row_sums(coeffs, t_prev, t_next, order)
-                carried *= min(1.0, float(sums.max()) + error)
-            mass = float(np.abs(p).sum())
+                sums, error = _row_sums(coeffs, unshifted, t_prev, t_next, order)
+                carried = _up(carried * min(1.0, float(sums.max()) + error), 2)
+            mass = _up(float(np.abs(p).sum()), spec.states)
             # A zero row stays exactly zero, even where the local bound is inf.
-            bounds.append(carried + mass * local_bound if mass else carried)
+            bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
             terms = _expand(local.matrices, local.orientation, p, order)
             if not np.isfinite(terms).all():
                 raise ValueError(
@@ -200,7 +205,8 @@ def solve_bdp(
 
 
 def _row_sums(
-    coeffs: MatrixPolyCoefficients, t_prev: float, t_next: float, order: int
+    coeffs: MatrixPolyCoefficients, unshifted: list[float], t_prev: float, t_next: float,
+    order: int,
 ) -> tuple[np.ndarray, float]:
     """Row sums of the exact propagator R from t_prev to t_next, and a bound on their error.
 
@@ -212,14 +218,15 @@ def _row_sums(
     that is du/dtau = B(tau) u with B(tau) = A(t_next - tau): the family
     recentered at t_next with its odd coefficients negated, LEFT-oriented,
     expanded from the column of ones and summed at h = t_next - t_prev.  The
-    tail bound of the same matrices in the max-row-sum norm, which is
-    submultiplicative, bounds the max-norm error of those sums.
+    _local_bound of the same matrices (unshifted: the family's _norm_bounds)
+    in the max-row-sum norm, which is submultiplicative, bounds their error.
     """
     h = t_next - t_prev
     shifted = recenter(coeffs, t_next).matrices
     signs = (-1.0) ** np.arange(len(shifted))
     back = MatrixPolyCoefficients(shifted * signs[:, None, None], Orientation.RIGHT)
-    error = tail_bound(back, order, h).value
+    norms = _norm_bounds(back.matrices, back.orientation).tolist()
+    error = _local_bound(norms, unshifted, t_next, coeffs.dim, order, h)
     sums = _expand(back.matrices, Orientation.LEFT, np.ones(coeffs.dim), order)
     return _horner(sums, h), error
 

@@ -4,9 +4,10 @@ Coefficients R_n of R(t) = I + R_1 t + ... + R_N t^N come from two
 independent routes: the fundamental recursion
 n R_n = A_0 R_{n-1} + A_1 R_{n-2} + ... (products taken on the orientation
 side), and the explicit formula summing weighted coefficient products over
-index sets.  Truncation error is certified by a scalar majorant fitted to the
-coefficient norms, and larger horizons are covered by re-expanding at shifted
-origins and composing the per-step propagators.
+index sets.  A local expansion's error, rounding included, is certified by
+the scalar majorant exp(integral of the coefficient norms), finite for every
+step; longer horizons re-expand at shifted origins and compose the per-step
+propagators, adding the rounding of each product to the bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .combinatorics import (
     pi_coefficient,
     term_count,
 )
-from .scalar import majorant_coefficients, majorant_total
+from .scalar import scalar_coefficients
 
 __all__ = [
     "Orientation",
@@ -31,14 +32,12 @@ __all__ = [
     "MatrixPolynomial",
     "MatrixPolyCoefficients",
     "MatrixSeries",
-    "TailBound",
     "SolveStep",
     "ResidualComparison",
     "operator_norm",
     "compute_coefficients",
     "compute_coefficients_explicit",
     "evaluate",
-    "majorant_fit",
     "tail_bound",
     "residual",
     "naive_exponential",
@@ -57,6 +56,8 @@ MAX_STEPS = 1_000_000
 # numpy's per-call cost over many, few enough that a long grid of large
 # matrices does not raise the peak memory.
 _BLOCK_DOUBLES = 2**16
+# Unit roundoff of a double: a rounded operation has relative error at most _U.
+_U = 2.0**-53
 
 
 class Orientation(enum.Enum):
@@ -209,22 +210,6 @@ class MatrixSeries(MatrixPolynomial):
         return self.stack
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Certified bound on the norm of the dropped tail past the given order at time t.
-
-    b and d are the fitted majorant parameters; value is +inf outside the
-    certified window b t < 1, which means "not certified here", not that the
-    underlying series diverges.
-    """
-
-    order: int
-    time: float
-    value: float
-    b: float
-    d: float
-
-
 def compute_coefficients(
     coeffs: MatrixPolyCoefficients, order: int
 ) -> MatrixSeries:
@@ -311,56 +296,104 @@ def evaluate(series: MatrixSeries, t: float) -> np.ndarray:
     return series.value_at(t)
 
 
-def majorant_fit(coeffs: MatrixPolyCoefficients) -> tuple[float, float]:
-    """Fit (b, d) with ||A_j|| <= d b^j for every supplied coefficient.
+def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
+    """Bound on ||R(t) - evaluate(compute_coefficients(coeffs, order), t)||, orientation norm.
 
-    d is the j = 0 norm when positive (the smallest choice the j = 0
-    constraint allows), falling back to the largest norm when A_0 = 0; b is
-    then the smallest base covering the remaining coefficients.  An all-zero
-    family fits (0, 0), for which every tail is exactly zero.
+    _local_bound of the family as given (a shift to 0, exact): the tail and the
+    recursion's and Horner's rounding.  Finite unless the exponential overflows.
     """
-    return _fit(_norms(coeffs.matrices, coeffs.orientation).tolist())
-
-
-def _fit(norms: list[float]) -> tuple[float, float]:
-    """majorant_fit from the coefficient norms ||A_0||, ..., ||A_p||."""
-    if max(norms) == 0.0:
-        return 0.0, 0.0
-    d = norms[0] if norms[0] > 0 else max(norms)
-    b = 0.0
-    for j, nj in enumerate(norms[1:], start=1):
-        if nj > 0:
-            b = max(b, (nj / d) ** (1.0 / j))
-    return b, d
-
-
-def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> TailBound:
-    """Bound on ||R(t) - partial sum through R_order t^order|| in the orientation norm.
-
-    The fitted scalar majorant dominates ||R_n|| term by term, so its own
-    tail (closed form minus partial sum, all terms positive) bounds the
-    matrix tail.  Finite only inside the certified window b t < 1.  The
-    subtraction is padded outward by an order-proportional few ulps of the
-    closed form, so the certificate survives its own float rounding.
-    """
-    return _tail(_norms(coeffs.matrices, coeffs.orientation).tolist(), order, t)
-
-
-def _tail(norms: list[float], order: int, t: float) -> TailBound:
-    """tail_bound from the coefficient norms ||A_0||, ..., ||A_p||."""
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    b, d = _fit(norms)
-    if d == 0.0:
-        return TailBound(order, t, 0.0, b, d)
-    total = majorant_total(b, d, t)
-    if math.isinf(total):
-        return TailBound(order, t, math.inf, b, d)
-    partial = majorant_coefficients(b, d, order).partial_sum(t)
-    pad = (2 * order + 10) * math.ulp(total)
-    return TailBound(order, t, max(total - partial, 0.0) + pad, b, d)
+    norms = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
+    return _local_bound(norms, norms, 0.0, coeffs.dim, order, t)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), rounded up: n roundings err by a factor 1 +- gamma_n."""
+    return math.nextafter(n * _U / (1.0 - n * _U), math.inf)
+
+
+def _up(x, ops: int):
+    """Upper bound on the exact value of a float x reached from nonnegative terms in ops roundings.
+
+    x is that value times 1 + theta_ops; the factor 1 + gamma_(2 ops + 4)
+    covers it and the two roundings of this product.
+    """
+    return x * (1.0 + _gamma(2 * ops + 4))
+
+
+def _norm_bounds(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """_norms of a (..., d, d) stack rounded up by gamma_d, which covers their d-term sums."""
+    return _up(_norms(mats, orientation), mats.shape[-1])
+
+
+def _shift_rounding(norms: list[float], t0: float) -> list[float]:
+    """Bounds rho_j on ||A~_j - A_j(t0)||, the rounding of _shift to t0; norms[k] >= ||A_k||.
+
+    A term comb(k, j) t0^(k-j) A_k of A~_j takes at most p + 4 roundings (the
+    power within an ulp, two products, p - j sums), so entrywise
+    |A~_j - A_j(t0)| <= gamma_(p+4) sum_k comb(k, j) |t0|^(k-j) |A_k|.  At
+    t0 = 0, and for A~_p, the shift adds zeros to one exact term: rho_j = 0.
+    """
+    p = len(norms) - 1
+    if t0 == 0.0:
+        return [0.0] * (p + 1)
+    g, weights = _gamma(p + 4), [abs(t0) ** e for e in range(p + 1)]
+    sums = [sum(math.comb(k, j) * weights[k - j] * norms[k] for k in range(j, p + 1))
+            for j in range(p)]
+    return [_up(g * c, p + 5) for c in sums] + [0.0]
+
+
+def _local_bound(
+    norms: list[float], unshifted: list[float], t0: float, dim: int, order: int, h: float
+) -> float:
+    """Bound on ||S - R(h)||: the computed local series S against the exact propagator R.
+
+    S is the order-N series of A~_0..A~_p, the float _shift to t0 of a
+    family with _norm_bounds unshifted, summed by Horner at h, and
+    norms[j] >= ||A~_j||; R solves the family shifted exactly.  With
+    a_j = norms[j], rho from _shift_rounding and
+    a'_j = a_j (1 + gamma_(d(p+1)+2)) + rho_j, the scalar series r of a and
+    r' of a' (scalar_coefficients) give, by induction on the recursion, whose
+    entries are sums of at most d(p+1) products over n, ||T~_n|| <= r'_n,
+    ||T_n|| <= r'_n and ||T~_n - T_n|| <= r'_n - r_n for the computed and
+    exact terms.  Horner adds at most gamma_2N sum ||T~_n|| h^n (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 5.1).
+    The r'_n h^n are positive and sum to exp(integral_0^h a'), so the tail,
+    all rounding and the shift's together give
+
+        ||S - R(h)|| <= (1 + gamma_(2N+1)) exp(integral_0^h a') - sum_(n<=N) r_n h^n,
+
+    each side rounded outward.  Finite for every h; inf only where the
+    exponential or a term of r overflows.  A zero family's series is exactly
+    I, with bound 0.  Underflow is left out: a nonzero bound is at least
+    gamma_(2N+1), far above the absolute error of a subnormal result.
+    """
+    p = len(norms) - 1
+    slack = 1.0 + _gamma(dim * (p + 1) + 2)
+    rho = _shift_rounding(unshifted, t0)
+    primed = [_up(aj * slack + r, 3) for aj, r in zip(norms, rho)]
+    if not any(primed):
+        return 0.0
+    exponent, power = 0.0, h
+    for j, aj in enumerate(primed):
+        if aj:  # a zero coefficient adds nothing, even where h^(j+1) overflows
+            exponent += aj * power / (j + 1)
+        power *= h
+    try:
+        growth = _up(math.exp(_up(exponent, p + 3)), 2)  # exp is within an ulp
+    except OverflowError:
+        return math.inf
+    total = _up(growth * (1.0 + _gamma(2 * order + 1)), 2)
+    # The partial sum is within K = N(p + 4) roundings (p + 2 an order in r,
+    # 2N in Horner) of its value; 1 - gamma_(K+2) also covers this product.
+    partial = scalar_coefficients(norms, order).partial_sum(h)
+    partial *= 1.0 - _gamma(order * (p + 4) + 2)
+    if not partial <= total < math.inf:  # an overflow, in the exponential or in r
+        return math.inf
+    return math.nextafter(total - partial, math.inf)
 
 
 def residual(
@@ -493,19 +526,20 @@ def solve_stepped(
     Each step recenters the coefficients at the left endpoint, expands to the
     given order, advances by the step with the local series, and composes the
     propagators by multiplication on the orientation side.  The reported
-    bound accumulates the local truncation bounds through the products
-    (e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| e_prev), so it certifies
-    the composed value rather than just the last step.
+    bound carries the local bounds (_local_bound, shift rounding included)
+    through the products, e_new = e_loc (||R_prev|| + e_prev) +
+    ||R_loc|| (e_prev + gamma_d ||R_prev||), the last term the product's own
+    rounding, so it certifies the composed float value.  The first step's
+    bound is tail_bound over that step, bit for bit.
 
     The local expansions of each block of consecutive steps run as one
     stack (_local_propagators), bit for bit what recenter,
-    compute_coefficients, evaluate and tail_bound give step by step; only
-    the products and the bound recurrence run one step at a time.  Overflow
-    shows as inf in the values and bounds, or as the error of the first step
-    whose series is not finite, never as a numpy warning.
+    compute_coefficients and evaluate give step by step.  Overflow shows as
+    inf in the values and bounds (never a NaN bound), or as the error of the
+    first step whose series is not finite, never as a numpy warning.
 
     The grid is _step_ends(t_final, step): no float sliver at its end, and
-    at most MAX_STEPS steps.
+    at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
     """
     ends = _step_ends(t_final, step)
     dim = coeffs.dim
@@ -516,6 +550,7 @@ def solve_stepped(
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
     per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
     left = coeffs.orientation is Orientation.LEFT
+    g_dim = _gamma(dim)
     current, err, norm_prev = None, 0.0, 0.0
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -534,13 +569,15 @@ def solve_stepped(
                     np.matmul(current, r_loc, out=value)
                 current = value
             composed.setflags(write=False)
-            norms_loc = _norms(values, coeffs.orientation).tolist()
-            norms = _norms(composed, coeffs.orientation).tolist()
+            norms_loc = _norm_bounds(values, coeffs.orientation).tolist()
+            norms = _norm_bounds(composed, coeffs.orientation).tolist()
             for s, bound_loc in enumerate(bounds):
                 if i + s == 0:
                     err = bound_loc
                 else:
-                    err = bound_loc * (norm_prev + err) + norms_loc[s] * err
+                    err = bound_loc * (norm_prev + err) + norms_loc[s] * (err + g_dim * norm_prev)
+                    # Six roundings; a NaN norm or inf * 0 means an overflow.
+                    err = math.inf if math.isnan(err) else _up(err, 6)
                 norm_prev = norms[s]
                 out.append(SolveStep(ends[i + s], composed[s], err))
             i += len(bounds)
@@ -550,12 +587,13 @@ def solve_stepped(
 def _local_propagators(
     coeffs: MatrixPolyCoefficients, starts: list[float], hs: list[float], order: int
 ) -> tuple[np.ndarray, list[float]]:
-    """Local propagators and tail bounds of the steps [t0, t0 + h], stacked over steps.
+    """Local propagators and their bounds on the steps [t0, t0 + h], stacked over steps.
 
     Returns the (S, d, d) values of the order-N local series at h and the S
-    tail_bound values.  A step whose t0 powers overflow ends the block before
-    it, so that the steps ahead of it raise their own errors first; as the
-    first step it raises OverflowError, as recenter does.  The first step
+    _local_bound values, each with its own shift's rounding.  A step whose
+    t0 powers overflow ends the block before it, so that the steps ahead of
+    it raise their own errors first; as the first step it raises
+    OverflowError, as recenter does.  The first step
     whose recentered family or series has a non-finite entry raises the
     ValueError that constructing it would.
     """
@@ -575,13 +613,14 @@ def _local_propagators(
     shift_finite = np.isfinite(shifted).all(axis=(2, 3))
     series_finite = np.isfinite(terms).all(axis=(2, 3))
     finite = (shift_finite.all(axis=0) & series_finite.all(axis=0)).tolist()
-    norms = _norms(shifted, coeffs.orientation).T.tolist()
+    unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
+    norms = _norm_bounds(shifted, coeffs.orientation).T.tolist()
     bounds = []
     for s in range(steps):
         if not finite[s]:
             _require_finite(shift_finite[:, s])
             _require_finite(series_finite[:, s])
-        bounds.append(_tail(norms[s], order, hs[s]).value)
+        bounds.append(_local_bound(norms[s], unshifted, starts[s], dim, order, hs[s]))
     return values, bounds
 
 

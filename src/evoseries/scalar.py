@@ -2,9 +2,11 @@
 
 The scalar problem plays two roles.  It is the ground truth for 1x1 systems,
 where the closed form exp(integral of a) is available.  And it is the source
-of truncation certificates for the matrix case: when ||A_j|| <= a_j for every
-j, the scalar coefficients built from the a_j dominate ||R_n|| term by term,
-so a scalar tail is an upper bound on the matrix tail.
+of the certificates for the matrix case: when ||A_j|| <= a_j for every j, the
+scalar coefficients built from the a_j dominate ||R_n|| term by term, and
+they sum to exp(integral of a), finite for every t.  So that exponential
+minus the partial sum of scalar_coefficients bounds the matrix tail; the
+engine's local bound widens the a_j to cover rounding too.
 
 Coefficient lists a = (a_0, ..., a_p) are plain float sequences throughout.
 """
@@ -23,8 +25,6 @@ __all__ = [
     "scalar_closed_form",
     "coefficient_bound",
     "lemma_constants",
-    "majorant_coefficients",
-    "majorant_total",
 ]
 
 
@@ -37,10 +37,6 @@ class ScalarSeries:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 1 or self.coeffs[0] != 1.0:
             raise ValueError("scalar series must start at r_0 = 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def partial_sum(self, t: float) -> float:
         """Value of the truncated series at t, by Horner evaluation."""
@@ -158,47 +154,3 @@ def lemma_constants(a0: float, a1: float) -> tuple[float, float]:
         half = n // 2
         d = max(d, abs(series.coeffs[n]) * math.factorial(half) / c**half)
     return c, d
-
-
-def majorant_coefficients(b: float, d: float, order: int) -> ScalarSeries:
-    """Series coefficients of the geometric majorant family a_j = d b^j.
-
-    Every a_j with j < order participates, matching the infinite family up to
-    the requested order exactly.
-    """
-    if d <= 0 or b < 0:
-        raise ValueError("majorant requires d > 0 and b >= 0")
-    a = [d * b**j for j in range(order)]
-    return scalar_coefficients(a, order)
-
-
-def majorant_total(b: float, d: float, t: float) -> float:
-    """Full value of the geometric-family majorant series at t >= 0.
-
-    The family a_j = d b^j sums to d / (1 - b t) inside t < 1/b, so the
-    solution is (1 - b t)^(-d/b); for b = 0 it degenerates to exp(d t).
-    Returns inf at or beyond the radius, where the majorant certifies nothing,
-    and where the value exceeds the float range.
-
-    The power turns the rounding of 1 - b t into a relative error of about
-    d/b ulps (at b t below half an ulp it returns 1 for any d), so when d/b
-    is over 64 the value is computed as exp(-(d/b) log1p(-b t)) instead.
-    """
-    if d <= 0 or b < 0:
-        raise ValueError("majorant requires d > 0 and b >= 0")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if b == 0.0:
-        try:
-            return math.exp(d * t)
-        except OverflowError:
-            return math.inf
-    x = b * t
-    if x >= 1.0:
-        return math.inf
-    try:
-        if d <= 64.0 * b:
-            return (1.0 - x) ** (-d / b)
-        return math.exp(-d / b * math.log1p(-x))
-    except OverflowError:
-        return math.inf

@@ -18,6 +18,7 @@ from evoseries.bdp import (
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _norm_bounds,
     compute_coefficients,
     recenter,
     solve_stepped,
@@ -151,11 +152,11 @@ def test_bound_scales_with_initial_mass():
 
 
 def test_zero_initial_row_has_zero_bound():
-    # One step far past the certified window: the local bound is inf, but a
-    # zero row stays exactly zero.
+    # One step of length 60: exp of the majorant's integral overflows, so the
+    # local bound is inf, but a zero row stays exactly zero.
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10)
-    traj, coeffs = solve_bdp(spec, 3.0, 1, 5, initial=np.zeros(10))
-    assert math.isinf(solve_stepped(coeffs, 3.0, 3.0, 5)[-1].tail_bound)
+    traj, coeffs = solve_bdp(spec, 60.0, 1, 5, initial=np.zeros(10))
+    assert math.isinf(solve_stepped(coeffs, 60.0, 60.0, 5)[-1].tail_bound)
     assert not traj.distributions.any() and not traj.tail_bounds.any()
 
 
@@ -182,7 +183,8 @@ def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     h = t_next - t_prev
     local = solve_stepped(recenter(coeffs, t_prev), h, h, 40)[-1]
     exact = local.value.sum(axis=1)
-    sums, error = _row_sums(coeffs, t_prev, t_next, 20)
+    unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
+    sums, error = _row_sums(coeffs, unshifted, t_prev, t_next, 20)
     assert 0.0 < error < 1e-10
     assert np.all(np.abs(sums - exact) <= error + local.tail_bound)
     assert min(1.0, sums.max() + error) >= exact.max() - local.tail_bound

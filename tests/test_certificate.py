@@ -1,0 +1,202 @@
+"""Certified bounds against a 40-digit reference, with no tolerance.
+
+The reference integrates the same equations in mpmath at 40 significant
+digits: on each grid step it shifts the family exactly to the step's start,
+runs the Taylor recursion until the terms fall below 1e-36 of the sum, and
+composes the steps.  Its own error is some 1e-30 relative, far below any
+bound the solver can certify in doubles, so `error <= bound` is asserted as
+it stands.
+"""
+
+import itertools
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evoseries.bdp import BirthDeathSpec, Boundary, solve_bdp
+from evoseries.engine import (
+    MatrixPolyCoefficients,
+    Orientation,
+    _norm_bounds,
+    _shift_rounding,
+    recenter,
+    solve_stepped,
+)
+
+DIGITS = 40
+TINY = mpmath.mpf(10) ** -36
+
+
+def mp_array(values) -> np.ndarray:
+    """An object array of mpf, each the exact value of its double."""
+    return np.vectorize(mpmath.mpf, otypes=[object])(np.asarray(values, dtype=float))
+
+
+def mp_stepped(mats, left: bool, start, times) -> list[np.ndarray]:
+    """X(t) for X' = A(t) X (left) or X A(t), X(times[0]) = start, at every grid time.
+
+    mats holds A_0..A_p as mpf object arrays.  Each step is split until
+    ||A|| h <= 4, so that no Taylor term is more than e^4 larger than the sum
+    and no more than a few digits cancel.  Sizes are largest entries, which
+    A X (left, row sums of |A|) or X A (right, column sums) enlarge at most
+    by the norm taken here.
+    """
+    p = len(mats) - 1
+    norms = [max(abs(m).sum(axis=1 if left else 0)) for m in mats]
+    out, x = [start], start
+    for t0, t1 in zip(times, times[1:]):
+        a, b = mpmath.mpf(t0), mpmath.mpf(t1)
+        bound = sum(n * max(abs(a), abs(b)) ** k for k, n in enumerate(norms))
+        pieces = max(1, int(mpmath.ceil(bound * (b - a) / 4)))
+        for i in range(pieces):
+            s0 = a + (b - a) * i / pieces
+            h = (b - a) / pieces
+            shifted = [
+                sum(mpmath.binomial(k, j) * s0 ** (k - j) * mats[k] for k in range(j, p + 1))
+                for j in range(p + 1)
+            ]
+            # Past n = 8 each term is at most 4/9 of the largest of the p + 1
+            # before it, so once those are below 1e-36 of the sum, so is the rest.
+            terms, sizes, total = [x], [], x
+            for n in itertools.count(1):
+                acc = sum(
+                    (shifted[j] @ terms[n - 1 - j]) if left else (terms[n - 1 - j] @ shifted[j])
+                    for j in range(min(p, n - 1) + 1)
+                )
+                terms.append(acc / n)
+                term = terms[-1] * h**n
+                total = total + term
+                sizes.append(max(abs(term).flat))
+                if n > 8 and max(sizes[-(p + 1) :]) <= TINY * max(abs(total).flat):
+                    break
+            x = total
+        out.append(x)
+    return out
+
+
+def old_window_base(mats: np.ndarray, left: bool) -> float:
+    """b of the geometric fit ||A_j|| <= d b^j at the origin, whose window was b h < 1."""
+    norms = [float(np.abs(m).sum(axis=0 if left else 1).max()) for m in mats]
+    d = norms[0] if norms[0] > 0 else max(norms)
+    return max([(n / d) ** (1.0 / j) for j, n in enumerate(norms) if j and n > 0], default=0.0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    left=st.booleans(),
+    order=st.integers(1, 20),
+    steps=st.integers(1, 3),
+    past_window=st.booleans(),
+    log_step=st.floats(-1.5, 0.0),
+    growth=st.floats(0.5, 6.0),
+    positive=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_stepped_solve_error_within_bound(
+    seed, dim, degree, left, order, steps, past_window, log_step, growth, positive
+):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((degree + 1, dim, dim))
+    if positive:
+        # Nonnegative entries make ||R(t)|| come close to the majorant's
+        # exp(int ||A||), so rounding, not a loose majorant, sets the margin.
+        mats = np.abs(mats)
+    step = 10.0**log_step
+    t_final = steps * step
+    if past_window and degree:
+        # A_j times c^j multiplies b by c: to b h = 2, where the geometric fit gave inf
+        c = 2.0 / (step * old_window_base(mats, left))
+        mats *= (c ** np.arange(degree + 1))[:, None, None]
+    # Then one factor sets int_0^T sum_j ||A_j|| s^j ds, which bounds log ||R(T)||.
+    norms = [float(np.abs(m).sum(axis=0 if left else 1).max()) for m in mats]
+    mats *= growth / sum(n * t_final ** (j + 1) / (j + 1) for j, n in enumerate(norms))
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    path = solve_stepped(MatrixPolyCoefficients(mats, orientation), t_final, step, order)
+    with mpmath.workdps(DIGITS):
+        reference = mp_stepped(
+            [mp_array(m) for m in mats], left, mp_array(np.eye(dim)), [s.t for s in path]
+        )
+        for s, exact in zip(path, reference):
+            gap = abs(mp_array(s.value) - exact)
+            error = max(gap.sum(axis=0 if left else 1))
+            assert math.isfinite(s.tail_bound) and error <= s.tail_bound, (s.t, error)
+
+
+@given(
+    lam=st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 1.5)),
+    mu=st.tuples(st.floats(0.1, 3.0), st.floats(0.0, 1.5)),
+    boundary=st.sampled_from(Boundary),
+    states=st.integers(3, 8),
+    t_final=st.floats(0.1, 2.0),
+    steps=st.integers(1, 4),
+    order=st.integers(5, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_bdp_row_error_within_bound(lam, mu, boundary, states, t_final, steps, order, seed):
+    spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
+    p0 = np.random.default_rng(seed).dirichlet(np.ones(states))
+    traj, coeffs = solve_bdp(spec, t_final, steps, order, initial=p0)
+    with mpmath.workdps(DIGITS):
+        mats = [mp_array(m) for m in coeffs.matrices]
+        reference = mp_stepped(mats, False, mp_array(p0[None, :]), traj.times.tolist())
+        for dist, exact, bound in zip(traj.distributions, reference, traj.tail_bounds):
+            error = abs(mp_array(dist[None, :]) - exact).sum()
+            assert math.isfinite(bound) and error <= bound, (error, bound)
+
+
+def test_bound_covers_rounding_where_the_majorant_is_exact():
+    # With nonnegative 1x1 and 2x2 families ||R(t)|| is close to the majorant's
+    # exp(int ||A||), and at order 25 with growth below 1 the dropped tail is
+    # far below an ulp: the margin of the bound is its rounding terms alone.
+    # A truncation-only bound, exp(int ||A||) minus the partial sum, fails
+    # here for a few families in a hundred.
+    rng = np.random.default_rng(7)
+    with mpmath.workdps(DIGITS):
+        for _ in range(250):
+            dim, degree, steps = (int(rng.integers(1, k)) for k in (3, 4, 3))
+            mats = np.abs(rng.standard_normal((degree + 1, dim, dim)))
+            step = float(10 ** rng.uniform(-1.5, 0.0))
+            norms = mats.sum(axis=1).max(axis=1)
+            mass = sum(n * (steps * step) ** (j + 1) / (j + 1) for j, n in enumerate(norms))
+            mats *= rng.uniform(0.1, 1.0) / mass
+            path = solve_stepped(MatrixPolyCoefficients(mats), steps * step, step, 25)
+            reference = mp_stepped(
+                [mp_array(m) for m in mats], True, mp_array(np.eye(dim)), [s.t for s in path]
+            )
+            for s, exact in zip(path, reference):
+                error = max(abs(mp_array(s.value) - exact).sum(axis=0))
+                assert error <= s.tail_bound, (mats.tolist(), s.t, error, s.tail_bound)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    left=st.booleans(),
+    log_t0=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_shift_rounding_bounds_the_float_shift(seed, dim, degree, left, log_t0):
+    mats = np.random.default_rng(seed).standard_normal((degree + 1, dim, dim))
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    coeffs = MatrixPolyCoefficients(mats, orientation)
+    t0 = 10.0**log_t0
+    shifted = recenter(coeffs, t0).matrices
+    norms = _norm_bounds(coeffs.matrices, orientation).tolist()
+    assert _shift_rounding(norms, 0.0) == [0.0] * (degree + 1)  # the shift to 0 is exact
+    rho = _shift_rounding(norms, t0)
+    with mpmath.workdps(DIGITS):
+        exact = [mp_array(m) for m in mats]
+        for j, rho_j in enumerate(rho):
+            shift_j = sum(
+                mpmath.binomial(k, j) * mpmath.mpf(t0) ** (k - j) * exact[k]
+                for k in range(j, degree + 1)
+            )
+            gap = abs(mp_array(shifted[j]) - shift_j)
+            assert max(gap.sum(axis=0 if left else 1)) <= rho_j, (j, rho_j)

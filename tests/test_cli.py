@@ -139,19 +139,23 @@ def test_solve_overflowing_product_only_warns_of_the_lost_certificate(tmp_path):
 
 
 def test_solve_lost_certificate_names_first_lost_time(capsys, tmp_path):
+    # Over the first step the norms 4 and 7 of A_0 and A_1 integrate to
+    # 4 * 10 + 3.5 * 10^2 = 390, whose exp is finite; recentered at t = 10 the
+    # norms are 68 and 7, and exp(680 + 350) overflows.
     path = tmp_path / "example.mat"
     path.write_text(EXAMPLE_MAT)
     code, out, err = run_cli(
-        capsys, "solve", "--coeffs", str(path), "--t", "3", "--step", "1", "--order", "10"
+        capsys, "solve", "--coeffs", str(path), "--t", "70", "--step", "10", "--order", "10"
     )
-    assert code == 0 and len(out.strip().splitlines()) == 5
-    assert err == "warning: certificate lost from t = 1\n"
+    lines = out.strip().splitlines()
+    assert code == 0 and len(lines) == 9 and not lines[2].endswith(",inf")
+    assert err == "warning: certificate lost from t = 20\n"
     code, _, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "0.2")
     assert code == 0 and err == ""  # a finite bound prints no warning
 
 
 def test_solve_past_float_range_is_inf_not_error(capsys, tmp_path):
-    # b = 2e-4 and d = 5: the majorant (1 - b t)^(-d/b) exceeds the float range
+    # exp(5 t + 0.001 t^2 / 2) = e^761 at t = 150 exceeds the float range
     path = tmp_path / "one.mat"
     path.write_text("5\n\n0.001\n")
     code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "150")
@@ -317,6 +321,20 @@ def test_bdp_non_finite_rate_names_it(capsys):
     assert err.startswith("error: mu rates must be finite") and err.count("\n") == 1
 
 
+def test_solve_overflowed_composition_prints_inf_not_nan(capsys, tmp_path):
+    # From the third step the composed value has NaN entries (inf - inf);
+    # its bound is still inf.
+    path = tmp_path / "big.mat"
+    path.write_text("1e200 -1e200\n1e200 1e200\n")
+    code, out, err = run_cli(
+        capsys, "solve", "--coeffs", str(path), "--t", "4", "--step", "1", "--order", "1"
+    )
+    rows = out.strip().splitlines()[1:]
+    assert code == 0 and rows[-1] == "4,nan,nan,nan,nan,inf"
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0", "inf", "inf", "inf", "inf"]
+    assert err == "warning: certificate lost from t = 1\n"
+
+
 @pytest.mark.parametrize("rate", ["--lam0", "--lam1"])
 def test_bdp_overflowing_series_single_error_line(rate):
     # A subprocess, so numpy's own warnings would show on stderr as a user sees them.
@@ -331,11 +349,12 @@ def test_bdp_overflowing_series_single_error_line(rate):
 
 
 def test_bdp_lost_certificate_warns_once(capsys):
+    # exp of the majorant's integral overflows over one step of 60
     code, out, err = run_cli(
-        capsys, "bdp", "--states", "10", "--T", "3", "--steps", "1", "--order", "5"
+        capsys, "bdp", "--states", "10", "--T", "60", "--steps", "1", "--order", "5"
     )
     assert code == 0 and out.strip().splitlines()[-1].endswith(",inf")
-    assert err == "warning: certificate lost from t = 3\n"
+    assert err == "warning: certificate lost from t = 60\n"
 
 
 def test_usage_error_is_single_line(capsys):

@@ -19,7 +19,6 @@ from evoseries.engine import (
     counterexample_coefficients,
     counterexample_report,
     evaluate,
-    majorant_fit,
     naive_exponential,
     operator_norm,
     recenter,
@@ -27,7 +26,7 @@ from evoseries.engine import (
     solve_stepped,
     tail_bound,
 )
-from evoseries.scalar import majorant_coefficients, majorant_total, scalar_closed_form
+from evoseries.scalar import scalar_closed_form
 
 
 def random_family(rng, dim_max=4, p_max=2, orientation=Orientation.LEFT):
@@ -204,22 +203,15 @@ def test_evaluate_against_adaptive_integrator(example_left):
     assert np.abs(evaluate(series, t) - oracle).max() < 1e-8
 
 
-def test_majorant_fit_worked_example(example_left):
-    assert majorant_fit(example_left) == (1.75, 4.0)
-
-
-def test_majorant_fit_degenerate_cases():
-    zero = MatrixPolyCoefficients((np.zeros((2, 2)), np.zeros((2, 2))))
-    assert majorant_fit(zero) == (0.0, 0.0)
-    # zero A_0 falls back to the largest norm
-    nilp = MatrixPolyCoefficients((np.zeros((2, 2)), np.eye(2) * 3.0))
-    b, d = majorant_fit(nilp)
-    assert d == 3.0 and b == 1.0
-
-
 def test_tail_bound_zero_family():
     zero = MatrixPolyCoefficients((np.zeros((2, 2)),))
-    assert tail_bound(zero, 5, 2.0).value == 0.0
+    assert tail_bound(zero, 5, 2.0) == 0.0
+    # a zero A_0 with a nonzero A_1 is not a zero family
+    nilp = MatrixPolyCoefficients((np.zeros((2, 2)), np.eye(2) * 3.0))
+    bound = tail_bound(nilp, 5, 0.5)
+    truth = math.exp(1.5 * 0.5**2)
+    partial = evaluate(compute_coefficients(nilp, 5), 0.5)[0, 0]
+    assert truth - partial <= bound < math.inf
 
 
 def test_tail_bound_dominates_scalar_truth():
@@ -228,20 +220,23 @@ def test_tail_bound_dominates_scalar_truth():
     for t, truth in closed.items():
         for order in range(1, 41):
             partial = evaluate(compute_coefficients(coeffs, order), t)[0, 0]
-            bound = tail_bound(coeffs, order, t)
-            assert bound.value >= abs(truth - partial)
+            assert tail_bound(coeffs, order, t) >= abs(truth - partial)
 
 
-def test_tail_bound_outside_window_is_inf():
+def test_tail_bound_is_finite_for_every_step():
+    # a(t) = 1 + t, also past t = 1: the polynomial majorant is entire, so the
+    # bound stays finite and holds for every step length.
     coeffs = MatrixPolyCoefficients((np.array([[1.0]]), np.array([[1.0]])),)
-    bound = tail_bound(coeffs, 10, 1.0)
-    assert math.isinf(bound.value)
-    assert bound.b == 1.0
+    for t in (1.0, 2.0, 5.0):
+        truth = math.exp(t + t * t / 2)
+        partial = evaluate(compute_coefficients(coeffs, 10), t)[0, 0]
+        assert truth - partial <= tail_bound(coeffs, 10, t) < math.inf
 
 
 def test_tail_bound_decreases_with_order(example_left):
-    values = [tail_bound(example_left, n, 0.2).value for n in range(2, 40, 4)]
-    assert all(b2 <= b1 for b1, b2 in zip(values, values[1:]))
+    # orders where the dropped tail, not rounding, dominates the bound
+    values = [tail_bound(example_left, n, 0.2) for n in range(2, 15, 4)]
+    assert all(b2 < b1 for b1, b2 in zip(values, values[1:]))
     assert values[-1] < 1e-8
 
 
@@ -278,7 +273,7 @@ def test_naive_exponential_autonomous_case():
     t = 0.8
     series = compute_coefficients(coeffs, 30)
     gap = np.abs(naive_exponential(coeffs, t, 40) - evaluate(series, t)).max()
-    assert gap <= tail_bound(coeffs, 30, t).value + 1e-12
+    assert gap <= tail_bound(coeffs, 30, t) + 1e-12
 
 
 def test_counterexample_exponential_entry():
@@ -364,17 +359,28 @@ def test_solve_stepped_single_step_equals_direct(example_left):
     direct = evaluate(compute_coefficients(example_left, 15), 0.2)
     assert len(path) == 2
     assert np.array_equal(path[1].value, direct)
-    assert path[1].tail_bound == tail_bound(example_left, 15, 0.2).value
+    assert path[1].tail_bound == tail_bound(example_left, 15, 0.2)
 
 
 def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
-    # one step far outside the window: the value overflows entrywise and the
-    # bound is inf; composing with R(0) = I must not turn inf * 0 into NaN
+    # one step of length 1e8: the value overflows entrywise and exp of the
+    # majorant's integral too, so the bound is inf; composing with R(0) = I
+    # must not turn inf * 0 into NaN
     with np.errstate(over="ignore"):
         last = solve_stepped(example_left, 1e8, 1e8, 40)[-1]
         direct = evaluate(compute_coefficients(example_left, 40), 1e8)
     assert last.tail_bound == math.inf
     assert np.array_equal(last.value, direct)
+
+
+def test_solve_stepped_overflowed_composition_is_inf_not_nan():
+    # The composed value overflows from the second step; at the fourth, BLAS
+    # turns inf * 0 and inf - inf into NaN entries, and the bound stays inf.
+    coeffs = MatrixPolyCoefficients((1e200 * np.array([[1.0, -1.0], [1.0, 1.0]]),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = solve_stepped(coeffs, 4.0, 1.0, 1)
+    assert np.isnan(path[-1].value).any()
+    assert [s.tail_bound for s in path] == [0.0, math.inf, math.inf, math.inf, math.inf]
 
 
 def test_overflowed_evaluation_warns_nothing(example_left):
@@ -395,7 +401,7 @@ def test_tail_bound_certifies_a_tiny_linear_part():
     coeffs = MatrixPolyCoefficients((np.array([[2.0]]), np.array([[1e-20]])))
     truth = math.exp(2.0 + 0.5e-20)
     partial = evaluate(compute_coefficients(coeffs, 10), 1.0)[0, 0]
-    bound = tail_bound(coeffs, 10, 1.0).value
+    bound = tail_bound(coeffs, 10, 1.0)
     assert truth - partial > 1e-5
     assert truth - partial <= bound <= 2 * (truth - partial)
 
@@ -433,31 +439,59 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
     """solve_stepped as one plain loop over the steps, matched bit for bit by the stacked solve.
 
     Every kernel is written out here on single 2-D matrices, in the order of
-    its sums: the binomial shift, the recursion, Horner, the norms and the
-    majorant tail.  Only the grid and the constructors' checks are shared.
+    its sums: the binomial shift, the recursion, Horner, the norms, and the
+    local bound with its shift rounding and the rounding of the product.
+    Only the grid and the constructors' checks are shared.
     Returns [(t, value, bound)].
     """
     left = coeffs.orientation is Orientation.LEFT
+    dim, p = coeffs.dim, coeffs.degree
+
+    def gamma(n):
+        u = 2.0**-53
+        return math.nextafter(n * u / (1.0 - n * u), math.inf)
+
+    def up(x, ops):
+        return x * (1.0 + gamma(2 * ops + 4))
 
     def norm(mat):
-        return float(np.abs(mat).sum(axis=0 if left else 1).max())
+        return up(float(np.abs(mat).sum(axis=0 if left else 1).max()), dim)
 
-    def local_bound(local, h):
-        norms = [norm(m) for m in local.matrices]
-        if max(norms) == 0.0:
+    unshifted = [norm(m) for m in coeffs.matrices]
+
+    def local_bound(local, t0, h):
+        a = [norm(m) for m in local.matrices]
+        rho = [0.0] * (p + 1)
+        for j in range(p if t0 else 0):
+            c = sum(math.comb(k, j) * abs(t0) ** (k - j) * unshifted[k] for k in range(j, p + 1))
+            rho[j] = up(gamma(p + 4) * c, p + 5)
+        primed = [up(aj * (1.0 + gamma(dim * (p + 1) + 2)) + r, 3) for aj, r in zip(a, rho)]
+        if not any(primed):
             return 0.0
-        d = norms[0] if norms[0] > 0 else max(norms)
-        b = 0.0
-        for j, nj in enumerate(norms[1:], start=1):
-            if nj > 0:
-                b = max(b, (nj / d) ** (1.0 / j))
-        total = majorant_total(b, d, h)
-        if math.isinf(total):
+        exponent, power = 0.0, h
+        for j, aj in enumerate(primed):
+            if aj:
+                exponent += aj * power / (j + 1)
+            power *= h
+        try:
+            growth = up(math.exp(up(exponent, p + 3)), 2)
+        except OverflowError:
             return math.inf
-        partial = majorant_coefficients(b, d, order).partial_sum(h)
-        return max(total - partial, 0.0) + (2 * order + 10) * math.ulp(total)
+        total = up(growth * (1.0 + gamma(2 * order + 1)), 2)
+        r = [1.0]
+        for n in range(1, order + 1):
+            acc = 0.0
+            for j in range(min(p + 1, n)):
+                acc += a[j] * r[n - 1 - j]
+            r.append(acc / n)
+        partial = 0.0
+        for c in reversed(r):
+            partial = partial * h + c
+        partial *= 1.0 - gamma(order * (p + 4) + 2)
+        if not partial <= total < math.inf:
+            return math.inf
+        return math.nextafter(total - partial, math.inf)
 
-    p = coeffs.degree
     out = [(0.0, np.eye(coeffs.dim), 0.0)]
     t_prev = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -485,14 +519,15 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
             for term in terms[-2::-1]:
                 r_loc *= h
                 r_loc += term
-            bound_loc = local_bound(local, h)
+            bound_loc = local_bound(local, t_prev, h)
             if k == 1:
                 current, err = r_loc, bound_loc
             else:
                 norm_prev = norm(current)
                 norm_loc = norm(r_loc)
                 current = r_loc @ current if left else current @ r_loc
-                err = bound_loc * (norm_prev + err) + norm_loc * err
+                err = bound_loc * (norm_prev + err) + norm_loc * (err + gamma(dim) * norm_prev)
+                err = math.inf if math.isnan(err) else up(err, 6)
             out.append((t_next, current, err))
             t_prev = t_next
     return out
@@ -508,9 +543,10 @@ def assert_solve_matches_reference(coeffs, t_final, step, order):
         return
     path = solve_stepped(coeffs, t_final, step, order)
     assert [s.t for s in path] == [t for t, _, _ in expected]
-    # An overflowed value has NaN entries, and then a NaN bound.
+    # An overflowed value can have NaN entries, but its bound is inf, never NaN.
     bounds = [s.tail_bound for s in path]
-    assert np.array_equal(bounds, [bound for _, _, bound in expected], equal_nan=True)
+    assert not np.isnan(bounds).any()
+    assert bounds == [bound for _, _, bound in expected]
     for s, (_, value, _) in zip(path, expected):
         # Bit for bit: signed zeros and the bits of any overflow-made NaN too.
         assert s.value.shape == value.shape and s.value.tobytes() == value.tobytes()
@@ -557,7 +593,7 @@ M = np.array([[1.0, 2.0], [3.0, 4.0]])
         ((M, 1e150 * M), 10.0, 1.0, 5),
         # t0^2 overflows a float at the fourth step, inside the first block
         ((M, M, 1e-300 * M), 2e154, 5e153, 5),
-        # the majorant's b^j overflows a float at the 16th step
+        # A_1 is 1e20 times A_0, over steps of 5e-22: the shift mixes magnitudes
         ((np.array([[1.0]]), np.array([[-1e20]])), 40 * 5e-22, 5e-22, 16),
         ((M,), 1.0, 0.5, 0),
         ((M,), 0.0, 0.5, 0),

@@ -8,8 +8,6 @@ from evoseries.scalar import (
     ScalarSeries,
     coefficient_bound,
     lemma_constants,
-    majorant_coefficients,
-    majorant_total,
     scalar_closed_form,
     scalar_coefficients,
     scalar_explicit_rn,
@@ -126,42 +124,15 @@ def test_factorial_envelope_holds(a0, a1):
         assert abs(s.coeffs[n]) <= coefficient_bound(c, d, n) * (1 + 1e-9)
 
 
-def test_majorant_coefficients_by_hand():
-    assert majorant_coefficients(2.0, 0.5, 1).coeffs[1] == 0.5
-    # b = d = 1: a_j = 1 for all j, so r_1 = r_2 = r_3 = 1
-    s = majorant_coefficients(1.0, 1.0, 3)
-    assert s.coeffs == (1.0, 1.0, 1.0, 1.0)
-
-
 @given(
-    st.floats(0.1, 2.0, allow_nan=False),
-    st.floats(0.1, 3.0, allow_nan=False),
-    st.integers(2, 25),
+    st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1, max_size=4),
+    st.floats(0.0, 2.0, allow_nan=False),
+    st.integers(1, 25),
 )
 @settings(max_examples=60)
-def test_majorant_terms_positive_and_below_total(b, d, order):
-    s = majorant_coefficients(b, d, order)
-    assert all(c > 0 for c in s.coeffs)
-    t = 0.5 / b  # inside the certified window
-    assert s.partial_sum(t) <= majorant_total(b, d, t)
-
-
-def test_majorant_total_values():
-    assert majorant_total(1.0, 2.0, 0.5) == pytest.approx(4.0, rel=1e-14)
-    assert majorant_total(0.0, 2.0, 0.25) == pytest.approx(math.exp(0.5), rel=1e-14)
-    assert majorant_total(2.0, 1.0, 0.5) == math.inf
-    assert majorant_total(2.0, 1.0, 0.7) == math.inf
-    with pytest.raises(ValueError):
-        majorant_total(1.0, 1.0, -0.1)
-
-
-def test_majorant_total_tiny_base_and_overflow():
-    # b t below half an ulp: the power form returned 1 for every d
-    assert majorant_total(1e-20, 2.0, 1.0) == pytest.approx(math.exp(2.0), rel=1e-14)
-    # (d/b) (-log(1 - x)) = 2e6 (x + x^2/2 + x^3/3 + ...) at x = 1e-6
-    assert majorant_total(1e-6, 2.0, 1.0) == pytest.approx(
-        math.exp(2.0 + 1e-6 + 2e6 * 1e-18 / 3), rel=1e-14
-    )
-    # past the float range inside the window: inf, not OverflowError
-    assert majorant_total(0.01, 5.0, 95.0) == math.inf
-    assert majorant_total(1e-4, 5.0, 150.0) == math.inf
+def test_nonnegative_family_partial_sum_below_closed_form(a, t, order):
+    # The engine's certificate rests on this: for a_j >= 0 every r_n >= 0, so
+    # each partial sum is below exp(integral of a), for every t >= 0.
+    s = scalar_coefficients(a, order)
+    assert all(c >= 0 for c in s.coeffs)
+    assert s.partial_sum(t) <= scalar_closed_form(a, t) * (1 + 1e-12)
