@@ -152,7 +152,8 @@ def solve_bdp(
     well below 1, so the carried error is scaled by min(1, that row sum plus
     its error), with the row sums taken from the backward equation by
     _row_sums.  That keeps the bound no looser than the one composed from
-    full propagators.
+    full propagators.  The local bounds of every step, and those of the row
+    sums, are one stacked _local_bound call after the last step.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -175,22 +176,25 @@ def solve_bdp(
     leaky = spec.boundary is Boundary.REFLECT_NONE
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
-    dists, bounds = [p], [0.0]
+    hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
+    # Per step: the local family's norms and the mass of the row it advances;
+    # for a leaky chain, the largest row sum of the local propagator and the
+    # norms that bound its error, by step.
+    norms, masses, leaks = [], [], {}
+    dists = [p]
+    ahead = None  # the family recentered at the step's end, when the row sums needed it
     # Overflow shows as a refused series or an inf value and bound, so numpy's
     # floating-point warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_prev, t_next in zip(times, times[1:]):
-            h = t_next - t_prev
-            local = recenter(coeffs, t_prev)
-            norms = _norm_bounds(local.matrices, local.orientation).tolist()
-            local_bound = _local_bound(norms, unshifted, t_prev, coeffs.dim, order, h)
-            carried = bounds[-1]
-            if leaky and carried:
-                sums, error = _row_sums(coeffs, unshifted, t_prev, t_next, order)
-                carried = _up(carried * min(1.0, float(sums.max()) + error), 2)
-            mass = _up(float(np.abs(p).sum()), spec.states)
-            # A zero row stays exactly zero, even where the local bound is inf.
-            bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
+        for k, (t_prev, h) in enumerate(zip(times, hs)):
+            local = recenter(coeffs, t_prev) if ahead is None else ahead
+            ahead = None
+            norms.append(_norm_bounds(local.matrices, local.orientation))
+            if leaky and any(masses):  # else the carried error is 0 and needs no factor
+                ahead = recenter(coeffs, times[k + 1])
+                sums, back_norms = _row_sums(ahead, h, order)
+                leaks[k] = float(sums.max()), back_norms
+            masses.append(_up(float(np.abs(p).sum()), spec.states))
             terms = _expand(local.matrices, local.orientation, p, order)
             if not np.isfinite(terms).all():
                 raise ValueError(
@@ -200,35 +204,48 @@ def solve_bdp(
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
+    # One stacked bound: every step's, then the row sums' of the leaky steps,
+    # whose back families are shifted to the step's end.
+    local_bounds = _local_bound(
+        np.array(norms + [back for _, back in leaks.values()]), unshifted,
+        times[:-1] + [times[k + 1] for k in leaks], coeffs.dim, order,
+        hs + [hs[k] for k in leaks],
+    )
+    errors = local_bounds[len(hs):]
+    factors = {k: min(1.0, top + error) for (k, (top, _)), error in zip(leaks.items(), errors)}
+    bounds = [0.0]
+    for k, (mass, local_bound) in enumerate(zip(masses, local_bounds)):
+        carried = bounds[-1]
+        if leaky and carried:
+            carried = _up(carried * factors[k], 2)
+        # A zero row stays exactly zero, even where the local bound is inf.
+        bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
     traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
     return traj, coeffs
 
 
 def _row_sums(
-    coeffs: MatrixPolyCoefficients, unshifted: list[float], t_prev: float, t_next: float,
-    order: int,
-) -> tuple[np.ndarray, float]:
-    """Row sums of the exact propagator R from t_prev to t_next, and a bound on their error.
+    ahead: MatrixPolyCoefficients, h: float, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of the exact propagator R of a step of length h, and norms bounding their error.
 
-    The forward recursion run on the column of ones gives the row sums of
-    the LEFT propagator, which multiplies in reverse time order; they differ
-    from those of R whenever A_0 and A_1 do not commute on that column.  The
-    row sums u(s) of the propagator from s to t_next instead solve the
-    backward equation du/ds = -A(s) u, u(t_next) = 1.  In tau = t_next - s
-    that is du/dtau = B(tau) u with B(tau) = A(t_next - tau): the family
-    recentered at t_next with its odd coefficients negated, LEFT-oriented,
-    expanded from the column of ones and summed at h = t_next - t_prev.  The
-    _local_bound of the same matrices (unshifted: the family's _norm_bounds)
-    in the max-row-sum norm, which is submultiplicative, bounds their error.
+    ahead is the family recentered at the step's end t_next.  The forward
+    recursion run on the column of ones gives the row sums of the LEFT
+    propagator, which multiplies in reverse time order; they differ from
+    those of R whenever A_0 and A_1 do not commute on that column.  The row
+    sums u(s) of the propagator from s to t_next instead solve the backward
+    equation du/ds = -A(s) u, u(t_next) = 1.  In tau = t_next - s that is
+    du/dtau = B(tau) u with B(tau) = A(t_next - tau): ahead with its odd
+    coefficients negated, LEFT-oriented, expanded from the column of ones and
+    summed at h.  The second value is the _norm_bounds of B in the
+    max-row-sum norm, which is submultiplicative: their _local_bound row,
+    shifted to t_next from the family's own _norm_bounds, bounds the error of
+    the sums.  The next step starts from ahead too, so no shift runs twice.
     """
-    h = t_next - t_prev
-    shifted = recenter(coeffs, t_next).matrices
-    signs = (-1.0) ** np.arange(len(shifted))
-    back = MatrixPolyCoefficients(shifted * signs[:, None, None], Orientation.RIGHT)
-    norms = _norm_bounds(back.matrices, back.orientation).tolist()
-    error = _local_bound(norms, unshifted, t_next, coeffs.dim, order, h)
-    sums = _expand(back.matrices, Orientation.LEFT, np.ones(coeffs.dim), order)
-    return _horner(sums, h), error
+    signs = (-1.0) ** np.arange(len(ahead.matrices))
+    back = MatrixPolyCoefficients(ahead.matrices * signs[:, None, None], Orientation.RIGHT)
+    sums = _expand(back.matrices, Orientation.LEFT, np.ones(ahead.dim), order)
+    return _horner(sums, h), _norm_bounds(back.matrices, back.orientation)
 
 
 @dataclass(frozen=True)

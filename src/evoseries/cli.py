@@ -9,6 +9,7 @@ nonzero after a single diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -213,7 +214,9 @@ def cmd_bdp(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared after it."""
     parser = _Parser(prog="evoseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

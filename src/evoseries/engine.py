@@ -7,7 +7,8 @@ side), and the explicit formula summing weighted coefficient products over
 index sets.  A local expansion's error, rounding included, is certified by
 the scalar majorant exp(integral of the coefficient norms), finite for every
 step; longer horizons re-expand at shifted origins and compose the per-step
-propagators, adding the rounding of each product to the bound.
+propagators, adding the rounding of each product to the bound.  The majorant
+runs stacked: one array pass bounds every step of a block.
 """
 
 from __future__ import annotations
@@ -306,8 +307,8 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
         raise ValueError(f"series order must be >= 1, got {order}")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    norms = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
-    return _local_bound(norms, norms, 0.0, coeffs.dim, order, t)
+    norms = _norm_bounds(coeffs.matrices, coeffs.orientation)
+    return _local_bound(norms[None], norms.tolist(), [0.0], coeffs.dim, order, [t])[0]
 
 
 def _gamma(n: int) -> float:
@@ -329,32 +330,45 @@ def _norm_bounds(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
     return _up(_norms(mats, orientation), mats.shape[-1])
 
 
-def _shift_rounding(norms: list[float], t0: float) -> list[float]:
-    """Bounds rho_j on ||A~_j - A_j(t0)||, the rounding of _shift to t0; norms[k] >= ||A_k||.
+def _shift_rounding(norms: list[float], starts: list[float]) -> np.ndarray:
+    """Bounds rho[s, j] on ||A~_j - A_j(t0)||, the rounding of _shift to t0 = starts[s].
 
-    A term comb(k, j) t0^(k-j) A_k of A~_j takes at most p + 4 roundings (the
-    power within an ulp, two products, p - j sums), so entrywise
-    |A~_j - A_j(t0)| <= gamma_(p+4) sum_k comb(k, j) |t0|^(k-j) |A_k|.  At
-    t0 = 0, and for A~_p, the shift adds zeros to one exact term: rho_j = 0.
+    norms[k] >= ||A_k||.  A term comb(k, j) t0^(k-j) A_k of A~_j takes at
+    most p + 4 roundings (the power within an ulp, two products, p - j sums),
+    so entrywise |A~_j - A_j(t0)| <= gamma_(p+4) sum_k comb(k, j) |t0|^(k-j) |A_k|.
+    At t0 = 0, and for A~_p, the shift adds zeros to one exact term: rho = 0.
+    The powers are Python floats, as in _shift, and the sums run in
+    increasing k, so each row has the bits of its origin's sums alone.
     """
     p = len(norms) - 1
-    if t0 == 0.0:
-        return [0.0] * (p + 1)
-    g, weights = _gamma(p + 4), [abs(t0) ** e for e in range(p + 1)]
-    sums = [sum(math.comb(k, j) * weights[k - j] * norms[k] for k in range(j, p + 1))
-            for j in range(p)]
-    return [_up(g * c, p + 5) for c in sums] + [0.0]
+    weights = np.array([[abs(t0) ** e for e in range(p + 1)] for t0 in starts])
+    sums = np.zeros((len(starts), p + 1))
+    for j in range(p):
+        for k in range(j, p + 1):
+            sums[:, j] += math.comb(k, j) * weights[:, k - j] * norms[k]
+    rho = _up(_gamma(p + 4) * sums, p + 5)
+    return np.where(np.array(starts)[:, None] == 0.0, 0.0, rho)
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _local_bound(
-    norms: list[float], unshifted: list[float], t0: float, dim: int, order: int, h: float
-) -> float:
-    """Bound on ||S - R(h)||: the computed local series S against the exact propagator R.
+    norms: np.ndarray, unshifted: list[float], starts: list[float], dim: int, order: int,
+    hs: list[float],
+) -> list[float]:
+    """Bounds on ||S - R(h)||, one per row: the computed local series S against the exact R.
 
-    S is the order-N series of A~_0..A~_p, the float _shift to t0 of a
-    family with _norm_bounds unshifted, summed by Horner at h, and
-    norms[j] >= ||A~_j||; R solves the family shifted exactly.  With
-    a_j = norms[j], rho from _shift_rounding and
+    Row s of the (S, p+1) array norms bounds the step [t0, t0 + h] with
+    t0 = starts[s] and h = hs[s].  S is the order-N series of A~_0..A~_p,
+    the float _shift to t0 of a family with _norm_bounds unshifted, summed
+    by Horner at h, and norms[s, j] >= ||A~_j||; R solves the family
+    shifted exactly.  With a_j = norms[s, j], rho from _shift_rounding and
     a'_j = a_j (1 + gamma_(d(p+1)+2)) + rho_j, the scalar series r of a and
     r' of a' (scalar_coefficients) give, by induction on the recursion, whose
     entries are sums of at most d(p+1) products over n, ||T~_n|| <= r'_n,
@@ -370,30 +384,37 @@ def _local_bound(
     exponential or a term of r overflows.  A zero family's series is exactly
     I, with bound 0.  Underflow is left out: a nonzero bound is at least
     gamma_(2N+1), far above the absolute error of a subnormal result.
+
+    The rows are stacked: every float operation runs elementwise on arrays
+    with a step axis (scalar_coefficients and Horner on the (p+1, S)
+    transpose), in the order a single row's would, so each row's bound is
+    bit for bit the one a one-row call gives.  Only exp runs per row, as
+    math.exp: numpy's vectorised exp is not promised within the one ulp
+    that the rounding model assumes.  At order 30 a call costs about
+    0.15 ms however few rows it has, several times one row in plain Python,
+    so a caller passes all the steps it has at once.
     """
-    p = len(norms) - 1
+    p = norms.shape[1] - 1
     slack = 1.0 + _gamma(dim * (p + 1) + 2)
-    rho = _shift_rounding(unshifted, t0)
-    primed = [_up(aj * slack + r, 3) for aj, r in zip(norms, rho)]
-    if not any(primed):
-        return 0.0
-    exponent, power = 0.0, h
-    for j, aj in enumerate(primed):
-        if aj:  # a zero coefficient adds nothing, even where h^(j+1) overflows
-            exponent += aj * power / (j + 1)
-        power *= h
-    try:
-        growth = _up(math.exp(_up(exponent, p + 3)), 2)  # exp is within an ulp
-    except OverflowError:
-        return math.inf
-    total = _up(growth * (1.0 + _gamma(2 * order + 1)), 2)
-    # The partial sum is within K = N(p + 4) roundings (p + 2 an order in r,
-    # 2N in Horner) of its value; 1 - gamma_(K+2) also covers this product.
-    partial = scalar_coefficients(norms, order).partial_sum(h)
-    partial *= 1.0 - _gamma(order * (p + 4) + 2)
-    if not partial <= total < math.inf:  # an overflow, in the exponential or in r
-        return math.inf
-    return math.nextafter(total - partial, math.inf)
+    h = np.array(hs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        primed = _up(norms * slack + _shift_rounding(unshifted, starts), 3)
+        exponent, power = np.zeros(len(h)), h
+        for j, aj in enumerate(primed.T):
+            # A zero coefficient adds nothing, even where h^(j+1) overflows.
+            exponent = np.where(aj != 0.0, exponent + aj * power / (j + 1), exponent)
+            power = power * h
+        growth = [_exp_or_inf(x) for x in _up(exponent, p + 3).tolist()]
+        growth = _up(np.array(growth), 2)  # exp is within an ulp
+        total = _up(growth * (1.0 + _gamma(2 * order + 1)), 2)
+        # The partial sum is within K = N(p + 4) roundings (p + 2 an order in r,
+        # 2N in Horner) of its value; 1 - gamma_(K+2) also covers this product.
+        partial = scalar_coefficients(norms.T, order).partial_sum(h)
+        partial = partial * (1.0 - _gamma(order * (p + 4) + 2))
+        # An overflow, in the exponential or in r, loses the row's bound.
+        finite = (partial <= total) & (total < math.inf)
+        bounds = np.where(finite, np.nextafter(total - partial, math.inf), math.inf)
+    return np.where(primed.any(axis=1), bounds, 0.0).tolist()
 
 
 def residual(
@@ -532,11 +553,12 @@ def solve_stepped(
     rounding, so it certifies the composed float value.  The first step's
     bound is tail_bound over that step, bit for bit.
 
-    The local expansions of each block of consecutive steps run as one
-    stack (_local_propagators), bit for bit what recenter,
-    compute_coefficients and evaluate give step by step.  Overflow shows as
-    inf in the values and bounds (never a NaN bound), or as the error of the
-    first step whose series is not finite, never as a numpy warning.
+    The local expansions of each block of consecutive steps, and their
+    bounds, run as one stack (_local_propagators), bit for bit what
+    recenter, compute_coefficients, evaluate and tail_bound's majorant give
+    step by step.  Overflow shows as inf in the values and bounds (never a
+    NaN bound), or as the error of the first step whose series is not
+    finite, never as a numpy warning.
 
     The grid is _step_ends(t_final, step): no float sliver at its end, and
     at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
@@ -590,12 +612,12 @@ def _local_propagators(
     """Local propagators and their bounds on the steps [t0, t0 + h], stacked over steps.
 
     Returns the (S, d, d) values of the order-N local series at h and the S
-    _local_bound values, each with its own shift's rounding.  A step whose
-    t0 powers overflow ends the block before it, so that the steps ahead of
-    it raise their own errors first; as the first step it raises
-    OverflowError, as recenter does.  The first step
-    whose recentered family or series has a non-finite entry raises the
-    ValueError that constructing it would.
+    bounds of one _local_bound call, each with its own shift's rounding.  A
+    step whose t0 powers overflow ends the block before it, so that the
+    steps ahead of it raise their own errors first; as the first step it
+    raises OverflowError, as recenter does.  The first step whose recentered
+    family or series has a non-finite entry raises the ValueError that
+    constructing it would.
     """
     powers = []
     for t0 in starts:
@@ -613,15 +635,13 @@ def _local_propagators(
     shift_finite = np.isfinite(shifted).all(axis=(2, 3))
     series_finite = np.isfinite(terms).all(axis=(2, 3))
     finite = (shift_finite.all(axis=0) & series_finite.all(axis=0)).tolist()
+    if not all(finite):
+        s = finite.index(False)
+        _require_finite(shift_finite[:, s])
+        _require_finite(series_finite[:, s])
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
-    norms = _norm_bounds(shifted, coeffs.orientation).T.tolist()
-    bounds = []
-    for s in range(steps):
-        if not finite[s]:
-            _require_finite(shift_finite[:, s])
-            _require_finite(series_finite[:, s])
-        bounds.append(_local_bound(norms[s], unshifted, starts[s], dim, order, hs[s]))
-    return values, bounds
+    norms = _norm_bounds(shifted, coeffs.orientation).T
+    return values, _local_bound(norms, unshifted, starts[:steps], dim, order, hs[:steps])
 
 
 def counterexample_coefficients() -> MatrixPolyCoefficients:

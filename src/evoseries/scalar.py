@@ -9,6 +9,9 @@ minus the partial sum of scalar_coefficients bounds the matrix tail; the
 engine's local bound widens the a_j to cover rounding too.
 
 Coefficient lists a = (a_0, ..., a_p) are plain float sequences throughout.
+scalar_coefficients and ScalarSeries.partial_sum also run elementwise on
+numpy arrays of one shape; the engine's local bound stacks the steps of a
+whole block that way, in one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ class ScalarSeries:
             raise ValueError("scalar series must start at r_0 = 1")
 
     def partial_sum(self, t: float) -> float:
-        """Value of the truncated series at t, by Horner evaluation."""
+        """Value of the truncated series at t, by Horner evaluation.
+
+        Coefficients and t may be arrays of one shape (see scalar_coefficients).
+        """
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + c
@@ -49,7 +55,11 @@ class ScalarSeries:
 def scalar_coefficients(a: Sequence[float], order: int) -> ScalarSeries:
     """Coefficients from the recursion n r_n = a_0 r_{n-1} + ... + a_{n-1} r_0.
 
-    Coefficients a_j with j >= len(a) are treated as zero.
+    Coefficients a_j with j >= len(a) are treated as zero.  Each a_j may be
+    a numpy array, all of one shape: the products and sums then run
+    elementwise in the same order, so each element is bit for bit the float
+    call on its own coefficients.  Where floats overflow silently to inf,
+    numpy also warns, unless the caller sets np.errstate.
     """
     if len(a) == 0:
         raise ValueError("need at least the constant coefficient a_0")

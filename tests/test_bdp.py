@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from evoseries import bdp
 from evoseries.bdp import (
     BirthDeathSpec,
     Boundary,
@@ -18,6 +19,7 @@ from evoseries.bdp import (
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _local_bound,
     _norm_bounds,
     compute_coefficients,
     recenter,
@@ -184,7 +186,8 @@ def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     local = solve_stepped(recenter(coeffs, t_prev), h, h, 40)[-1]
     exact = local.value.sum(axis=1)
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
-    sums, error = _row_sums(coeffs, unshifted, t_prev, t_next, 20)
+    sums, norms = _row_sums(recenter(coeffs, t_next), h, 20)
+    [error] = _local_bound(norms[None], unshifted, [t_next], coeffs.dim, 20, [h])
     assert 0.0 < error < 1e-10
     assert np.all(np.abs(sums - exact) <= error + local.tail_bound)
     assert min(1.0, sums.max() + error) >= exact.max() - local.tail_bound
@@ -323,3 +326,19 @@ def test_stochasticity_report_flags_negatives():
     )
     assert bad.any_negative
     assert bad.worst_entry == -1e-6
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_solve_bdp_makes_one_bound_call(monkeypatch, boundary):
+    rows = []
+
+    def counting(norms, *args):
+        rows.append(len(norms))
+        return bound(norms, *args)
+
+    bound = bdp._local_bound
+    monkeypatch.setattr(bdp, "_local_bound", counting)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
+    solve_bdp(spec, 1.0, 7, 20)
+    # Every step's forward bound; a leaky chain adds the row sums' error of steps 1..6.
+    assert rows == [13 if boundary is Boundary.REFLECT_NONE else 7]

@@ -189,8 +189,8 @@ def test_shift_rounding_bounds_the_float_shift(seed, dim, degree, left, log_t0):
     t0 = 10.0**log_t0
     shifted = recenter(coeffs, t0).matrices
     norms = _norm_bounds(coeffs.matrices, orientation).tolist()
-    assert _shift_rounding(norms, 0.0) == [0.0] * (degree + 1)  # the shift to 0 is exact
-    rho = _shift_rounding(norms, t0)
+    assert _shift_rounding(norms, [0.0]).tolist() == [[0.0] * (degree + 1)]  # the shift to 0 is exact
+    [rho] = _shift_rounding(norms, [t0]).tolist()
     with mpmath.workdps(DIGITS):
         exact = [mp_array(m) for m in mats]
         for j, rho_j in enumerate(rho):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evoseries.cli import main
+from evoseries.cli import build_parser, main
 from evoseries.matfile import format_coefficients
 from evoseries.shift_algebra import POWER_GUARD
 
@@ -383,3 +383,22 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/48  1/48  EQUAL\n"
+
+
+def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(EXAMPLE_MAT)
+    runs = [
+        ["solve", "--coeffs", str(path), "--t", "1", "--step", "0.25"],
+        ["solve", "--coeffs", str(path), "--t", "0.5", "--orientation", "right"],
+        ["solve", "--coeffs", str(path), "--t", "soon"],
+        ["bdp", "--states", "5", "--steps", "3", "--boundary", "raw"],
+    ]
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser() is build_parser()

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from evoseries import engine
 from evoseries.engine import (
     MAX_STEPS,
+    _local_bound,
     _step_ends,
     MatrixPolyCoefficients,
     MatrixSeries,
@@ -605,3 +607,66 @@ def test_solve_stepped_blocks_and_refusals_equal_per_step_loop(
 ):
     coeffs = MatrixPolyCoefficients(mats, orientation)
     assert_solve_matches_reference(coeffs, t_final, step, order)
+
+
+def float_bits(values) -> list[bytes]:
+    return [np.float64(v).tobytes() for v in values]
+
+
+ROW_KINDS = ("random", "t0 = 0", "zero family", "exp overflow", "series overflow")
+
+
+@given(
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    degree=st.integers(0, 3),
+    order=st.integers(2, 30),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_local_bound_rows_equal_one_row_calls(kinds, seed, dim, degree, order):
+    rng = np.random.default_rng(seed)
+    unshifted = (rng.random(degree + 1) * 10.0 ** rng.uniform(-2, 2)).tolist()
+    rows, starts, hs = [], [], []
+    for kind in kinds:
+        norms, t0, h = rng.random(degree + 1) * 10.0 ** rng.uniform(-2, 2), rng.uniform(0, 5), 10.0 ** rng.uniform(-3, 0)
+        if kind == "t0 = 0":
+            t0 = 0.0
+        elif kind == "zero family":
+            norms, t0 = np.zeros(degree + 1), 0.0
+        elif kind == "exp overflow":  # integral of a' over the step is above 1e3
+            norms[0], h = 1e3 + norms[0], 10.0
+        elif kind == "series overflow":  # r_2 = a_0^2 / 2 overflows, exp(a_0 h) does not
+            norms[0], h = 1e300, 1e-300
+        rows.append(norms)
+        starts.append(t0)
+        hs.append(h)
+    stacked = _local_bound(np.array(rows), unshifted, starts, dim, order, hs)
+    singles = [
+        _local_bound(row[None], unshifted, [t0], dim, order, [h])[0]
+        for row, t0, h in zip(rows, starts, hs)
+    ]
+    assert float_bits(stacked) == float_bits(singles)
+    for kind, bound in zip(kinds, stacked):
+        if kind == "zero family":
+            assert bound == 0.0
+        elif kind in ("exp overflow", "series overflow"):
+            assert bound == math.inf
+        else:
+            assert 0.0 < bound < math.inf
+
+
+def test_solve_stepped_makes_one_bound_call_per_block(monkeypatch):
+    rows = []
+
+    def counting(norms, *args):
+        rows.append(len(norms))
+        return bound(norms, *args)
+
+    bound = engine._local_bound
+    monkeypatch.setattr(engine, "_local_bound", counting)
+    mats = np.random.default_rng(1).standard_normal((2, 8, 8))
+    path = solve_stepped(MatrixPolyCoefficients(mats), 1.92, 0.01, 30)
+    # 8x8 at order 30 takes 33 steps a block: 192 steps are 6 blocks.
+    assert len(path) == 193
+    assert rows == [33] * 5 + [27]

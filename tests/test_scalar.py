@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,3 +137,34 @@ def test_nonnegative_family_partial_sum_below_closed_form(a, t, order):
     s = scalar_coefficients(a, order)
     assert all(c >= 0 for c in s.coeffs)
     assert s.partial_sum(t) <= scalar_closed_form(a, t) * (1 + 1e-12)
+
+
+def double_bits(x) -> bytes:
+    """The bits of a double, with every NaN alike (its sign and payload are not specified)."""
+    return b"nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
+any_magnitude = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-4, 4)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda p: st.lists(st.lists(any_magnitude, min_size=p, max_size=p), min_size=1, max_size=6)
+    ),
+    st.lists(st.floats(-1e3, 1e3) | st.floats(0.0, 1e-300), min_size=6, max_size=6),
+    st.integers(1, 25),
+)
+@settings(max_examples=100)
+def test_array_coefficients_match_float_calls_bit_for_bit(rows, ts, order):
+    # The engine's stacked bound runs the recursion and Horner on a (p+1, S)
+    # array of coefficients and S times; each column must be its float call.
+    ts = ts[: len(rows)]
+    with np.errstate(over="ignore", invalid="ignore"):  # floats overflow without a warning
+        stacked = scalar_coefficients(np.array(rows).T, order)
+        values = stacked.partial_sum(np.array(ts))
+    for s, (a, t) in enumerate(zip(rows, ts)):
+        single = scalar_coefficients(a, order)
+        assert [double_bits(c) for c in single.coeffs] == [
+            double_bits(np.broadcast_to(c, len(rows))[s]) for c in stacked.coeffs
+        ]
+        assert double_bits(single.partial_sum(t)) == double_bits(values[s])
