@@ -8,7 +8,10 @@ so everything runs through the series engine with RIGHT orientation.
 
 The distribution itself is carried from step to step: the recursion
 n p_n = sum_j p_{n-1-j} A_j runs on the row vector, so no n x n propagator
-is ever formed.
+is ever formed.  The generator is tridiagonal, so the family is carried as
+its diagonals, one (p+1, 3, n) array: a step's shift, norms and recursion
+cost O(order n), and the only n x n arrays of a solve are the dense family
+it returns.
 
 Truncating the state space loses probability mass.  The leakage column
 records |1 - sum(p)| at each grid time; nothing is ever renormalized.
@@ -21,17 +24,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     MatrixPolyCoefficients,
     Orientation,
-    _expand,
     _horner,
     _local_bound,
-    _norm_bounds,
+    _shift,
     _step_ends,
     _up,
-    recenter,
 )
 
 __all__ = [
@@ -96,16 +98,83 @@ def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
     row (..., mu, -mu) under ABSORB_LAST or (..., mu, -(lam+mu)) under
     REFLECT_NONE.
     """
-    n = spec.states
-    gen = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    gen[idx, idx + 1] = lam
-    gen[idx + 1, idx] = mu
-    np.fill_diagonal(gen, -(lam + mu))
-    gen[0, 0] = -lam
+    return _dense(_diagonals(lam, mu, spec))
+
+
+def _diagonals(lam, mu, spec: BirthDeathSpec) -> np.ndarray:
+    """build_generator's matrix A as its diagonals: out[k, i] = A[i, i - 1 + k], 0 off the matrix.
+
+    lam and mu may be sequences of one length m; the result is then the
+    (m, 3, n) stack of the generators of the pairs (lam[j], mu[j]).
+    """
+    lam = np.asarray(lam, dtype=float)[..., None]
+    mu = np.asarray(mu, dtype=float)[..., None]
+    out = np.zeros((*lam.shape[:-1], 3, spec.states))
+    out[..., 0, 1:] = mu
+    out[..., 1, :] = -(lam + mu)
+    out[..., 1, :1] = -lam
     if spec.boundary is Boundary.ABSORB_LAST:
-        gen[n - 1, n - 1] = -mu
-    return gen
+        out[..., 1, -1:] = -mu
+    out[..., 2, :-1] = lam
+    return out
+
+
+def _dense(diagonals: np.ndarray) -> np.ndarray:
+    """The (..., n, n) matrices whose diagonals are the (..., 3, n) diagonals."""
+    n = diagonals.shape[-1]
+    i = np.arange(n)
+    out = np.zeros((*diagonals.shape[:-2], n, n))
+    out[..., i[1:], i[:-1]] = diagonals[..., 0, 1:]
+    out[..., i, i] = diagonals[..., 1, :]
+    out[..., i[:-1], i[1:]] = diagonals[..., 2, :-1]
+    return out
+
+
+def _transposed(diagonals: np.ndarray) -> np.ndarray:
+    """The diagonals of the transposed matrices: the row vector x A is the column A^T x^T."""
+    out = np.zeros_like(diagonals)
+    out[..., 0, 1:] = diagonals[..., 2, :-1]
+    out[..., 1, :] = diagonals[..., 1, :]
+    out[..., 2, :-1] = diagonals[..., 0, 1:]
+    return out
+
+
+def _diagonal_norm_bounds(diagonals: np.ndarray) -> np.ndarray:
+    """Max-row-sum norms of the matrices of a (p+1, ..., 3, n) stack of diagonals, rounded up.
+
+    Each row sum adds 3 entries, so _up(., 3) covers its rounding.  The
+    result has the shape (..., p+1): one row of norms per family, as
+    _local_bound takes them.
+    """
+    return np.moveaxis(_up(np.abs(diagonals).sum(axis=-2).max(axis=-1), 3), 0, -1)
+
+
+def _stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
+    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} for column vectors, A_j tridiagonal.
+
+    diagonals[j, ..., k, i] = A_j[i, i - 1 + k], and start[..., i] is entry
+    i of the column; leading axes between j and the diagonals hold families
+    expanded side by side, each from its own start.  Returns the
+    (order+1, ..., n) terms.  A row vector's series, n T_n =
+    sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
+
+    The terms live in one stack padded by p zero terms before T_0 and a zero
+    entry at each end of every term, so the products A_j T_{n-1-j} of every
+    j and all three diagonals of an order are one einsum over 3-entry
+    windows of the stack.  Each entry of T_n is a sum of at most 3(p+1)
+    products, then a division: _local_bound's count with dim = 3.
+    """
+    p = len(diagonals) - 1
+    stack = np.zeros((order + 1 + p, *start.shape[:-1], start.shape[-1] + 2))
+    stack[p, ..., 1:-1] = start
+    windows = sliding_window_view(stack, 3, axis=-1)  # [r, ..., i, k] = stack[r, ..., i + k]
+    # Rows n - 1 .. n - 1 + p of the stack hold T_{n-1-p} .. T_{n-1}: A_p .. A_0.
+    reversed_family = diagonals[::-1]
+    for n in range(1, order + 1):
+        term = stack[p + n, ..., 1:-1]
+        np.einsum("j...ik,j...ki->...i", windows[n - 1 : n + p], reversed_family, out=term)
+        term /= n
+    return stack[p:, ..., 1:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +205,13 @@ def solve_bdp(
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
     far to the given order and sums that series at the step length h.  The
-    returned family is A_0 + A_1 t with RIGHT orientation; expanding it with
-    compute_coefficients gives coefficient-level checks such as
-    R_2 = (A_0^2 + A_1) / 2.
+    family runs as its diagonals (_diagonals), shifted to every grid time
+    in one _shift; the recursion is _stencil_expand on their transpose and
+    the norms add 3 entries a row, so a step costs O(order n) and touches
+    no n x n array.  The returned family, built once from the same
+    diagonals, is the only n x n memory of a solve: A_0 + A_1 t with RIGHT
+    orientation, whose expansion by compute_coefficients gives
+    coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
     R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
@@ -152,16 +225,21 @@ def solve_bdp(
     well below 1, so the carried error is scaled by min(1, that row sum plus
     its error), with the row sums taken from the backward equation by
     _row_sums.  That keeps the bound no looser than the one composed from
-    full propagators.  The local bounds of every step, and those of the row
-    sums, are one stacked _local_bound call after the last step.
+    full propagators.  The row sums of every leaky step are one batched
+    _row_sums call, and the local bounds of every step and of those row
+    sums one stacked _local_bound call, after the last step.  Each entry of
+    a tridiagonal product sums at most 3 products, so _local_bound counts
+    the recursion's rounding with dim = 3; the mass ||p~||_1 still sums n
+    entries.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    a0 = build_generator(spec.lam[0], spec.mu[0], spec)
-    a1 = build_generator(spec.lam[1], spec.mu[1], spec)
-    coeffs = MatrixPolyCoefficients((a0, a1), Orientation.RIGHT)
+    family = _diagonals(spec.lam, spec.mu, spec)
+    dense = _dense(family)
+    dense.setflags(write=False)  # so that MatrixPolyCoefficients keeps it uncopied
+    coeffs = MatrixPolyCoefficients(dense, Orientation.RIGHT)
     if initial is None:
         p = np.zeros(spec.states)
         p[0] = 1.0
@@ -174,28 +252,26 @@ def solve_bdp(
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
     leaky = spec.boundary is Boundary.REFLECT_NONE
-    unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
+    unshifted = _diagonal_norm_bounds(family).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
-    # Per step: the local family's norms and the mass of the row it advances;
-    # for a leaky chain, the largest row sum of the local propagator and the
-    # norms that bound its error, by step.
-    norms, masses, leaks = [], [], {}
-    dists = [p]
-    ahead = None  # the family recentered at the step's end, when the row sums needed it
-    # Overflow shows as a refused series or an inf value and bound, so numpy's
-    # floating-point warnings would only repeat it.
+    # Overflow, of the shifted family or of a series, shows as a refused
+    # series or an inf value and bound, so numpy's floating-point warnings
+    # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # The family recentered at every grid time (powers t^0, t^1), and its norms there.
+        shifted = _shift(family, [[1.0, t] for t in times])
+        norms = _diagonal_norm_bounds(shifted)
+        forward = _transposed(shifted)
+        # Steps whose carried error needs the leak factor: for a leaky chain,
+        # those after some nonzero mass (else the carried error is 0).
+        masses, leaky_steps = [], []
+        dists = [p]
         for k, (t_prev, h) in enumerate(zip(times, hs)):
-            local = recenter(coeffs, t_prev) if ahead is None else ahead
-            ahead = None
-            norms.append(_norm_bounds(local.matrices, local.orientation))
-            if leaky and any(masses):  # else the carried error is 0 and needs no factor
-                ahead = recenter(coeffs, times[k + 1])
-                sums, back_norms = _row_sums(ahead, h, order)
-                leaks[k] = float(sums.max()), back_norms
+            if leaky and any(masses):
+                leaky_steps.append(k)
             masses.append(_up(float(np.abs(p).sum()), spec.states))
-            terms = _expand(local.matrices, local.orientation, p, order)
+            terms = _stencil_expand(forward[:, k], p, order)
             if not np.isfinite(terms).all():
                 raise ValueError(
                     f"the series of the distribution overflows on the step from t = {t_prev}"
@@ -204,15 +280,19 @@ def solve_bdp(
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    # One stacked bound: every step's, then the row sums' of the leaky steps,
-    # whose back families are shifted to the step's end.
-    local_bounds = _local_bound(
-        np.array(norms + [back for _, back in leaks.values()]), unshifted,
-        times[:-1] + [times[k + 1] for k in leaks], coeffs.dim, order,
-        hs + [hs[k] for k in leaks],
-    )
+        # The row sums of every leaky step at once, from the family at its end.
+        rows, starts, lengths, tops = norms[:-1], times[:-1], hs, []
+        if leaky_steps:
+            leak_hs = [hs[k] for k in leaky_steps]
+            ends = [k + 1 for k in leaky_steps]
+            sums, back_norms = _row_sums(shifted[:, ends], np.array(leak_hs)[:, None], order)
+            tops = sums.max(axis=1).tolist()
+            rows = np.vstack([rows, back_norms])
+            starts, lengths = starts + [times[k] for k in ends], lengths + leak_hs
+    # One stacked bound: every step's, then the row sums' of the leaky steps.
+    local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
     errors = local_bounds[len(hs):]
-    factors = {k: min(1.0, top + error) for (k, (top, _)), error in zip(leaks.items(), errors)}
+    factors = {k: min(1.0, top + error) for k, top, error in zip(leaky_steps, tops, errors)}
     bounds = [0.0]
     for k, (mass, local_bound) in enumerate(zip(masses, local_bounds)):
         carried = bounds[-1]
@@ -224,28 +304,29 @@ def solve_bdp(
     return traj, coeffs
 
 
-def _row_sums(
-    ahead: MatrixPolyCoefficients, h: float, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_sums(ahead: np.ndarray, h, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of the exact propagator R of a step of length h, and norms bounding their error.
 
-    ahead is the family recentered at the step's end t_next.  The forward
-    recursion run on the column of ones gives the row sums of the LEFT
-    propagator, which multiplies in reverse time order; they differ from
-    those of R whenever A_0 and A_1 do not commute on that column.  The row
-    sums u(s) of the propagator from s to t_next instead solve the backward
-    equation du/ds = -A(s) u, u(t_next) = 1.  In tau = t_next - s that is
-    du/dtau = B(tau) u with B(tau) = A(t_next - tau): ahead with its odd
-    coefficients negated, LEFT-oriented, expanded from the column of ones and
-    summed at h.  The second value is the _norm_bounds of B in the
-    max-row-sum norm, which is submultiplicative: their _local_bound row,
-    shifted to t_next from the family's own _norm_bounds, bounds the error of
-    the sums.  The next step starts from ahead too, so no shift runs twice.
+    ahead is the (p+1, 3, n) diagonals of the family recentered at the
+    step's end t_next.  The forward recursion run on the column of ones
+    gives the row sums of the LEFT propagator, which multiplies in reverse
+    time order; they differ from those of R whenever A_0 and A_1 do not
+    commute on that column.  The row sums u(s) of the propagator from s to
+    t_next instead solve the backward equation du/ds = -A(s) u,
+    u(t_next) = 1.  In tau = t_next - s that is du/dtau = B(tau) u with
+    B(tau) = A(t_next - tau): ahead with its odd coefficients negated,
+    expanded as columns from the column of ones and summed at h.  The second
+    value is the norms of B in the max-row-sum norm, which is
+    submultiplicative: their _local_bound row, shifted to t_next from the
+    family's own norms, bounds the error of the sums.
+
+    A (p+1, S, 3, n) ahead with an (S, 1) array h gives the (S, n) sums and
+    (S, p+1) norms of S steps at once.
     """
-    signs = (-1.0) ** np.arange(len(ahead.matrices))
-    back = MatrixPolyCoefficients(ahead.matrices * signs[:, None, None], Orientation.RIGHT)
-    sums = _expand(back.matrices, Orientation.LEFT, np.ones(ahead.dim), order)
-    return _horner(sums, h), _norm_bounds(back.matrices, back.orientation)
+    signs = (-1.0) ** np.arange(len(ahead))
+    back = ahead * signs.reshape(-1, *[1] * (ahead.ndim - 1))
+    sums = _stencil_expand(back, np.ones(ahead.shape[1:-2] + ahead.shape[-1:]), order)
+    return _horner(sums, h), _diagonal_norm_bounds(back)
 
 
 @dataclass(frozen=True)

@@ -366,15 +366,19 @@ def _local_bound(
 
     Row s of the (S, p+1) array norms bounds the step [t0, t0 + h] with
     t0 = starts[s] and h = hs[s].  S is the order-N series of A~_0..A~_p,
-    the float _shift to t0 of a family with _norm_bounds unshifted, summed
-    by Horner at h, and norms[s, j] >= ||A~_j||; R solves the family
-    shifted exactly.  With a_j = norms[s, j], rho from _shift_rounding and
-    a'_j = a_j (1 + gamma_(d(p+1)+2)) + rho_j, the scalar series r of a and
+    the float _shift to t0 of a family whose coefficient norms are at most
+    unshifted, summed by Horner at h, and norms[s, j] >= ||A~_j||; R solves
+    the family shifted exactly.  dim is the most products in one entry of a
+    term times one coefficient: d for dense d x d matrices, 3 for
+    tridiagonal ones of any size.  A sum of k products errs by at most
+    gamma_k (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., section 3.1).  With a_j = norms[s, j], rho from _shift_rounding and
+    a'_j = a_j (1 + gamma_(dim(p+1)+2)) + rho_j, the scalar series r of a and
     r' of a' (scalar_coefficients) give, by induction on the recursion, whose
-    entries are sums of at most d(p+1) products over n, ||T~_n|| <= r'_n,
+    entries are sums of at most dim(p+1) products over n, ||T~_n|| <= r'_n,
     ||T_n|| <= r'_n and ||T~_n - T_n|| <= r'_n - r_n for the computed and
     exact terms.  Horner adds at most gamma_2N sum ||T~_n|| h^n (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 5.1).
+    section 5.1).
     The r'_n h^n are positive and sum to exp(integral_0^h a'), so the tail,
     all rounding and the shift's together give
 
@@ -498,6 +502,9 @@ def _shift(mats: np.ndarray, powers: list[list[float]]) -> np.ndarray:
     coefficient of u -> A(t_s + u): the sum over k >= j, in increasing k,
     of the double comb(k, j) t_s^(k-j) times A_k.  The weights are Python
     floats, not numpy powers, so each origin gets the bits of its own shift.
+    The sums run entrywise, so each A_k may be any 2-D array: the (3, n)
+    diagonals of a tridiagonal matrix shift to the same bits as its dense
+    (n, n) form at every entry they share.
     """
     p = len(mats) - 1
     weights = np.array(powers)

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from evoseries import bdp
+from evoseries import bdp, engine
 from evoseries.bdp import (
     BirthDeathSpec,
     Boundary,
+    _dense,
+    _diagonals,
     _row_sums,
+    _stencil_expand,
+    _transposed,
     build_generator,
     solve_bdp,
     stochasticity_report,
@@ -19,12 +23,17 @@ from evoseries.bdp import (
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _expand,
+    _gamma,
     _local_bound,
     _norm_bounds,
+    _shift,
+    _up,
     compute_coefficients,
     recenter,
     solve_stepped,
 )
+from evoseries.scalar import scalar_coefficients
 from evoseries.shift_algebra import ShiftPolynomial, realize
 
 
@@ -186,7 +195,9 @@ def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     local = solve_stepped(recenter(coeffs, t_prev), h, h, 40)[-1]
     exact = local.value.sum(axis=1)
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
-    sums, norms = _row_sums(recenter(coeffs, t_next), h, 20)
+    sums, norms = _row_sums(
+        _shift(_diagonals(spec.lam, spec.mu, spec), [[1.0, t_next]])[:, 0], h, 20
+    )
     [error] = _local_bound(norms[None], unshifted, [t_next], coeffs.dim, 20, [h])
     assert 0.0 < error < 1e-10
     assert np.all(np.abs(sums - exact) <= error + local.tail_bound)
@@ -342,3 +353,56 @@ def test_solve_bdp_makes_one_bound_call(monkeypatch, boundary):
     solve_bdp(spec, 1.0, 7, 20)
     # Every step's forward bound; a leaky chain adds the row sums' error of steps 1..6.
     assert rows == [13 if boundary is Boundary.REFLECT_NONE else 7]
+
+
+@given(
+    lam=st.tuples(rate, linear_rate),
+    mu=st.tuples(rate, linear_rate),
+    boundary=st.sampled_from(Boundary),
+    states=st.integers(3, 60),
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    order=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stencil_expansion_matches_the_dense_recursion(
+    lam, mu, boundary, states, t0, order, seed
+):
+    spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
+    family = _shift(_diagonals(spec.lam, spec.mu, spec), [[1.0, t0]])[:, 0]
+    generators = (build_generator(lam[0], mu[0], spec), build_generator(lam[1], mu[1], spec))
+    dense = recenter(MatrixPolyCoefficients(generators, Orientation.RIGHT), t0).matrices
+    assert np.array_equal(_dense(family), dense)  # one shift, entry for entry
+    start = np.random.default_rng(seed).standard_normal(states)
+    # Each computed expansion is within r'_n - r_n times the start's norm of
+    # the exact terms, r' widened for the dense path's d-term sums; both
+    # directions take norms from the max row sums.
+    norms = _norm_bounds(dense, Orientation.RIGHT)
+    widened = _up(norms * (1.0 + _gamma(states * len(dense) + 2)), 2)
+    r = np.array(scalar_coefficients(norms.tolist(), order).coeffs)
+    r_widened = np.array(scalar_coefficients(widened.tolist(), order).coeffs)
+    allowance = 2.0 * (r_widened - r)
+    rows = _stencil_expand(_transposed(family), start, order)
+    gap = np.abs(rows - _expand(dense, Orientation.RIGHT, start, order)).sum(axis=1)
+    assert np.all(gap <= allowance * np.abs(start).sum())
+    columns = _stencil_expand(family, start, order)
+    gap = np.abs(columns - _expand(dense, Orientation.LEFT, start, order)).max(axis=1)
+    assert np.all(gap <= allowance * np.abs(start).max())
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_solve_bdp_steps_touch_no_dense_family(monkeypatch, boundary):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step of solve_bdp used a dense family")
+
+    for module in (bdp, engine):
+        for name in ("recenter", "_expand", "_norm_bounds"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
+    traj, coeffs = solve_bdp(spec, 1.0, 7, 20)
+    assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
+    # The returned family is build_generator's, read-only.
+    assert np.array_equal(
+        coeffs.matrices, [build_generator(1.0, 2.0, spec), build_generator(0.5, 0.5, spec)]
+    )
+    assert not coeffs.matrices.flags.writeable

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +26,31 @@ def test_script_runs(script):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_pairs_counts_wins_and_judges_the_claim(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def summarise(changes):
+        """The record of pairs with parent task_p50_s 0.004 and these change values."""
+        lines = []
+        for seed, change in enumerate(changes, start=1):
+            sides = [("parent", 0.004), ("change", change)]
+            for side, value in sides if seed % 2 else sides[::-1]:
+                lines.append(bench_pairs._sample_line("bdp_transient", seed, side, value, 10 * value))
+        runs, out = tmp_path / "runs.txt", tmp_path / "BENCH.json"
+        runs.write_text("\n".join(lines) + "\n")
+        args = ["--out", str(out), "--claim", "bdp_transient:task_p50_s", str(runs)]
+        assert bench_pairs.main(args) == 0
+        return json.loads(out.read_text())
+
+    # The change wins eight pairs, ties one and loses one: below nine tenths.
+    record = summarise([0.002] * 8 + [0.004, 0.005])
+    stats = record["workloads"]["bdp_transient"]["metrics"]["task_p50_s"]
+    assert (stats["change_better_pairs"], stats["change_worse_pairs"]) == (8, 1)
+    assert stats["parent"]["median"] == 0.004 and stats["change"]["median"] == 0.002
+    assert record["workloads"]["bdp_transient"]["first"]["2"] == "change"
+    assert record["claim"]["met"] is False
+    assert summarise([0.002] * 9 + [0.005])["claim"]["met"] is True
