@@ -31,6 +31,7 @@ from .engine import (
     Orientation,
     _horner,
     _local_bound,
+    _refuse_overflow,
     _shift,
     _step_ends,
     _up,
@@ -205,7 +206,7 @@ def solve_bdp(
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
     far to the given order and sums that series at the step length h.  The
-    family runs as its diagonals (_diagonals), shifted to every grid time
+    family runs as its diagonals (_diagonals), shifted to every grid origin
     in one _shift; the recursion is _stencil_expand on their transpose and
     the norms add 3 entries a row, so a step costs O(order n) and touches
     no n x n array.  The returned family, built once from the same
@@ -224,13 +225,20 @@ def solve_bdp(
     REFLECT_NONE mass leaks and ||R_k||, the largest row sum of R_k, can be
     well below 1, so the carried error is scaled by min(1, that row sum plus
     its error), with the row sums taken from the backward equation by
-    _row_sums.  That keeps the bound no looser than the one composed from
-    full propagators.  The row sums of every leaky step are one batched
-    _row_sums call, and the local bounds of every step and of those row
-    sums one stacked _local_bound call, after the last step.  Each entry of
-    a tridiagonal product sums at most 3 products, so _local_bound counts
-    the recursion's rounding with dim = 3; the mass ||p~||_1 still sums n
-    entries.
+    _row_sums.  That keeps the bound close to the one composed from full
+    propagators, but not always at or below it: the factor adds the error
+    of the backward row sums at t_next, and at the rounding floor the two
+    bounds differ by a few ulps of exp(integral of a').  A factor that always
+    met the full-propagator bound would need ||R~_k||, the n x n local
+    propagator that the row solve avoids.  The row sums of every leaky step
+    are one batched _row_sums call, and the local bounds of every step and
+    of those row sums one stacked _local_bound call, after the last step.
+    Each entry of a tridiagonal product sums at most 3 products, so
+    _local_bound counts the recursion's rounding with dim = 3; the mass
+    ||p~||_1 still sums n entries.
+
+    The first step whose series is not finite is refused by _refuse_overflow,
+    with solve_stepped's one message.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -259,8 +267,8 @@ def solve_bdp(
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The family recentered at every grid time (powers t^0, t^1), and its norms there.
-        shifted = _shift(family, [[1.0, t] for t in times])
+        # The family recentered at every grid time, and its norms there.
+        shifted = _shift(family, times)
         norms = _diagonal_norm_bounds(shifted)
         forward = _transposed(shifted)
         # Steps whose carried error needs the leak factor: for a leaky chain,
@@ -272,10 +280,9 @@ def solve_bdp(
                 leaky_steps.append(k)
             masses.append(_up(float(np.abs(p).sum()), spec.states))
             terms = _stencil_expand(forward[:, k], p, order)
-            if not np.isfinite(terms).all():
-                raise ValueError(
-                    f"the series of the distribution overflows on the step from t = {t_prev}"
-                )
+            # The shift can overflow only in A_0 + t A_1, every entry of which
+            # enters the first term: a non-finite shift shows in the series.
+            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
             p = _horner(terms, h)
             dists.append(p)
         dists = np.vstack(dists)
@@ -341,12 +348,12 @@ class StochasticityRow:
 class StochasticityReport:
     """Per-time mass defect and entry signs for a trajectory.
 
-    negative flags mark entries below -tolerance; tiny negative values inside
-    the truncation bound are expected float noise, anything larger is a bug.
+    negative flags a row with an entry below minus its tail bound: every
+    exact entry is >= 0, so such an entry contradicts the certificate.
+    Negative values within the bound are expected float and truncation noise.
     """
 
     rows: tuple[StochasticityRow, ...]
-    tolerance: float
 
     @property
     def max_leakage(self) -> float:
@@ -361,21 +368,13 @@ class StochasticityReport:
         return any(row.negative for row in self.rows)
 
 
-def stochasticity_report(
-    traj: DistributionTrajectory, tolerance: float = 1e-9
-) -> StochasticityReport:
+def stochasticity_report(traj: DistributionTrajectory) -> StochasticityReport:
     """Summarize mass conservation and positivity over a trajectory."""
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     rows = []
-    for i, t in enumerate(traj.times):
-        min_entry = float(traj.distributions[i].min())
-        rows.append(
-            StochasticityRow(
-                t=float(t),
-                leakage=float(traj.leakage[i]),
-                min_entry=min_entry,
-                negative=min_entry < -tolerance,
-            )
-        )
-    return StochasticityReport(rows=tuple(rows), tolerance=tolerance)
+    columns = zip(
+        traj.times.tolist(), traj.distributions, traj.leakage.tolist(), traj.tail_bounds.tolist()
+    )
+    for t, dist, leakage, bound in columns:
+        min_entry = float(dist.min())
+        rows.append(StochasticityRow(t, leakage, min_entry, negative=min_entry < -bound))
+    return StochasticityReport(rows=tuple(rows))

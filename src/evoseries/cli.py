@@ -15,6 +15,8 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
 from . import bdp as bdp_mod
 from . import shift_algebra
 from .combinatorics import (
@@ -64,6 +66,18 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _table(rows: list[list[str]]) -> list[str]:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
+def _emit_certified(
+    header: str, rows: list[list[float]], digits: int, out_path: str | None
+) -> None:
+    """A CSV table of floats, t first and the certified bound last, then _warn_if_lost.
+
+    Each row is one format call, every cell printed as _fmt prints it.
+    """
+    row = ",".join([f"{{:.{digits}g}}"] * (header.count(",") + 1))
+    _emit([header, *(row.format(*cells) for cells in rows)], out_path)
+    _warn_if_lost([cells[0] for cells in rows], [cells[-1] for cells in rows], digits)
 
 
 def _warn_if_lost(times, bounds, digits: int) -> None:
@@ -124,18 +138,13 @@ def cmd_scalar(args) -> int:
 
 def cmd_solve(args) -> int:
     coeffs = _load_poly(args.coeffs, args.orientation)
-    d = args.digits
     header = "t," + ",".join(_entry_headers(coeffs.dim)) + ",tail_bound"
-    lines = [header]
     step = max(args.t, 1.0) if args.step is None else args.step
     path = solve_stepped(coeffs, args.t, step, args.order)
     if args.step is None:  # one step, or the lone t = 0 point: print its end only
         path = path[-1:]
-    row = ",".join([f"{{:.{d}g}}"] * (coeffs.dim**2 + 2))  # t, the entries, the bound
-    for s in path:
-        lines.append(row.format(s.t, *s.value.ravel().tolist(), s.tail_bound))
-    _emit(lines, args.out)
-    _warn_if_lost([s.t for s in path], [s.tail_bound for s in path], d)
+    rows = [[s.t, *s.value.ravel().tolist(), s.tail_bound] for s in path]
+    _emit_certified(header, rows, args.digits, args.out)
     return 0
 
 
@@ -202,15 +211,9 @@ def cmd_bdp(args) -> int:
         boundary=bdp_mod.Boundary(args.boundary),
     )
     traj, _ = bdp_mod.solve_bdp(spec, args.T, args.steps, args.order)
-    d = args.digits
     header = "t," + ",".join(f"p_{i}" for i in range(1, spec.states + 1)) + ",leakage,tail_bound"
-    lines = [header]
-    rows = zip(traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
-    for t, dist, leak, bound in rows:
-        entries = ",".join(_fmt(v, d) for v in dist)
-        lines.append(f"{_fmt(t, d)},{entries},{_fmt(leak, d)},{_fmt(bound, d)}")
-    _emit(lines, args.out)
-    _warn_if_lost(traj.times, traj.tail_bounds, d)
+    columns = (traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
+    _emit_certified(header, np.column_stack(columns).tolist(), args.digits, args.out)
     return 0
 
 

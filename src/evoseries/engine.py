@@ -106,12 +106,6 @@ def _horner(stack: np.ndarray, t) -> np.ndarray:
     return acc
 
 
-def _require_finite(finite: np.ndarray) -> None:
-    """Refuse a stack whose per-degree flags finite[k] are not all set, naming the first k."""
-    if not finite.all():
-        raise ValueError(f"coefficient of t^{int(np.argmin(finite))} has a non-finite entry")
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Square matrices C_0..C_k, the coefficients of t^0..t^k, as one (k+1, d, d) stack.
@@ -133,7 +127,9 @@ class MatrixPolynomial:
             raise ValueError(
                 f"coefficients must be square matrices of one shape, got {stack.shape[1:]}"
             )
-        _require_finite(np.isfinite(stack).all(axis=(1, 2)))
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"coefficient of t^{int(np.argmin(finite))} has a non-finite entry")
         object.__setattr__(self, "stack", stack)
 
     @property
@@ -336,18 +332,17 @@ def _shift_rounding(norms: list[float], starts: list[float]) -> np.ndarray:
     norms[k] >= ||A_k||.  A term comb(k, j) t0^(k-j) A_k of A~_j takes at
     most p + 4 roundings (the power within an ulp, two products, p - j sums),
     so entrywise |A~_j - A_j(t0)| <= gamma_(p+4) sum_k comb(k, j) |t0|^(k-j) |A_k|.
-    At t0 = 0, and for A~_p, the shift adds zeros to one exact term: rho = 0.
-    The powers are Python floats, as in _shift, and the sums run in
-    increasing k, so each row has the bits of its origin's sums alone.
+    That sum is the _shift of the norms, as 1 x 1 matrices, to |t0|: the same
+    products summed in the same order of k, so each row has the bits of its
+    origin's sums alone.  At t0 = 0, and for A~_p, the shift adds zeros to
+    one exact term: rho = 0.
     """
     p = len(norms) - 1
-    weights = np.array([[abs(t0) ** e for e in range(p + 1)] for t0 in starts])
-    sums = np.zeros((len(starts), p + 1))
-    for j in range(p):
-        for k in range(j, p + 1):
-            sums[:, j] += math.comb(k, j) * weights[:, k - j] * norms[k]
+    sums = _shift(np.array(norms)[:, None, None], [abs(t0) for t0 in starts])[:, :, 0, 0].T
     rho = _up(_gamma(p + 4) * sums, p + 5)
-    return np.where(np.array(starts)[:, None] == 0.0, 0.0, rho)
+    rho[:, p] = 0.0
+    rho[np.array(starts) == 0.0] = 0.0
+    return rho
 
 
 def _exp_or_inf(x: float) -> float:
@@ -488,31 +483,49 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     """Coefficients of s -> A(t0 + s): the binomial Taylor shift.
 
     Same degree, same orientation; exact apart from float rounding in the
-    powers of t0.
+    powers of t0.  An origin whose shifted family overflows raises the
+    constructor's ValueError.
     """
-    shifted = _shift(coeffs.matrices, [[t0**e for e in range(coeffs.degree + 1)]])[:, 0]
+    shifted = _shift(coeffs.matrices, [t0])[:, 0]
     shifted.setflags(write=False)
     return MatrixPolyCoefficients(shifted, coeffs.orientation)
 
 
-def _shift(mats: np.ndarray, powers: list[list[float]]) -> np.ndarray:
-    """The binomial shift of the stack A_0..A_p to S origins t_s, as (p+1, S, d, d).
+def _shift(mats: np.ndarray, origins: list[float]) -> np.ndarray:
+    """The binomial shift of the stack A_0..A_p to the S origins t_s, as (p+1, S, d, d).
 
-    powers[s][e] is the float t_s ** e.  Entry [j, s] is the degree-j
-    coefficient of u -> A(t_s + u): the sum over k >= j, in increasing k,
-    of the double comb(k, j) t_s^(k-j) times A_k.  The weights are Python
-    floats, not numpy powers, so each origin gets the bits of its own shift.
+    Entry [j, s] is the degree-j coefficient of u -> A(t_s + u): the sum
+    over k >= j, in increasing k, of the double comb(k, j) t_s^(k-j) times
+    A_k.  The powers t_s ** e are Python floats, not numpy powers or ints,
+    so each origin gets the bits of its own shift; an origin whose power
+    overflows gets a row of inf, so its shift is not finite, and no numpy
+    warning.
     The sums run entrywise, so each A_k may be any 2-D array: the (3, n)
     diagonals of a tridiagonal matrix shift to the same bits as its dense
     (n, n) form at every entry they share.
     """
     p = len(mats) - 1
+    shifted = np.zeros((p + 1, len(origins), *mats.shape[1:]))
+    powers = []
+    for t0 in origins:
+        try:
+            t0 = float(t0)
+            powers.append([t0**e for e in range(p + 1)])
+        except OverflowError:
+            powers.append([math.inf] * (p + 1))
     weights = np.array(powers)
-    shifted = np.zeros((p + 1, len(powers), *mats.shape[1:]))
-    for j, acc in enumerate(shifted):
-        for k in range(j, p + 1):
-            acc += (math.comb(k, j) * weights[:, k - j])[:, None, None] * mats[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, acc in enumerate(shifted):
+            for k in range(j, p + 1):
+                acc += (math.comb(k, j) * weights[:, k - j])[:, None, None] * mats[k]
     return shifted
+
+
+def _refuse_overflow(finite: list[bool], starts: list[float]) -> None:
+    """The one refusal of both solvers: the first step s with finite[s] False, from starts[s]."""
+    if not all(finite):
+        t0 = starts[finite.index(False)]
+        raise ValueError(f"the series overflows on the step from t = {t0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,8 +577,9 @@ def solve_stepped(
     bounds, run as one stack (_local_propagators), bit for bit what
     recenter, compute_coefficients, evaluate and tail_bound's majorant give
     step by step.  Overflow shows as inf in the values and bounds (never a
-    NaN bound), or as the error of the first step whose series is not
-    finite, never as a numpy warning.
+    NaN bound), or, at the first step whose shifted family or series is not
+    finite, as the ValueError "the series overflows on the step from t = t0",
+    never as a numpy warning.
 
     The grid is _step_ends(t_final, step): no float sliver at its end, and
     at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
@@ -581,9 +595,8 @@ def solve_stepped(
     left = coeffs.orientation is Orientation.LEFT
     g_dim = _gamma(dim)
     current, err, norm_prev = None, 0.0, 0.0
-    i = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while i < len(ends):
+        for i in range(0, len(ends), per_block):
             values, bounds = _local_propagators(
                 coeffs, starts[i : i + per_block], hs[i : i + per_block], order
             )
@@ -609,7 +622,6 @@ def solve_stepped(
                     err = math.inf if math.isnan(err) else _up(err, 6)
                 norm_prev = norms[s]
                 out.append(SolveStep(ends[i + s], composed[s], err))
-            i += len(bounds)
     return out
 
 
@@ -619,36 +631,20 @@ def _local_propagators(
     """Local propagators and their bounds on the steps [t0, t0 + h], stacked over steps.
 
     Returns the (S, d, d) values of the order-N local series at h and the S
-    bounds of one _local_bound call, each with its own shift's rounding.  A
-    step whose t0 powers overflow ends the block before it, so that the
-    steps ahead of it raise their own errors first; as the first step it
-    raises OverflowError, as recenter does.  The first step whose recentered
-    family or series has a non-finite entry raises the ValueError that
-    constructing it would.
+    bounds of one _local_bound call, each with its own shift's rounding.
+    The first step whose shifted family (an overflowed power of t0 included)
+    or series is not finite is refused by _refuse_overflow.
     """
-    powers = []
-    for t0 in starts:
-        try:
-            powers.append([t0**e for e in range(coeffs.degree + 1)])
-        except OverflowError:
-            if not powers:
-                raise
-            break
-    steps, dim = len(powers), coeffs.dim
-    shifted = _shift(coeffs.matrices, powers)
-    start = np.broadcast_to(np.eye(dim), (steps, dim, dim))
+    dim = coeffs.dim
+    shifted = _shift(coeffs.matrices, starts)
+    start = np.broadcast_to(np.eye(dim), (len(starts), dim, dim))
     terms = _expand(shifted, coeffs.orientation, start, order)
-    values = _horner(terms, np.array(hs[:steps])[:, None, None])
-    shift_finite = np.isfinite(shifted).all(axis=(2, 3))
-    series_finite = np.isfinite(terms).all(axis=(2, 3))
-    finite = (shift_finite.all(axis=0) & series_finite.all(axis=0)).tolist()
-    if not all(finite):
-        s = finite.index(False)
-        _require_finite(shift_finite[:, s])
-        _require_finite(series_finite[:, s])
+    finite = np.isfinite(shifted).all(axis=(0, 2, 3)) & np.isfinite(terms).all(axis=(0, 2, 3))
+    _refuse_overflow(finite.tolist(), starts)
+    values = _horner(terms, np.array(hs)[:, None, None])
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
     norms = _norm_bounds(shifted, coeffs.orientation).T
-    return values, _local_bound(norms, unshifted, starts[:steps], dim, order, hs[:steps])
+    return values, _local_bound(norms, unshifted, starts, dim, order, hs)
 
 
 def counterexample_coefficients() -> MatrixPolyCoefficients:

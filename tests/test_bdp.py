@@ -183,6 +183,36 @@ def test_leaky_chain_bound_not_looser_than_propagator_bound():
     assert np.all(traj.tail_bounds <= full * (1 + 1e-12))
 
 
+def test_leaky_chain_bound_can_exceed_propagator_bound_and_still_holds():
+    # The initial row sits on the state of largest row sum, so ||p||_1 is
+    # ||R_prev|| and nothing offsets the backward row-sum bound at t_next in
+    # the leak factor: the final bound is 5.3321e-3 against 5.3273e-3 from
+    # full propagators.  It still covers the gap to the ODE reference.
+    spec = BirthDeathSpec(
+        lam=(1.0, 0.0), mu=(1.0, 1.0), states=3, boundary=Boundary.REFLECT_NONE
+    )
+    traj, coeffs = solve_bdp(spec, 1.0, 2, 11)
+    full = [s.tail_bound for s in solve_stepped(coeffs, 1.0, 0.5, 11)]
+    assert traj.tail_bounds[-1] > full[-1]
+    a0, a1 = coeffs.matrices
+    sol = solve_ivp(
+        lambda t, p: p @ a0 + t * (p @ a1), (0.0, 1.0), [1.0, 0.0, 0.0],
+        t_eval=traj.times, method="DOP853", rtol=1e-13, atol=1e-16,
+    )
+    gap = np.abs(traj.distributions - sol.y.T).sum(axis=1)
+    assert np.all(gap <= traj.tail_bounds + 1e-10)
+
+
+def test_both_solvers_refuse_an_overflowing_step_with_one_message():
+    with pytest.raises(ValueError) as stepped:
+        solve_stepped(MatrixPolyCoefficients((np.full((2, 2), 1e200),)), 1.0, 0.5, 5)
+    spec = BirthDeathSpec(lam=(1e300, 0.5), mu=(1.0, 0.5), states=5)
+    with pytest.raises(ValueError) as birth_death:
+        solve_bdp(spec, 1.0, 2, 10)
+    message = "the series overflows on the step from t = 0.0"
+    assert str(stepped.value) == str(birth_death.value) == message
+
+
 def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     # lam_1 mu_0 != lam_0 mu_1, so A_0 and A_1 do not commute on the column of
     # ones: the forward recursion run on it misses rows 1 and 2 by ~1e-3.
@@ -196,7 +226,7 @@ def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     exact = local.value.sum(axis=1)
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
     sums, norms = _row_sums(
-        _shift(_diagonals(spec.lam, spec.mu, spec), [[1.0, t_next]])[:, 0], h, 20
+        _shift(_diagonals(spec.lam, spec.mu, spec), [t_next])[:, 0], h, 20
     )
     [error] = _local_bound(norms[None], unshifted, [t_next], coeffs.dim, 20, [h])
     assert 0.0 < error < 1e-10
@@ -243,7 +273,6 @@ def test_row_solve_within_bound_of_propagator_and_references(
     path = solve_stepped(coeffs, t_final, t_final / steps, order)
     assert np.array_equal(traj.times, [s.t for s in path])  # one shared grid
     full = mass * np.array([s.tail_bound for s in path])
-    assert np.all(traj.tail_bounds <= full * (1 + 1e-12))
     slack = 1e-12 * mass
     propagated = np.vstack([p0 @ s.value for s in path])
     gap = np.abs(traj.distributions - propagated).sum(axis=1)
@@ -369,7 +398,7 @@ def test_stencil_expansion_matches_the_dense_recursion(
     lam, mu, boundary, states, t0, order, seed
 ):
     spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
-    family = _shift(_diagonals(spec.lam, spec.mu, spec), [[1.0, t0]])[:, 0]
+    family = _shift(_diagonals(spec.lam, spec.mu, spec), [t0])[:, 0]
     generators = (build_generator(lam[0], mu[0], spec), build_generator(lam[1], mu[1], spec))
     dense = recenter(MatrixPolyCoefficients(generators, Orientation.RIGHT), t0).matrices
     assert np.array_equal(_dense(family), dense)  # one shift, entry for entry

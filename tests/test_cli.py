@@ -125,7 +125,17 @@ def test_solve_overflowing_series_is_one_error_line(tmp_path):
     path.write_text("1e200 0\n0 1e200\n")
     proc = run_subprocess("solve", "--coeffs", str(path), "--t", "1", "--order", "5")
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: coefficient of t^2 has a non-finite entry\n"
+    assert proc.stderr == "error: the series overflows on the step from t = 0.0\n"
+
+
+def test_solve_overflowing_shift_is_one_error_line(tmp_path):
+    # Recentered at the second step's start 1e119, the cubic term needs
+    # t0^3 = 1e357, past the float range: the step is refused, not an OverflowError.
+    path = tmp_path / "cubic.mat"
+    path.write_text("1\n\n1\n\n1\n\n1\n")
+    proc = run_subprocess("solve", "--coeffs", str(path), "--t", "1e120", "--step", "1e119")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: the series overflows on the step from t = 1e+119\n"
 
 
 def test_solve_overflowing_product_only_warns_of_the_lost_certificate(tmp_path):
@@ -344,7 +354,7 @@ def test_bdp_overflowing_series_single_error_line(rate):
         text=True,
     )
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr.startswith("error: the series of the distribution overflows")
+    assert proc.stderr.startswith("error: the series overflows on the step from t = ")
     assert proc.stderr.count("\n") == 1
 
 
