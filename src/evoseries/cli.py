@@ -196,9 +196,16 @@ def cmd_algebra_group(args) -> int:
     return 0
 
 
+def _rational(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option}: {text!r} is not a rational number") from None
+
+
 def cmd_algebra_power(args) -> int:
-    lam = Fraction(args.lam)
-    mu = Fraction(args.mu)
+    lam = _rational("--lam", args.lam)
+    mu = _rational("--mu", args.mu)
     _print_shift_poly(shift_algebra.power_expand(args.k, lam, mu))
     return 0
 

@@ -9,8 +9,12 @@ lam U - mu S U then split into a head polynomial in U plus S^s-prefixed tail
 polynomials, the delayed contributions.
 
 Words are strings over the letters U and S; coefficients stay exact
-(fractions.Fraction) throughout.  Groups and powers come from a product kernel
-in polynomial time; the rewriting reduce is the oracle they are tested against.
+(fractions.Fraction) throughout.  Groups, powers and the identity right sides
+come from one product kernel on integer rows: row s holds the Python-int
+coefficients of S^s U^0, S^s U^1, ..., right-multiplying by U shifts every row
+one place, and right-multiplying by S is an alternating suffix sum within each
+row plus one carry into the next row.  It runs in polynomial time; the
+rewriting reduce is the oracle it is tested against and never calls.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -48,7 +53,8 @@ def _as_terms(items) -> tuple:
             raise ValueError(f"monomial exponents must be >= 0, got S^{s} U^{k}")
         frac = Fraction(coeff)
         if frac != 0:
-            cleaned[(s, k)] = cleaned.get((s, k), Fraction(0)) + frac
+            key = (s, k)
+            cleaned[key] = cleaned[key] + frac if key in cleaned else frac
     return tuple(sorted((key, c) for key, c in cleaned.items() if c != 0))
 
 
@@ -192,30 +198,61 @@ def word_power_mixed(p: int, q: int) -> ShiftPolynomial:
     return ShiftPolynomial(terms)
 
 
-def _times(poly: ShiftPolynomial, word) -> ShiftPolynomial:
-    """poly * word in canonical form, right-multiplying one letter at a time.
+def _times_u(rows: list) -> list:
+    # rows * U: every S^s U^k becomes S^s U^(k+1).
+    return [[0, *row] for row in rows]
 
-    U raises each U power by one; by U S = I - S, S moves left through U^k as
-    (S^s U^k) S = sum_{i<k} (-1)^i S^s U^(k-1-i) + (-1)^k S^(s+1).
+
+def _times_s(rows: list) -> list:
+    """rows * S, one row longer, by U S = I - S.
+
+    (S^s U^k) S = sum_{i<k} (-1)^i S^s U^(k-1-i) + (-1)^k S^(s+1), so row s
+    becomes its alternating suffix sums t_j = c_(j+1) - t_(j+1), and the full
+    alternating sum c_0 - t_0 is carried into row s+1 at U^0.
     """
-    for letter in _parse_word(word):
-        items = []
-        for (s, k), c in poly.terms:
-            if letter == "U":
-                items.append(((s, k + 1), c))
-            else:
-                items += [((s, k - 1 - i), (-1) ** i * c) for i in range(k)]
-                items.append(((s + 1, 0), (-1) ** k * c))
-        poly = ShiftPolynomial(items)
-    return poly
+    out = []
+    carry = 0
+    for row in rows:
+        new = [0] * max(len(row) - 1, 1)
+        acc = 0
+        for j in range(len(row) - 1, 0, -1):
+            acc = row[j] - acc
+            new[j - 1] = acc
+        new[0] += carry
+        carry = row[0] - acc
+        out.append(new)
+    out.append([carry])
+    return out
+
+
+def _combine(a: int, p: list, b: int, q: list) -> list:
+    # a * p + b * q on rows of any lengths.
+    return [
+        [a * x + b * y for x, y in zip_longest(pr, qr, fillvalue=0)]
+        for pr, qr in zip_longest(p, q, fillvalue=())
+    ]
+
+
+def _u_power(k: int) -> list:
+    return [[0] * k + [1]]
+
+
+def _polynomial(rows: list, denominator: int = 1) -> ShiftPolynomial:
+    # The rows as a polynomial, every coefficient divided by denominator.
+    return ShiftPolynomial(
+        ((s, k), Fraction(c, denominator))
+        for s, row in enumerate(rows)
+        for k, c in enumerate(row)
+        if c
+    )
 
 
 def _binomial_in_s(power: int, u_prefix: int) -> ShiftPolynomial:
-    # U^{u_prefix} (I - S)^{power} in canonical form, built with _times.
-    acc = ShiftPolynomial.monomial(0, u_prefix)
+    # U^{u_prefix} (I - S)^{power} in canonical form.
+    rows = _u_power(u_prefix)
     for _ in range(power):
-        acc = acc - _times(acc, "S")
-    return acc
+        rows = _combine(1, rows, -1, _times_s(rows))
+    return _polynomial(rows)
 
 
 @dataclass(frozen=True)
@@ -296,8 +333,10 @@ def binomial_group(m: int, j: int) -> BinomialGroupDecomposition:
     These groups are what the binomial theorem would produce for
     (lam U - mu S U)^k if the atoms commuted; they do not, so each group keeps
     every ordering.  Each interleaving ends in one atom or the other, so
-    G(a, b) = G(a-1, b) U + G(a, b-1) S U, with G(a, 0) = U^a and G(-1, b) = 0,
-    fills the groups row by row in polynomial time.  Guarded at k <= POWER_GUARD.
+    G(a, b) = G(a-1, b) U + G(a, b-1) S U = (G(a-1, b) + G(a, b-1) S) U, with
+    G(a, 0) = U^a and G(-1, b) = 0, fills the groups a by a in polynomial time.
+    The groups have integer coefficients, so they stay on the kernel's integer
+    rows throughout.  Guarded at k <= POWER_GUARD.
     """
     if m < 0 or j < 0 or m + j < 1:
         raise ValueError(f"need m, j >= 0 with m + j >= 1, got m={m}, j={j}")
@@ -306,30 +345,24 @@ def binomial_group(m: int, j: int) -> BinomialGroupDecomposition:
         raise ValueError(
             f"group order {k} exceeds the expansion guard {POWER_GUARD}"
         )
-    row = [ShiftPolynomial.zero()] * (j + 1)
+    groups = [[]] * (j + 1)  # groups[b] holds G(a, b) as integer rows
     for a in range(m + 1):
-        row[0] = ShiftPolynomial.monomial(0, a)
+        groups[0] = _u_power(a)
         for b in range(1, j + 1):
-            row[b] = _times(row[b], "U") + _times(row[b - 1], "SU")
-    total = row[j]
-    head = ShiftPolynomial(
-        (key, c) for key, c in total.terms if key[0] == 0
-    )
-    tails = []
-    for s in range(1, total.max_shift + 1):
-        tails.append(
-            ShiftPolynomial(
-                ((0, key[1]), c) for key, c in total.terms if key[0] == s
-            )
-        )
+            groups[b] = _times_u(_combine(1, groups[b], 1, _times_s(groups[b - 1])))
+    # G(m, j) has rows S^0 .. S^j, and its row S^j is never zero.
+    head, *tails = (_polynomial([row]) for row in groups[j])
     return BinomialGroupDecomposition(m=m, j=j, head=head, tails=tuple(tails))
 
 
 def power_expand(power: int, lam, mu) -> ShiftPolynomial:
     """(lam U - mu S U)^power in canonical form, coefficients exact.
 
-    Right-multiplies the identity by lam U - mu S U power times, which costs
-    polynomial time in power.  Guarded at power <= POWER_GUARD.
+    With L the lcm of the denominators of lam and mu, lam U - mu S U is
+    (a U - b S U) / L for integers a = lam L and b = mu L.  The identity is
+    right-multiplied power times by a U - b S U = (a - b S) U on integer rows,
+    in polynomial time, and the result is divided by L^power once.  lam and mu
+    may be anything Fraction accepts.  Guarded at power <= POWER_GUARD.
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
@@ -337,10 +370,14 @@ def power_expand(power: int, lam, mu) -> ShiftPolynomial:
         raise ValueError(
             f"power {power} exceeds the expansion guard {POWER_GUARD}"
         )
-    total = ShiftPolynomial.identity()
+    lam, mu = Fraction(lam), Fraction(mu)
+    scale = math.lcm(lam.denominator, mu.denominator)
+    a = lam.numerator * (scale // lam.denominator)
+    b = mu.numerator * (scale // mu.denominator)
+    rows = _u_power(0)
     for _ in range(power):
-        total = _times(total, "U") * lam - _times(total, "SU") * mu
-    return total
+        rows = _times_u(_combine(a, rows, -b, _times_s(rows)))
+    return _polynomial(rows, scale**power)
 
 
 def up_shift_matrix(size: int) -> np.ndarray:
@@ -370,6 +407,11 @@ def realize(poly: ShiftPolynomial, size: int) -> np.ndarray:
     callers comparing a realized word of length L should restrict to the
     first size - L rows and columns.  Requires size > max_shift + max_power
     so at least one row survives.
+
+    The powers U^0 .. U^max_power are formed once by repeated products, and
+    S^s U^k is U^k moved down s rows.  Their entries are signed binomial
+    coefficients, exact in floating point while they stay below 2^53, and
+    float(c) S^s U^k is added in term order.
     """
     if size <= poly.max_shift + poly.max_power:
         raise ValueError(
@@ -377,9 +419,10 @@ def realize(poly: ShiftPolynomial, size: int) -> np.ndarray:
             f"S^{poly.max_shift} U^{poly.max_power}"
         )
     u = letter_matrix("U", size)
-    s = letter_matrix("S", size)
+    powers = [np.eye(size)]
+    for _ in range(poly.max_power):
+        powers.append(powers[-1] @ u)
     out = np.zeros((size, size))
     for (sh, kp), coeff in poly.terms:
-        mono = np.linalg.matrix_power(s, sh) @ np.linalg.matrix_power(u, kp)
-        out += float(coeff) * mono
+        out[sh:] += float(coeff) * powers[kp][: size - sh]
     return out

@@ -300,6 +300,14 @@ def test_algebra_guard_single_error_line(capsys):
     assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--lam", "--mu"])
+@pytest.mark.parametrize("value", ["1/0", "nan", "abc"])
+def test_algebra_power_bad_rational_single_error_line(capsys, option, value):
+    code, out, err = run_cli(capsys, "algebra", "power", "3", f"{option}={value}")
+    assert code == 1 and out == ""
+    assert err == f"error: {option}: {value!r} is not a rational number\n"
+
+
 def test_bdp_csv(capsys, tmp_path):
     out_path = tmp_path / "traj.csv"
     code, out, _ = run_cli(

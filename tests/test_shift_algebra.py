@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoseries.shift_algebra import (
@@ -21,6 +22,7 @@ from evoseries.shift_algebra import (
 )
 
 words = st.text(alphabet="US", min_size=0, max_size=10)
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
 def upoly(*pairs):
@@ -192,6 +194,40 @@ def test_power_expand_binomial_oracle():
         assert power_expand(k, lam, mu) == direct
 
 
+@functools.lru_cache(maxsize=None)
+def sign_word_sum(k):
+    # (lam U - mu S U)^k through reduce: for each count j of S U atoms, the
+    # sum of the reduced words with j of them, weighted lam^(k-j) (-mu)^j.
+    sums = [ShiftPolynomial.zero()] * (k + 1)
+    for picks in itertools.product((0, 1), repeat=k):
+        word = "".join("U" if c == 0 else "SU" for c in picks)
+        sums[sum(picks)] = sums[sum(picks)] + reduce(word)
+    return tuple(sums)
+
+
+@given(st.integers(1, 6), rationals, rationals)
+@example(6, Fraction(3, 7), Fraction(-5, 11))
+@example(5, Fraction(-1, 6), Fraction(3, 4))
+@example(4, Fraction(0), Fraction(2, 9))
+@example(4, Fraction(-4, 3), Fraction(0))
+@settings(max_examples=60, deadline=None)
+def test_power_expand_rational_oracle(k, lam, mu):
+    # the lcm scaling of the denominators against the reduce oracle
+    direct = ShiftPolynomial.zero()
+    for j, group in enumerate(sign_word_sum(k)):
+        direct = direct + group * (lam ** (k - j) * (-mu) ** j)
+    assert power_expand(k, lam, mu) == direct
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [("3/7", "-5/11"), (" 2 ", "0.1"), (3, -2), (0, 7), (0.375, -1.25), (0.1, 1 / 3)],
+)
+def test_power_expand_accepts_what_fraction_accepts(lam, mu):
+    for k in (1, 4, 7):
+        assert power_expand(k, lam, mu) == power_expand(k, Fraction(lam), Fraction(mu))
+
+
 def test_power_expand_guard():
     with pytest.raises(ValueError):
         power_expand(POWER_GUARD + 1, 1, 1)
@@ -199,15 +235,62 @@ def test_power_expand_guard():
         power_expand(0, 1, 1)
 
 
-def test_power_expand_past_rewriting_range_matches_matrix_power():
+@pytest.mark.parametrize("k, size", [(20, 60), (POWER_GUARD, 80)])
+def test_power_expand_past_rewriting_range_matches_matrix_power(k, size):
     # k = 20 is out of reach of word enumeration; the realized power must
-    # still equal the 20th power of the realized factor on a leading block
+    # still equal the kth power of the realized factor on a leading block
     lam, mu = Fraction(3, 7), Fraction(5, 2)
-    size, k = 60, 20
     got = realize(power_expand(k, lam, mu), size)[:k, :k]
     factor = realize(power_expand(1, lam, mu), size)
     want = np.linalg.matrix_power(factor, k)[:k, :k]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def matrix_power_realize(poly, size):
+    # reference definition: sum of float(c) S^s U^k, each monomial a product
+    # of matrix powers
+    u = letter_matrix("U", size)
+    s = letter_matrix("S", size)
+    out = np.zeros((size, size))
+    for (sh, kp), coeff in poly.terms:
+        mono = np.linalg.matrix_power(s, sh) @ np.linalg.matrix_power(u, kp)
+        out += float(coeff) * mono
+    return out
+
+
+def assert_realize_matches_reference(poly, extra):
+    size = poly.max_shift + poly.max_power + 1 + extra
+    got = realize(poly, size)
+    assert got.tobytes() == matrix_power_realize(poly, size).tobytes()
+
+
+@pytest.mark.parametrize("extra", [0, 1, 7, 30])
+def test_realize_bytes_equal_matrix_power_definition(extra):
+    polys = [
+        ShiftPolynomial.zero(),
+        ShiftPolynomial.identity(),
+        ShiftPolynomial.monomial(3, 0, Fraction(-2, 3)),
+        ShiftPolynomial.monomial(0, 40, Fraction(1, 7)),
+        reduce("USUSSUU"),
+        binomial_group(3, 4).combined(),
+        power_expand(6, Fraction(3, 7), Fraction(5, 11)),
+        power_expand(13, Fraction(-1, 9), Fraction(8, 3)),
+        power_expand(POWER_GUARD, Fraction(3, 7), Fraction(5, 2)),
+        ShiftPolynomial({(0, 0): Fraction(10**300), (1, 2): Fraction(-1, 10**300), (2, 1): 1}),
+    ]
+    for poly in polys:
+        assert_realize_matches_reference(poly, extra)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 12)), rationals, max_size=12
+    ),
+    st.integers(0, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_realize_bytes_equal_matrix_power_definition_random(terms, extra):
+    assert_realize_matches_reference(ShiftPolynomial(terms), extra)
 
 
 def test_realize_small_cases():
