@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+def _digits(text: str) -> int:
+    """The --digits type: a count of significant digits, at least 1."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return digits
+
+
 def _fmt(x: float, digits: int) -> str:
     return f"{float(x):.{digits}g}"
 
@@ -160,6 +171,8 @@ def cmd_compare_pb(args) -> int:
 
 def cmd_counterexample(args) -> int:
     times = tuple(float(tok) for tok in args.times.split(",") if tok != "")
+    if not times:
+        raise ValueError(f"--times: no time given in {args.times!r}")
     report = counterexample_report(
         times=times, order=args.order, h=args.h, exp_terms=args.terms
     )
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="comma-separated coefficients a_0,a_1,...")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--order", type=int, default=30)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(handler=cmd_scalar)
 
     p = sub.add_parser("solve", help="solve the matrix evolution equation")
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--out", default=None, help="CSV path, stdout when omitted")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("compare-pb", help="iterated-integral vs recursion gap per degree")
@@ -265,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", choices=("left", "right"), default="left")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--out", default=None)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(handler=cmd_compare_pb)
 
     p = sub.add_parser(
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--terms", type=int, default=40)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(handler=cmd_counterexample)
 
     p = sub.add_parser("algebra", help="shift-operator normal forms")
@@ -305,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--boundary", choices=("absorb", "raw"), default="absorb")
     p.add_argument("--out", default=None)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(handler=cmd_bdp)
 
     return parser

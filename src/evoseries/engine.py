@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import (
-    enumerate_restricted_index_set,
-    max_total_index,
-    pi_coefficient,
-    term_count,
-)
+from .combinatorics import max_total_index, term_count
 from .scalar import scalar_coefficients
 
 __all__ = [
@@ -263,13 +258,22 @@ def compute_coefficients_explicit(
     RIGHT orientation.  Shares no code path with the recursion, which is the
     point: the two must agree to float accuracy.
 
+    The words of one q grow a letter at a time in evaluation order (m for
+    LEFT, m reversed for RIGHT; see _word_levels): each distinct prefix
+    product is formed once, by one batched matmul of its parent prefix and
+    its last letter, associating left to right as a word-by-word loop does.
+    Each word's weight is 1 / den for its exact integer denominator, the
+    correctly rounded float(pi(m)).  The weighted products are added one by
+    one onto the running total, q ascending and m lexicographic within q,
+    by np.add.accumulate, which sums sequentially (np.sum may sum pairwise
+    and change the last bits).  No partial sum is shared between words, and
+    only the current q's prefix products are held.
+
     Refuses to run when the number of products exceeds EXPLICIT_TERM_BUDGET.
     """
     if n < 1:
         raise ValueError(f"coefficient order must be >= 1, got {n}")
-    # A list of views, as in compute_coefficients: the product loop indexes it
-    # thousands of times, and a list lookup costs less than indexing the array.
-    mats = list(coeffs.matrices)
+    mats = coeffs.matrices
     p = coeffs.degree
     if p == 0:
         return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
@@ -279,13 +283,56 @@ def compute_coefficients_explicit(
     left = coeffs.orientation is Orientation.LEFT
     total = np.zeros((coeffs.dim, coeffs.dim))
     for q in range(max_total_index(n, p) + 1):
-        for m in enumerate_restricted_index_set(n, q, p):
-            order = m if left else tuple(reversed(m))
-            product = np.array(mats[order[0]])
-            for idx in order[1:]:
-                product = product @ mats[idx]
-            total += float(pi_coefficient(m)) * product
+        products = None
+        for parent, letter, den in _word_levels(n, q, p, left):
+            products = mats[letter] if products is None else products[parent] @ mats[letter]
+        # Row 0 is the running total, so row i of the accumulation is that
+        # total plus the first i weighted products, added in order.
+        terms = np.empty((len(products) + 1, *total.shape))
+        terms[0] = total
+        np.multiply((1 / den).astype(float)[:, None, None], products, out=terms[1:])
+        # a copy, so that the stack of this q is freed
+        total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
     return total
+
+
+def _word_levels(n: int, q: int, p: int, left: bool):
+    """The evaluation-order words of the restricted (n, q, p) set, one level at a time.
+
+    Yields, for k = 1..n-q, the k-letter prefixes of those words as flat
+    arrays: each prefix's parent (its index among the (k-1)-letter prefixes),
+    its last letter, and the exact integer product of its weight factors
+    (an object array of Python ints).  The last level's denominators are
+    those of pi_coefficient.  A word's factors, for m of length L:
+
+    - LEFT (the word is m): letter j contributes the suffix sum of m from j
+      plus L - j + 1, that is (q - prefix sum before j) + (L - j + 1);
+    - RIGHT (the word is m reversed): the k-th letter contributes the sum
+      of the first k letters plus k.
+
+    The last level comes in m's lexicographic order.  LEFT orders each level
+    by (parent, letter), which is lexicographic in the word; RIGHT by
+    (letter, parent), which compares words from their last letter back, and
+    so m from its first letter on.
+    """
+    length = n - q
+    sums = np.zeros(1, dtype=np.int64)
+    den = np.ones(1, dtype=object)
+    for k in range(1, length + 1):
+        grid = np.arange(len(sums) * (p + 1))
+        if left:
+            parent, letter = np.divmod(grid, p + 1)
+        else:
+            letter, parent = np.divmod(grid, len(sums))
+        before = sums[parent]
+        after = before + letter
+        # the other length - k letters must still make up q - after
+        keep = (after <= q) & (q - after <= p * (length - k))
+        parent, letter, before, after = parent[keep], letter[keep], before[keep], after[keep]
+        factor = q - before + (length - k + 1) if left else after + k
+        den = den[parent] * factor
+        sums = after
+        yield parent, letter, den
 
 
 def evaluate(series: MatrixSeries, t: float) -> np.ndarray:

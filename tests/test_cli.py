@@ -387,6 +387,31 @@ def test_missing_positionals_single_error_line(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scalar", "--a", "1", "--t", "1"],
+        ["solve", "--coeffs", "A.mat", "--t", "1"],
+        ["compare-pb", "--coeffs", "A.mat"],
+        ["counterexample"],
+        ["bdp"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_digits_below_one_is_a_usage_error_naming_it(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--digits", value)
+    assert code == 2 and out == ""
+    assert err == f"error: argument --digits: need an integer >= 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("times", [",", ""])
+def test_counterexample_empty_times_single_error_line(capsys, times):
+    code, out, err = run_cli(capsys, "counterexample", "--times", times)
+    assert code == 1 and out == ""
+    assert err == f"error: --times: no time given in {times!r}\n"
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "algebra", "power", "4", "--lam", "3", "--mu", "2")
     _, second, _ = run_cli(capsys, "algebra", "power", "4", "--lam", "3", "--mu", "2")

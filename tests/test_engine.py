@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from evoseries import engine
+from evoseries.combinatorics import (
+    enumerate_restricted_index_set,
+    max_total_index,
+    pi_coefficient,
+)
 from evoseries.engine import (
     MAX_STEPS,
     _local_bound,
@@ -182,6 +188,98 @@ def test_explicit_budget_guard(example_left):
     with pytest.raises(TermBudgetError) as err:
         compute_coefficients_explicit(example_left, 30)
     assert "1346269" in str(err.value)  # the refusal reports the term count
+
+
+def explicit_per_word(coeffs, n):
+    # The explicit formula one word at a time: a fresh product per word,
+    # weighted by float(pi_coefficient(m)) and added onto the total in turn.
+    mats = list(coeffs.matrices)
+    p = coeffs.degree
+    if p == 0:
+        return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
+    left = coeffs.orientation is Orientation.LEFT
+    total = np.zeros((coeffs.dim, coeffs.dim))
+    for q in range(max_total_index(n, p) + 1):
+        for m in enumerate_restricted_index_set(n, q, p):
+            order = m if left else tuple(reversed(m))
+            product = np.array(mats[order[0]])
+            for idx in order[1:]:
+                product = product @ mats[idx]
+            total += float(pi_coefficient(m)) * product
+    return total
+
+
+def _family(rng, dim, degree, integer, orientation):
+    if integer:
+        mats = rng.integers(-3, 4, size=(degree + 1, dim, dim)).astype(float)
+    else:
+        mats = rng.standard_normal((degree + 1, dim, dim))
+    return MatrixPolyCoefficients(mats, orientation)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    n=st.integers(1, 12),
+    left=st.booleans(),
+    integer=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_explicit_equals_per_word_loop_bit_for_bit(seed, dim, degree, n, left, integer):
+    # Every example checks the drawn size and d = 1, where numpy's own sums
+    # would run over a contiguous axis and round differently.
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    rng = np.random.default_rng(seed)
+    for d in (dim, 1):
+        coeffs = _family(rng, d, degree, integer, orientation)
+        got = compute_coefficients_explicit(coeffs, n)
+        assert got.tobytes() == explicit_per_word(coeffs, n).tobytes()
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_explicit_equals_per_word_loop_on_largest_oracle_stratum(orientation):
+    # (p, d, n) = (1, 4, 17): 2584 words, the largest explicit oracle check.
+    coeffs = _family(np.random.default_rng(17), 4, 1, False, orientation)
+    got = compute_coefficients_explicit(coeffs, 17)
+    assert got.tobytes() == explicit_per_word(coeffs, 17).tobytes()
+
+
+def _level_words(n, q, p, left):
+    # Each last-level prefix's letters, read back through the parent arrays.
+    levels = list(engine._word_levels(n, q, p, left))
+    index = np.arange(len(levels[-1][0]))
+    letters = []
+    for parent, letter, _ in reversed(levels):
+        letters.append(letter[index])
+        index = parent[index]
+    words = np.column_stack(letters[::-1]).tolist()
+    return [tuple(w) for w in words], levels[-1][2]
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_word_levels_reach_the_index_set_in_order_with_its_weights(left):
+    for n in range(1, 15):
+        for p in range(1, 4):
+            for q in range(max_total_index(n, p) + 1):
+                words, dens = _level_words(n, q, p, left)
+                ms = [w if left else w[::-1] for w in words]
+                assert ms == list(enumerate_restricted_index_set(n, q, p))
+                for m, den in zip(ms, dens):
+                    assert Fraction(1, den) == pi_coefficient(m)
+
+
+def test_explicit_never_calls_the_recursion(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the explicit formula called the recursion")
+
+    rng = np.random.default_rng(5)
+    families = [_family(rng, 3, degree, False, o) for degree in (0, 2) for o in Orientation]
+    expected = [explicit_per_word(coeffs, 7) for coeffs in families]
+    monkeypatch.setattr(engine, "_expand", refuse)
+    monkeypatch.setattr(engine, "compute_coefficients", refuse)
+    for coeffs, want in zip(families, expected):
+        assert compute_coefficients_explicit(coeffs, 7).tobytes() == want.tobytes()
 
 
 def test_evaluate_identity_at_zero(example_left):
