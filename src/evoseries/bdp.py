@@ -10,8 +10,8 @@ The distribution itself is carried from step to step: the recursion
 n p_n = sum_j p_{n-1-j} A_j runs on the row vector, so no n x n propagator
 is ever formed.  The generator is tridiagonal, so the family is carried as
 its diagonals, one (p+1, 3, n) array: a step's shift, norms and recursion
-cost O(order n), and the only n x n arrays of a solve are the dense family
-it returns.
+cost O(order n), and a solve forms no n x n array.  The dense family, for
+checks at the coefficient level, is generator_family.
 
 Truncating the state space loses probability mass.  The leakage column
 records |1 - sum(p)| at each grid time; nothing is ever renormalized.
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     MatrixPolyCoefficients,
@@ -44,6 +43,7 @@ __all__ = [
     "StochasticityRow",
     "StochasticityReport",
     "build_generator",
+    "generator_family",
     "solve_bdp",
     "stochasticity_report",
 ]
@@ -102,6 +102,17 @@ def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
     return _dense(_diagonals(lam, mu, spec))
 
 
+def generator_family(spec: BirthDeathSpec) -> MatrixPolyCoefficients:
+    """The dense generator family A_0 + A_1 t with RIGHT orientation, from build_generator.
+
+    solve_bdp steps on the diagonals of the same family; this n x n form is
+    for coefficient-level checks, such as compute_coefficients or a stepped
+    solve of full propagators.
+    """
+    generators = [build_generator(lam, mu, spec) for lam, mu in zip(spec.lam, spec.mu)]
+    return MatrixPolyCoefficients(generators, Orientation.RIGHT)
+
+
 def _diagonals(lam, mu, spec: BirthDeathSpec) -> np.ndarray:
     """build_generator's matrix A as its diagonals: out[k, i] = A[i, i - 1 + k], 0 off the matrix.
 
@@ -150,32 +161,91 @@ def _diagonal_norm_bounds(diagonals: np.ndarray) -> np.ndarray:
     return np.moveaxis(_up(np.abs(diagonals).sum(axis=-2).max(axis=-1), 3), 0, -1)
 
 
-def _stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
-    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} for column vectors, A_j tridiagonal.
+class _Stencil:
+    """One padded term stack for n T_n = sum_j A_j T_{n-1-j}, reused by every expansion.
 
-    diagonals[j, ..., k, i] = A_j[i, i - 1 + k], and start[..., i] is entry
-    i of the column; leading axes between j and the diagonals hold families
-    expanded side by side, each from its own start.  Returns the
-    (order+1, ..., n) terms.  A row vector's series, n T_n =
-    sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
+    The terms are column vectors of n entries and A_0..A_p tridiagonal.  A
+    row of the stack lays `segments` columns out flat, each expanded from its
+    own start with its own family: entry i of T_n in a segment is
+    sum_j sum_k A_j[i, i - 1 + k] T_{n-1-j}[i - 1 + k], with that segment's
+    A_j.  Every segment of an order is one einsum over 3-entry windows of the
+    row, whose summation order is that of the segment expanded alone.  Each
+    entry is a sum of at most 3(p+1) products, then a division:
+    _local_bound's count with dim = 3.
 
-    The terms live in one stack padded by p zero terms before T_0 and a zero
-    entry at each end of every term, so the products A_j T_{n-1-j} of every
-    j and all three diagonals of an order are one einsum over 3-entry
-    windows of the stack.  Each entry of T_n is a sum of at most 3(p+1)
-    products, then a division: _local_bound's count with dim = 3.
+    The stack holds p zero terms before T_0, a zero entry before the first
+    segment and after the last, and `order` zeros between two segments.  A
+    family's diagonals are zero off its matrix and in those gaps, so the
+    gaps stay zero and each segment's entries sum the same products as the
+    segment alone.  A non-finite entry spreads one entry an order, through
+    products with zero, so within one expansion an overflow in one segment
+    never reaches another.
+
+    Write each expansion's starts into segments(start) and its diagonals
+    into segments(family), family[j, k, i] = A_j[i, i - 1 + k]; expand()
+    then fills T_1..T_order and returns T_0..T_order as one (order+1, width)
+    view, segments(terms) being each segment's.
     """
-    p = len(diagonals) - 1
-    stack = np.zeros((order + 1 + p, *start.shape[:-1], start.shape[-1] + 2))
-    stack[p, ..., 1:-1] = start
-    windows = sliding_window_view(stack, 3, axis=-1)  # [r, ..., i, k] = stack[r, ..., i + k]
-    # Rows n - 1 .. n - 1 + p of the stack hold T_{n-1-p} .. T_{n-1}: A_p .. A_0.
-    reversed_family = diagonals[::-1]
-    for n in range(1, order + 1):
-        term = stack[p + n, ..., 1:-1]
-        np.einsum("j...ik,j...ki->...i", windows[n - 1 : n + p], reversed_family, out=term)
-        term /= n
-    return stack[p:, ..., 1:-1]
+
+    def __init__(self, p: int, n: int, segments: int, order: int):
+        self._offsets = [s * (n + order) for s in range(segments)]
+        self._n = n
+        rows, width = order + 1 + p, self._offsets[-1] + n + 2
+        stack = np.zeros((rows, width))
+        self.family = np.zeros((p + 1, 3, width - 2))
+        # [r, i, k] = stack[r, i + k]: sliding_window_view's windows, built
+        # directly as a strided view in a small fraction of its time.
+        item = stack.itemsize
+        windows = np.ndarray(
+            (rows, width - 2, 3), buffer=stack, strides=(stack.strides[0], item, item)
+        )
+        # Rows m - 1 .. m - 1 + p of the stack hold T_{m-1-p} .. T_{m-1}: A_p .. A_0.
+        # A float m divides to the same bits as the int, in less time.
+        self._reversed_family = self.family[::-1]
+        self._orders = [
+            (windows[m - 1 : m + p], stack[p + m, 1:-1], float(m)) for m in range(1, order + 1)
+        ]
+        self.terms = stack[p:, 1:-1]
+        self.start = self.terms[0]
+
+    def segments(self, array: np.ndarray) -> list[np.ndarray]:
+        """Each segment's n entries, as views along the last axis of a row-shaped array."""
+        return [array[..., offset : offset + self._n] for offset in self._offsets]
+
+    def expand(self) -> np.ndarray:
+        family = self._reversed_family
+        for windows, term, m in self._orders:
+            np.einsum("jik,jki->i", windows, family, out=term)
+            term /= m
+        return self.terms
+
+
+def _stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
+    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} for one column vector, as _Stencil runs it.
+
+    diagonals[j, k, i] = A_j[i, i - 1 + k] and start[i] is entry i of the
+    column.  Returns the (order+1, n) terms.  A row vector's series,
+    n T_n = sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
+    """
+    stencil = _Stencil(len(diagonals) - 1, len(start), 1, order)
+    stencil.family[...] = diagonals
+    stencil.start[...] = start
+    return stencil.expand()
+
+
+def _backward(ahead: np.ndarray) -> np.ndarray:
+    """The diagonals of B(tau) = A(t_next - tau): ahead, at t_next, with odd coefficients negated.
+
+    The row sums u(s) of the exact propagator from s to t_next solve the
+    backward equation du/ds = -A(s) u, u(t_next) = 1, which in
+    tau = t_next - s is du/dtau = B(tau) u: the column of ones expanded on
+    this family and summed at h gives the row sums of the step's propagator.
+    The forward recursion run on the column of ones would instead give those
+    of the LEFT propagator, which multiplies in reverse time order; they
+    differ whenever A_0 and A_1 do not commute on that column.
+    """
+    signs = (-1.0) ** np.arange(len(ahead))
+    return ahead * signs[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +270,21 @@ def solve_bdp(
     steps: int,
     order: int,
     initial: np.ndarray | None = None,
-) -> tuple[DistributionTrajectory, MatrixPolyCoefficients]:
-    """Distribution trajectory on an even grid, plus the generator family it solves.
+) -> tuple[DistributionTrajectory, np.ndarray]:
+    """Distribution trajectory on an even grid, plus the generator diagonals it steps on.
 
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
     far to the given order and sums that series at the step length h.  The
     family runs as its diagonals (_diagonals), shifted to every grid origin
-    in one _shift; the recursion is _stencil_expand on their transpose and
-    the norms add 3 entries a row, so a step costs O(order n) and touches
-    no n x n array.  The returned family, built once from the same
-    diagonals, is the only n x n memory of a solve: A_0 + A_1 t with RIGHT
-    orientation, whose expansion by compute_coefficients gives
-    coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
+    in one _shift; the recursion is a _Stencil on their transpose, one stack
+    allocated per solve and reused by every step, and the norms add 3
+    entries a row, so a step costs O(order n) time and memory and a solve
+    forms no n x n array.  The second value is those diagonals, the
+    read-only (2, 3, n) array of A_0 and A_1; generator_family(spec) gives
+    the dense family A_0 + A_1 t with RIGHT orientation, whose expansion by
+    compute_coefficients gives coefficient-level checks such as
+    R_2 = (A_0^2 + A_1) / 2.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
     R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
@@ -224,45 +296,54 @@ def solve_bdp(
     ||R_k|| <= 1: earlier error is carried forward without growth.  Under
     REFLECT_NONE mass leaks and ||R_k||, the largest row sum of R_k, can be
     well below 1, so the carried error is scaled by min(1, that row sum plus
-    its error), with the row sums taken from the backward equation by
-    _row_sums.  That keeps the bound close to the one composed from full
+    its error), with the row sums taken from the backward equation
+    (_backward).  That keeps the bound close to the one composed from full
     propagators, but not always at or below it: the factor adds the error
     of the backward row sums at t_next, and at the rounding floor the two
     bounds differ by a few ulps of exp(integral of a').  A factor that always
     met the full-propagator bound would need ||R~_k||, the n x n local
-    propagator that the row solve avoids.  The row sums of every leaky step
-    are one batched _row_sums call, and the local bounds of every step and
-    of those row sums one stacked _local_bound call, after the last step.
-    Each entry of a tridiagonal product sums at most 3 products, so
-    _local_bound counts the recursion's rounding with dim = 3; the mass
-    ||p~||_1 still sums n entries.
+    propagator that the row solve avoids.  The row sums ride in each step's
+    expansion: the stencil holds the row, on the transposed family at t_k,
+    and the column of ones, on the backward family at t_{k+1}, side by side,
+    and one Horner at h sums both.  The norms of the backward family, whose
+    entries are those of the family at t_{k+1} up to sign, bound the error
+    of the sums.  The local bounds of every step and of the row sums of
+    every step after the first nonzero mass are one stacked _local_bound
+    call after the last step.  Each entry of a tridiagonal product sums at
+    most 3 products, so _local_bound counts the recursion's rounding with
+    dim = 3; the mass ||p~||_1 still sums n entries.
 
-    The first step whose series is not finite is refused by _refuse_overflow,
-    with solve_stepped's one message.
+    The first step whose row series is not finite is refused by
+    _refuse_overflow, with solve_stepped's one message.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
+    n = spec.states
     family = _diagonals(spec.lam, spec.mu, spec)
-    dense = _dense(family)
-    dense.setflags(write=False)  # so that MatrixPolyCoefficients keeps it uncopied
-    coeffs = MatrixPolyCoefficients(dense, Orientation.RIGHT)
+    family.setflags(write=False)
     if initial is None:
-        p = np.zeros(spec.states)
+        p = np.zeros(n)
         p[0] = 1.0
     else:
         p = np.asarray(initial, dtype=float)
-        if p.shape != (spec.states,):
-            raise ValueError(
-                f"initial distribution must have shape ({spec.states},), got {p.shape}"
-            )
+        if p.shape != (n,):
+            raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
     leaky = spec.boundary is Boundary.REFLECT_NONE
     unshifted = _diagonal_norm_bounds(family).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
+    # A leaky chain expands the column of ones beside the row.
+    stencil = _Stencil(len(family) - 1, n, 2 if leaky else 1, order)
+    row, *ones = stencil.segments(stencil.start)
+    forward, *backward = stencil.segments(stencil.family)
+    if leaky:
+        ones[0][...] = 1.0
     # Overflow, of the shifted family or of a series, shows as a refused
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
@@ -270,33 +351,34 @@ def solve_bdp(
         # The family recentered at every grid time, and its norms there.
         shifted = _shift(family, times)
         norms = _diagonal_norm_bounds(shifted)
-        forward = _transposed(shifted)
         # Steps whose carried error needs the leak factor: for a leaky chain,
-        # those after some nonzero mass (else the carried error is 0).
-        masses, leaky_steps = [], []
+        # those after some nonzero mass (else the carried error is 0), with
+        # the largest row sum of each.
+        masses, leaky_steps, tops = [], [], []
         dists = [p]
         for k, (t_prev, h) in enumerate(zip(times, hs)):
-            if leaky and any(masses):
-                leaky_steps.append(k)
-            masses.append(_up(float(np.abs(p).sum()), spec.states))
-            terms = _stencil_expand(forward[:, k], p, order)
+            masses.append(_up(float(np.abs(p).sum()), n))
+            forward[...] = _transposed(shifted[:, k])
+            if leaky:
+                backward[0][...] = _backward(shifted[:, k + 1])
+            row[...] = p
+            terms = stencil.expand()
             # The shift can overflow only in A_0 + t A_1, every entry of which
             # enters the first term: a non-finite shift shows in the series.
-            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
-            p = _horner(terms, h)
+            _refuse_overflow([np.isfinite(stencil.segments(terms)[0]).all()], [t_prev])
+            p, *sums = stencil.segments(_horner(terms, h))
+            if leaky and any(masses[:-1]):
+                leaky_steps.append(k)
+                tops.append(float(sums[0].max()))
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
-        # The row sums of every leaky step at once, from the family at its end.
-        rows, starts, lengths, tops = norms[:-1], times[:-1], hs, []
-        if leaky_steps:
-            leak_hs = [hs[k] for k in leaky_steps]
-            ends = [k + 1 for k in leaky_steps]
-            sums, back_norms = _row_sums(shifted[:, ends], np.array(leak_hs)[:, None], order)
-            tops = sums.max(axis=1).tolist()
-            rows = np.vstack([rows, back_norms])
-            starts, lengths = starts + [times[k] for k in ends], lengths + leak_hs
     # One stacked bound: every step's, then the row sums' of the leaky steps.
+    # The backward family's norms are those of the family at the step's end.
+    ends = [k + 1 for k in leaky_steps]
+    rows = np.vstack([norms[:-1], norms[ends]])
+    starts = times[:-1] + [times[k] for k in ends]
+    lengths = hs + [hs[k] for k in leaky_steps]
     local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
     errors = local_bounds[len(hs):]
     factors = {k: min(1.0, top + error) for k, top, error in zip(leaky_steps, tops, errors)}
@@ -308,32 +390,7 @@ def solve_bdp(
         # A zero row stays exactly zero, even where the local bound is inf.
         bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
     traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
-    return traj, coeffs
-
-
-def _row_sums(ahead: np.ndarray, h, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of the exact propagator R of a step of length h, and norms bounding their error.
-
-    ahead is the (p+1, 3, n) diagonals of the family recentered at the
-    step's end t_next.  The forward recursion run on the column of ones
-    gives the row sums of the LEFT propagator, which multiplies in reverse
-    time order; they differ from those of R whenever A_0 and A_1 do not
-    commute on that column.  The row sums u(s) of the propagator from s to
-    t_next instead solve the backward equation du/ds = -A(s) u,
-    u(t_next) = 1.  In tau = t_next - s that is du/dtau = B(tau) u with
-    B(tau) = A(t_next - tau): ahead with its odd coefficients negated,
-    expanded as columns from the column of ones and summed at h.  The second
-    value is the norms of B in the max-row-sum norm, which is
-    submultiplicative: their _local_bound row, shifted to t_next from the
-    family's own norms, bounds the error of the sums.
-
-    A (p+1, S, 3, n) ahead with an (S, 1) array h gives the (S, n) sums and
-    (S, p+1) norms of S steps at once.
-    """
-    signs = (-1.0) ** np.arange(len(ahead))
-    back = ahead * signs.reshape(-1, *[1] * (ahead.ndim - 1))
-    sums = _stencil_expand(back, np.ones(ahead.shape[1:-2] + ahead.shape[-1:]), order)
-    return _horner(sums, h), _diagonal_norm_bounds(back)
+    return traj, family
 
 
 @dataclass(frozen=True)

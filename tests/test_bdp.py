@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -11,12 +13,16 @@ from evoseries import bdp, engine
 from evoseries.bdp import (
     BirthDeathSpec,
     Boundary,
+    DistributionTrajectory,
+    _backward,
     _dense,
+    _diagonal_norm_bounds,
     _diagonals,
-    _row_sums,
+    _Stencil,
     _stencil_expand,
     _transposed,
     build_generator,
+    generator_family,
     solve_bdp,
     stochasticity_report,
 )
@@ -25,9 +31,12 @@ from evoseries.engine import (
     Orientation,
     _expand,
     _gamma,
+    _horner,
     _local_bound,
     _norm_bounds,
+    _refuse_overflow,
     _shift,
+    _step_ends,
     _up,
     compute_coefficients,
     recenter,
@@ -75,6 +84,79 @@ def recursion_reference(coeffs: MatrixPolyCoefficients, order: int) -> np.ndarra
                 acc += terms[n - 1 - j] @ mats[j]
         acc /= n
     return stack
+
+
+def reference_stencil(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
+    """The stencil recursion of a single or batched column, over sliding_window_view windows.
+
+    diagonals[j, ..., k, i] = A_j[i, i - 1 + k]; leading axes between j and
+    the diagonals hold families expanded side by side, each from its own start.
+    """
+    p = len(diagonals) - 1
+    stack = np.zeros((order + 1 + p, *start.shape[:-1], start.shape[-1] + 2))
+    stack[p, ..., 1:-1] = start
+    windows = sliding_window_view(stack, 3, axis=-1)
+    reversed_family = diagonals[::-1]
+    for n in range(1, order + 1):
+        term = stack[p + n, ..., 1:-1]
+        np.einsum("j...ik,j...ki->...i", windows[n - 1 : n + p], reversed_family, out=term)
+        term /= n
+    return stack[p:, ..., 1:-1]
+
+
+def reference_solve(spec, t_final, steps, order, initial=None) -> DistributionTrajectory:
+    """solve_bdp as a per-step row loop, then one batched backward expansion for the leak factors.
+
+    Each step expands the row alone; the row sums of every leaky step are
+    expanded together after the loop, on the family shifted to each step's end.
+    """
+    family = _diagonals(spec.lam, spec.mu, spec)
+    if initial is None:
+        p = np.zeros(spec.states)
+        p[0] = 1.0
+    else:
+        p = np.asarray(initial, dtype=float)
+    leaky = spec.boundary is Boundary.REFLECT_NONE
+    unshifted = _diagonal_norm_bounds(family).tolist()
+    times = [0.0, *_step_ends(t_final, t_final / steps)]
+    hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _shift(family, times)
+        norms = _diagonal_norm_bounds(shifted)
+        forward = _transposed(shifted)
+        masses, leaky_steps = [], []
+        dists = [p]
+        for k, (t_prev, h) in enumerate(zip(times, hs)):
+            if leaky and any(masses):
+                leaky_steps.append(k)
+            masses.append(_up(float(np.abs(p).sum()), spec.states))
+            terms = reference_stencil(forward[:, k], p, order)
+            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
+            p = _horner(terms, h)
+            dists.append(p)
+        dists = np.vstack(dists)
+        leakage = np.abs(1.0 - dists.sum(axis=1))
+        rows, starts, lengths, tops = norms[:-1], times[:-1], hs, []
+        if leaky_steps:
+            leak_hs = [hs[k] for k in leaky_steps]
+            ends = [k + 1 for k in leaky_steps]
+            signs = (-1.0) ** np.arange(len(family))
+            back = shifted[:, ends] * signs[:, None, None, None]
+            ones = np.ones((len(ends), spec.states))
+            sums = _horner(reference_stencil(back, ones, order), np.array(leak_hs)[:, None])
+            tops = sums.max(axis=1).tolist()
+            rows = np.vstack([rows, _diagonal_norm_bounds(back)])
+            starts, lengths = starts + [times[k] for k in ends], lengths + leak_hs
+    local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
+    errors = local_bounds[len(hs):]
+    factors = {k: min(1.0, top + error) for k, top, error in zip(leaky_steps, tops, errors)}
+    bounds = [0.0]
+    for k, (mass, local_bound) in enumerate(zip(masses, local_bounds)):
+        carried = bounds[-1]
+        if leaky and carried:
+            carried = _up(carried * factors[k], 2)
+        bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
+    return DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
 
 
 def test_spec_validation():
@@ -143,6 +225,20 @@ def test_solve_inputs_checked():
         solve_bdp(spec, 1.0, 5, 10, initial=np.ones(4))
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_solve_refuses_an_order_below_one_before_any_work(monkeypatch, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_bdp started a step")
+
+    monkeypatch.setattr(bdp, "_shift", refuse)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=5)
+    with pytest.raises(ValueError) as birth_death:
+        solve_bdp(spec, 1.0, 5, order)
+    with pytest.raises(ValueError) as stepped:
+        solve_stepped(generator_family(spec), 1.0, 0.2, order)
+    assert str(birth_death.value) == str(stepped.value) == f"series order must be >= 1, got {order}"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_rejects_non_finite_initial(bad):
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=5)
@@ -166,8 +262,8 @@ def test_zero_initial_row_has_zero_bound():
     # One step of length 60: exp of the majorant's integral overflows, so the
     # local bound is inf, but a zero row stays exactly zero.
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10)
-    traj, coeffs = solve_bdp(spec, 60.0, 1, 5, initial=np.zeros(10))
-    assert math.isinf(solve_stepped(coeffs, 60.0, 60.0, 5)[-1].tail_bound)
+    traj, _ = solve_bdp(spec, 60.0, 1, 5, initial=np.zeros(10))
+    assert math.isinf(solve_stepped(generator_family(spec), 60.0, 60.0, 5)[-1].tail_bound)
     assert not traj.distributions.any() and not traj.tail_bounds.any()
 
 
@@ -178,8 +274,8 @@ def test_leaky_chain_bound_not_looser_than_propagator_bound():
     spec = BirthDeathSpec(
         lam=(3.0, 0.0), mu=(0.5, 0.0), states=3, boundary=Boundary.REFLECT_NONE
     )
-    traj, coeffs = solve_bdp(spec, 2.0, 4, 20)
-    full = np.array([s.tail_bound for s in solve_stepped(coeffs, 2.0, 0.5, 20)])
+    traj, _ = solve_bdp(spec, 2.0, 4, 20)
+    full = np.array([s.tail_bound for s in solve_stepped(generator_family(spec), 2.0, 0.5, 20)])
     assert np.all(traj.tail_bounds <= full * (1 + 1e-12))
 
 
@@ -191,7 +287,8 @@ def test_leaky_chain_bound_can_exceed_propagator_bound_and_still_holds():
     spec = BirthDeathSpec(
         lam=(1.0, 0.0), mu=(1.0, 1.0), states=3, boundary=Boundary.REFLECT_NONE
     )
-    traj, coeffs = solve_bdp(spec, 1.0, 2, 11)
+    traj, _ = solve_bdp(spec, 1.0, 2, 11)
+    coeffs = generator_family(spec)
     full = [s.tail_bound for s in solve_stepped(coeffs, 1.0, 0.5, 11)]
     assert traj.tail_bounds[-1] > full[-1]
     a0, a1 = coeffs.matrices
@@ -219,15 +316,15 @@ def test_leak_factor_uses_row_sums_of_the_forward_propagator():
     spec = BirthDeathSpec(
         lam=(3.0, 0.0), mu=(0.5, 2.0), states=3, boundary=Boundary.REFLECT_NONE
     )
-    _, coeffs = solve_bdp(spec, 1.0, 1, 10)
+    coeffs = generator_family(spec)
     t_prev, t_next = 0.3, 0.5
     h = t_next - t_prev
     local = solve_stepped(recenter(coeffs, t_prev), h, h, 40)[-1]
     exact = local.value.sum(axis=1)
     unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
-    sums, norms = _row_sums(
-        _shift(_diagonals(spec.lam, spec.mu, spec), [t_next])[:, 0], h, 20
-    )
+    back = _backward(_shift(_diagonals(spec.lam, spec.mu, spec), [t_next])[:, 0])
+    sums = _horner(_stencil_expand(back, np.ones(spec.states), 20), h)
+    norms = _diagonal_norm_bounds(back)
     [error] = _local_bound(norms[None], unshifted, [t_next], coeffs.dim, 20, [h])
     assert 0.0 < error < 1e-10
     assert np.all(np.abs(sums - exact) <= error + local.tail_bound)
@@ -269,7 +366,8 @@ def test_row_solve_within_bound_of_propagator_and_references(
     p0 = np.array(weights)
     p0[data.draw(st.integers(0, states - 1))] += data.draw(st.floats(1e-3, 5.0))
     mass = p0.sum()
-    traj, coeffs = solve_bdp(spec, t_final, steps, order, initial=p0)
+    traj, _ = solve_bdp(spec, t_final, steps, order, initial=p0)
+    coeffs = generator_family(spec)
     path = solve_stepped(coeffs, t_final, t_final / steps, order)
     assert np.array_equal(traj.times, [s.t for s in path])  # one shared grid
     full = mass * np.array([s.tail_bound for s in path])
@@ -298,8 +396,9 @@ def test_row_solve_within_bound_of_propagator_and_references(
 
 def test_initial_distribution_and_coefficient():
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=20)
-    traj, coeffs = solve_bdp(spec, 0.5, 5, 20)
+    traj, _ = solve_bdp(spec, 0.5, 5, 20)
     assert traj.distributions[0][0] == 1.0 and traj.distributions[0][1:].max() == 0.0
+    coeffs = generator_family(spec)
     a0 = build_generator(1.0, 1.0, spec)
     a1 = build_generator(0.5, 0.5, spec)
     assert coeffs.orientation is Orientation.RIGHT
@@ -425,13 +524,107 @@ def test_solve_bdp_steps_touch_no_dense_family(monkeypatch, boundary):
         raise AssertionError("a step of solve_bdp used a dense family")
 
     for module in (bdp, engine):
-        for name in ("recenter", "_expand", "_norm_bounds"):
+        for name in ("recenter", "_expand", "_norm_bounds", "_dense", "build_generator"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
-    traj, coeffs = solve_bdp(spec, 1.0, 7, 20)
+    traj, diagonals = solve_bdp(spec, 1.0, 7, 20)
     assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
-    # The returned family is build_generator's, read-only.
+    # The second value is the diagonals the solve steps on, read-only.
+    assert np.array_equal(diagonals, _diagonals(spec.lam, spec.mu, spec))
+    assert not diagonals.flags.writeable
+    monkeypatch.undo()
+    # generator_family is their dense form, build_generator's.
+    assert np.array_equal(_dense(diagonals), generator_family(spec).matrices)
     assert np.array_equal(
-        coeffs.matrices, [build_generator(1.0, 2.0, spec), build_generator(0.5, 0.5, spec)]
+        generator_family(spec).matrices,
+        [build_generator(1.0, 2.0, spec), build_generator(0.5, 0.5, spec)],
     )
-    assert not coeffs.matrices.flags.writeable
+
+
+@given(
+    lam=st.tuples(rate, linear_rate),
+    mu=st.tuples(rate, linear_rate),
+    boundary=st.sampled_from(Boundary),
+    states=st.integers(3, 120),
+    t_final=st.floats(0.05, 3.0),
+    steps=st.integers(1, 12),
+    order=st.integers(1, 30),
+    start=st.sampled_from(["first", "zero", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_solve_bdp_keeps_the_bits_of_the_row_loop(
+    lam, mu, boundary, states, t_final, steps, order, start, seed
+):
+    spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
+    initial = {
+        "first": None,
+        "zero": np.zeros(states),
+        "random": np.random.default_rng(seed).dirichlet(np.ones(states)),
+    }[start]
+    traj, _ = solve_bdp(spec, t_final, steps, order, initial=initial)
+    reference = reference_solve(spec, t_final, steps, order, initial=initial)
+    for field in ("times", "distributions", "leakage", "tail_bounds"):
+        assert getattr(traj, field).tobytes() == getattr(reference, field).tobytes(), field
+
+
+@given(
+    lam=st.tuples(rate, linear_rate),
+    mu=st.tuples(rate, linear_rate),
+    boundary=st.sampled_from(Boundary),
+    states=st.integers(3, 60),
+    t0=st.floats(0.0, 5.0),
+    order=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_each_segment_of_a_stencil_expands_as_if_alone(
+    lam, mu, boundary, states, t0, order, seed
+):
+    spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
+    shifted = _shift(_diagonals(spec.lam, spec.mu, spec), [t0, 2.0 * t0 + 0.5])
+    families = [_transposed(shifted[:, 0]), _backward(shifted[:, 1])]
+    starts = [np.random.default_rng(seed).standard_normal(states), np.ones(states)]
+    stencil = _Stencil(1, states, 2, order)
+    for family, start, family_view, start_view in zip(
+        families, starts, stencil.segments(stencil.family), stencil.segments(stencil.start)
+    ):
+        family_view[...] = family
+        start_view[...] = start
+    together = stencil.segments(stencil.expand())
+    for family, start, terms in zip(families, starts, together):
+        alone = _stencil_expand(family, start, order)
+        assert terms.tobytes() == alone.tobytes()
+        assert alone.tobytes() == reference_stencil(family, start, order).tobytes()
+
+
+def test_an_overflowing_column_of_ones_leaves_the_row_to_its_own_refusal():
+    # With rates near 1e23 the column of ones overflows by order 14 on the
+    # first step, while the row, of mass 1e-300, stays finite; the next step
+    # overflows from the grown row.
+    spec = BirthDeathSpec(
+        lam=(1e23, 1.0), mu=(1.0, 1.0), states=6, boundary=Boundary.REFLECT_NONE
+    )
+    initial = np.zeros(6)
+    initial[0] = 1e-300
+    with pytest.raises(ValueError, match=r"step from t = 0\.333"):
+        solve_bdp(spec, 1.0, 3, 20, initial=initial)
+    traj, _ = solve_bdp(spec, 1e-22, 1, 20, initial=initial)
+    reference = reference_solve(spec, 1e-22, 1, 20, initial=initial)
+    assert np.isfinite(traj.distributions).all() and math.isinf(traj.tail_bounds[-1])
+    assert traj.distributions.tobytes() == reference.distributions.tobytes()
+
+
+def test_a_hundred_thousand_state_chain_needs_no_dense_memory():
+    # The dense (2, n, n) family alone would take 149 GiB.
+    spec = BirthDeathSpec(
+        lam=(1.0, 0.5), mu=(1.0, 0.5), states=100_000, boundary=Boundary.REFLECT_NONE
+    )
+    tracemalloc.start()
+    try:
+        traj, _ = solve_bdp(spec, 1.0, 4, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
+    assert peak < 300e6, f"peak {peak / 1e6:.0f} MB"

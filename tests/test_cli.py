@@ -366,6 +366,13 @@ def test_bdp_overflowing_series_single_error_line(rate):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_bdp_order_below_one_single_error_line(capsys, order):
+    code, out, err = run_cli(capsys, "bdp", "--order", order)
+    assert code == 1 and out == ""
+    assert err == f"error: series order must be >= 1, got {order}\n"
+
+
 def test_bdp_lost_certificate_warns_once(capsys):
     # exp of the majorant's integral overflows over one step of 60
     code, out, err = run_cli(
