@@ -28,6 +28,7 @@ import numpy as np
 from .engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _BLOCK_DOUBLES,
     _horner,
     _local_bound,
     _refuse_overflow,
@@ -276,15 +277,17 @@ def solve_bdp(
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
     far to the given order and sums that series at the step length h.  The
-    family runs as its diagonals (_diagonals), shifted to every grid origin
-    in one _shift; the recursion is a _Stencil on their transpose, one stack
-    allocated per solve and reused by every step, and the norms add 3
-    entries a row, so a step costs O(order n) time and memory and a solve
-    forms no n x n array.  The second value is those diagonals, the
-    read-only (2, 3, n) array of A_0 and A_1; generator_family(spec) gives
-    the dense family A_0 + A_1 t with RIGHT orientation, whose expansion by
-    compute_coefficients gives coefficient-level checks such as
-    R_2 = (A_0^2 + A_1) / 2.
+    family runs as its diagonals (_diagonals), shifted to the grid origins
+    of one block of steps at a time in one _shift, a block holding about
+    engine._BLOCK_DOUBLES // (6 n) steps, so a long grid never holds the
+    family at every grid time; the recursion is a _Stencil on their
+    transpose, one stack allocated per solve and reused by every step, and
+    the norms add 3 entries a row, so a step costs O(order n) time and
+    memory and a solve forms no n x n array.  The second value is those
+    diagonals, the read-only (2, 3, n) array of A_0 and A_1;
+    generator_family(spec) gives the dense family A_0 + A_1 t with RIGHT
+    orientation, whose expansion by compute_coefficients gives
+    coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
     R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
@@ -344,23 +347,29 @@ def solve_bdp(
     forward, *backward = stencil.segments(stencil.family)
     if leaky:
         ones[0][...] = 1.0
+    # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
+    per_block = max(1, _BLOCK_DOUBLES // (6 * n))
     # Overflow, of the shifted family or of a series, shows as a refused
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The family recentered at every grid time, and its norms there.
-        shifted = _shift(family, times)
-        norms = _diagonal_norm_bounds(shifted)
         # Steps whose carried error needs the leak factor: for a leaky chain,
         # those after some nonzero mass (else the carried error is 0), with
-        # the largest row sum of each.
-        masses, leaky_steps, tops = [], [], []
+        # the largest row sum of each and the family's norms at its end.
+        masses, step_norms, leaky_steps, tops, end_norms = [], [], [], [], []
         dists = [p]
         for k, (t_prev, h) in enumerate(zip(times, hs)):
+            b = k % per_block
+            if b == 0:
+                # The family recentered at the block's grid times and at the
+                # end of its last step, and its norms there.
+                shifted = _shift(family, times[k : k + per_block + 1])
+                norms = _diagonal_norm_bounds(shifted)
             masses.append(_up(float(np.abs(p).sum()), n))
-            forward[...] = _transposed(shifted[:, k])
+            step_norms.append(norms[b])
+            forward[...] = _transposed(shifted[:, b])
             if leaky:
-                backward[0][...] = _backward(shifted[:, k + 1])
+                backward[0][...] = _backward(shifted[:, b + 1])
             row[...] = p
             terms = stencil.expand()
             # The shift can overflow only in A_0 + t A_1, every entry of which
@@ -370,14 +379,14 @@ def solve_bdp(
             if leaky and any(masses[:-1]):
                 leaky_steps.append(k)
                 tops.append(float(sums[0].max()))
+                end_norms.append(norms[b + 1])
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
     # One stacked bound: every step's, then the row sums' of the leaky steps.
     # The backward family's norms are those of the family at the step's end.
-    ends = [k + 1 for k in leaky_steps]
-    rows = np.vstack([norms[:-1], norms[ends]])
-    starts = times[:-1] + [times[k] for k in ends]
+    rows = np.array(step_norms + end_norms)
+    starts = times[:-1] + [times[k + 1] for k in leaky_steps]
     lengths = hs + [hs[k] for k in leaky_steps]
     local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
     errors = local_bounds[len(hs):]

@@ -13,7 +13,9 @@ sum(m) + len(m); nothing else is stored.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator
 
@@ -21,6 +23,8 @@ MultiIndex = tuple[int, ...]
 
 __all__ = [
     "MultiIndex",
+    "EXPLICIT_TERM_BUDGET",
+    "TermBudgetError",
     "max_total_index",
     "enumerate_index_set",
     "enumerate_restricted_index_set",
@@ -29,6 +33,25 @@ __all__ = [
     "multinomial_pi_sum",
     "term_count",
 ]
+
+# Most terms an enumeration visits: the explicit formula's weighted products,
+# or the tuples of a weight sum.
+EXPLICIT_TERM_BUDGET = 1_000_000
+
+
+class TermBudgetError(RuntimeError):
+    """Raised when an enumeration would visit more than its budget of terms."""
+
+    def __init__(
+        self,
+        count: int,
+        budget: int,
+        what: str = "explicit expansion",
+        terms: str = "weighted products",
+    ):
+        self.count = count
+        self.budget = budget
+        super().__init__(f"{what} needs {count} {terms}, over the budget of {budget}")
 
 
 def max_total_index(n: int, p: int) -> int:
@@ -48,21 +71,34 @@ def _check_order_index(n: int, q: int) -> None:
 
 
 def _compositions(total: int, length: int, cap: int) -> Iterator[MultiIndex]:
-    # Lexicographically ascending tuples in {0..cap}^length with the given sum.
+    # Lexicographically ascending tuples in {0..cap}^length with the given sum,
+    # stepped on one list.  The successor raises the rightmost entry that is
+    # below cap and has a nonzero sum behind it, then refills the entries
+    # behind it with that sum less one, from the right, largest first.
+    if total < 0 or total > cap * length:
+        return
     if length == 0:
-        if total == 0:
-            yield ()
+        yield ()
         return
-    if length == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(min(cap, total) + 1):
-        rest = total - first
-        if rest > cap * (length - 1):
-            continue
-        for tail in _compositions(rest, length - 1, cap):
-            yield (first,) + tail
+    x = [0] * length
+    rest = total
+    for i in range(length - 1, -1, -1):
+        x[i] = min(cap, rest)
+        rest -= x[i]
+    while True:
+        yield tuple(x)
+        behind = x[-1]
+        i = length - 2
+        while i >= 0 and (x[i] == cap or behind == 0):
+            behind += x[i]
+            i -= 1
+        if i < 0:
+            return
+        x[i] += 1
+        rest = behind - 1
+        for j in range(length - 1, i, -1):
+            x[j] = min(cap, rest)
+            rest -= x[j]
 
 
 def enumerate_index_set(n: int, q: int) -> Iterator[MultiIndex]:
@@ -92,32 +128,45 @@ def enumerate_restricted_index_set(n: int, q: int, p: int) -> Iterator[MultiInde
     return _compositions(q, n - q, p)
 
 
+def _pi_denominator(m: MultiIndex) -> int:
+    # The product of the factors m_j + ... + m_last + (len(m) - j + 1).
+    return math.prod(map(operator.add, itertools.accumulate(reversed(m)), itertools.count(1)))
+
+
 def pi_coefficient(m: MultiIndex) -> Fraction:
     """Exact weight of the product selected by the multi-index m.
 
     The weight is the product of reciprocals of nested suffix sums: position j
     (1-based) contributes the factor m_j + ... + m_last + (len(m) - j + 1).
-    A single right-to-left pass accumulates the suffix sums.  The leading
-    factor is always sum(m) + len(m) = n and the trailing one m_last + 1.
+    The leading factor is always sum(m) + len(m) = n and the trailing one
+    m_last + 1.
     """
     if len(m) == 0:
         raise ValueError("multi-index must be nonempty")
-    denominator = 1
-    suffix = 0
-    for offset, entry in enumerate(reversed(m), start=1):
-        if entry < 0:
-            raise ValueError(f"multi-index entries must be nonnegative, got {m}")
-        suffix += entry
-        denominator *= suffix + offset
-    return Fraction(1, denominator)
+    if min(m) < 0:
+        raise ValueError(f"multi-index entries must be nonnegative, got {m}")
+    return Fraction(1, _pi_denominator(m))
 
 
 def pi_sum(n: int, q: int, p: int) -> Fraction:
-    """Sum of pi_coefficient over the restricted (n, q, p) index set, exactly."""
-    total = Fraction(0)
-    for m in enumerate_restricted_index_set(n, q, p):
-        total += pi_coefficient(m)
-    return total
+    """Sum of the weights pi(m) over the restricted (n, q, p) index set, exactly.
+
+    Summed as integer numerators over n!: each weight is 1 / den(m), and
+    den(m) divides n!.  Its factors, read right to left, are m_last + 1, ...,
+    n; each exceeds the one before by the next entry plus one, so they are
+    distinct integers in [1, n].  The sum is sum(n! // den(m)) / n!.
+
+    Refuses with TermBudgetError, before enumerating, a set of more than
+    EXPLICIT_TERM_BUDGET tuples.
+    """
+    indices = enumerate_restricted_index_set(n, q, p)
+    count = _bounded_count(n - q, q, p)
+    if count > EXPLICIT_TERM_BUDGET:
+        raise TermBudgetError(
+            count, EXPLICIT_TERM_BUDGET, f"pi_sum({n}, {q}, {p})", "index tuples"
+        )
+    factorial = math.factorial(n)
+    return Fraction(sum(factorial // _pi_denominator(m) for m in indices), factorial)
 
 
 def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
@@ -128,6 +177,10 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     k_1 + 2 k_2 + ... + (p+1) k_{p+1} = n.  Counts how often each coefficient
     appears in a product rather than where, so it must agree with pi_sum; the
     agreement is a nontrivial identity and a primary correctness check.
+
+    Summed as integer numerators over n!: n! // (prod_j k_j! j^{k_j}) is an
+    integer, the number of permutations of n elements with k_j cycles of
+    length j (Cauchy's formula), since sum_j j k_j = n.
     """
     if p < 1:
         raise ValueError(f"coefficient degree p must be >= 1, got {p}")
@@ -136,15 +189,16 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
         raise ValueError(
             f"total index q={q} exceeds the degree-{p} cutoff at order n={n}"
         )
-    total = Fraction(0)
+    factorial = math.factorial(n)
+    numerator = 0
     for k in _compositions(n - q, p + 1, n - q):
         if sum(j * kj for j, kj in enumerate(k, start=1)) != n:
             continue
         denominator = 1
         for j, kj in enumerate(k, start=1):
             denominator *= math.factorial(kj) * j**kj
-        total += Fraction(1, denominator)
-    return total
+        numerator += factorial // denominator
+    return Fraction(numerator, factorial)
 
 
 def _bounded_count(length: int, total: int, cap: int) -> int:

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import max_total_index, term_count
+from .combinatorics import (
+    EXPLICIT_TERM_BUDGET,
+    TermBudgetError,
+    max_total_index,
+    term_count,
+)
 from .scalar import scalar_coefficients
 
 __all__ = [
@@ -43,7 +48,6 @@ __all__ = [
     "counterexample_report",
 ]
 
-EXPLICIT_TERM_BUDGET = 1_000_000
 # Largest grid solve_stepped accepts: a million local expansions already take
 # minutes even for 2x2 families, so a larger count is a mistaken step.
 MAX_STEPS = 1_000_000
@@ -61,18 +65,6 @@ class Orientation(enum.Enum):
 
     LEFT = "left"
     RIGHT = "right"
-
-
-class TermBudgetError(RuntimeError):
-    """Raised when an explicit expansion would enumerate too many products."""
-
-    def __init__(self, count: int, budget: int):
-        self.count = count
-        self.budget = budget
-        super().__init__(
-            f"explicit expansion needs {count} weighted products, "
-            f"over the budget of {budget}"
-        )
 
 
 def _frozen(values) -> np.ndarray:

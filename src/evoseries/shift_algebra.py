@@ -8,13 +8,15 @@ S^s U^k with all shifts in front.  Powers of the birth-death coefficient
 lam U - mu S U then split into a head polynomial in U plus S^s-prefixed tail
 polynomials, the delayed contributions.
 
-Words are strings over the letters U and S; coefficients stay exact
-(fractions.Fraction) throughout.  Groups, powers and the identity right sides
-come from one product kernel on integer rows: row s holds the Python-int
-coefficients of S^s U^0, S^s U^1, ..., right-multiplying by U shifts every row
-one place, and right-multiplying by S is an alternating suffix sum within each
-row plus one carry into the next row.  It runs in polynomial time; the
-rewriting reduce is the oracle it is tested against and never calls.
+Words are strings over the letters U and S.  Every result is exact: a
+ShiftPolynomial's coefficients are fractions.Fraction.  Inside, the work is on
+Python ints.  The rewriting reduce runs on str words and carries each branch's
+sign as an int.  Groups, powers and the identity right sides come from one
+product kernel on integer rows: row s holds the Python-int coefficients of
+S^s U^0, S^s U^1, ..., right-multiplying by U shifts every row one place, and
+right-multiplying by S is an alternating suffix sum within each row plus one
+carry into the next row.  It runs in polynomial time; reduce is the oracle it
+is tested against and never calls.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _as_terms(items) -> tuple:
     for (s, k), coeff in items:
         if s < 0 or k < 0:
             raise ValueError(f"monomial exponents must be >= 0, got S^{s} U^{k}")
-        frac = Fraction(coeff)
+        frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if frac != 0:
             key = (s, k)
             cleaned[key] = cleaned[key] + frac if key in cleaned else frac
@@ -160,22 +162,28 @@ def reduce(word, rng: random.Random | None = None) -> ShiftPolynomial:
     second with flipped sign) until every surviving word has all its shifts in
     front, then collects the S^s U^k monomials.  Every rewrite removes one U,
     so the process terminates.  The adjacency picked is the leftmost one
-    unless rng is supplied, in which case a random one: the normal form is
-    order-independent, and the randomized mode lets tests exercise that.
+    unless rng is supplied, in which case rng.choice of the list of all of
+    them, left to right: the normal form is order-independent, and the
+    randomized mode lets tests exercise that.  The branch words are strs and
+    their signs ints, collected into one ShiftPolynomial at the end.
     """
-    letters = _parse_word(word)
-    pending: list[tuple[tuple[str, ...], Fraction]] = [(letters, Fraction(1))]
-    collected: dict[tuple[int, int], Fraction] = {}
+    pending = [("".join(_parse_word(word)), 1)]
+    collected: dict[tuple[int, int], int] = {}
     while pending:
         w, c = pending.pop()
-        spots = [i for i in range(len(w) - 1) if w[i] == "U" and w[i + 1] == "S"]
-        if not spots:
+        i = w.find("US")
+        if i < 0:
             key = (w.count("S"), w.count("U"))
-            collected[key] = collected.get(key, Fraction(0)) + c
+            collected[key] = collected.get(key, 0) + c
             continue
-        i = spots[0] if rng is None else rng.choice(spots)
+        if rng is not None:
+            spots = []
+            while i >= 0:
+                spots.append(i)
+                i = w.find("US", i + 2)
+            i = rng.choice(spots)
         pending.append((w[:i] + w[i + 2 :], c))
-        pending.append((w[:i] + ("S",) + w[i + 2 :], -c))
+        pending.append((w[:i] + "S" + w[i + 2 :], -c))
     return ShiftPolynomial(collected)
 
 
@@ -286,11 +294,10 @@ def shift_identities_check(q: int, r: int) -> IdentityReport:
         raise ValueError(f"need q >= 1 and r >= 1, got q={q}, r={r}")
     absorb_lhs = reduce("U" * q + "S" * (q + r - 1))
     absorb_rhs = ShiftPolynomial(
-        {(k + r - 1, 0): Fraction((-1) ** k * math.comb(q, k)) for k in range(q + 1)}
+        {(k + r - 1, 0): (-1) ** k * math.comb(q, k) for k in range(q + 1)}
     )
     transfer_lhs = reduce("U" * (q + r) + "S" * q)
-    transfer_rhs = _binomial_in_s(q, u_prefix=r)
-    peel_lhs = _binomial_in_s(q, u_prefix=r)
+    transfer_rhs = peel_lhs = _binomial_in_s(q, u_prefix=r)
     peel_rhs = _binomial_in_s(q - 1, u_prefix=r) - _binomial_in_s(q, u_prefix=r - 1)
     return IdentityReport(
         q=q,

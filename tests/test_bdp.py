@@ -628,3 +628,44 @@ def test_a_hundred_thousand_state_chain_needs_no_dense_memory():
         tracemalloc.stop()
     assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
     assert peak < 300e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize(("states", "steps", "origins"), [(250, 12, [13]), (3000, 8, [4, 4, 3])])
+def test_solve_bdp_shifts_one_block_of_steps_at_a_time(
+    monkeypatch, boundary, states, steps, origins
+):
+    # A 250-state block holds 43 steps, so a 12-step solve shifts once; a
+    # 3000-state block holds 3, each shifted with the end of its last step.
+    calls = []
+
+    def counting(mats, times):
+        calls.append(len(times))
+        return shift(mats, times)
+
+    shift = bdp._shift
+    monkeypatch.setattr(bdp, "_shift", counting)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=states, boundary=boundary)
+    initial = np.random.default_rng(states).dirichlet(np.ones(states))
+    traj, _ = solve_bdp(spec, 1.5, steps, 30, initial=initial)
+    assert calls == origins
+    reference = reference_solve(spec, 1.5, steps, 30, initial=initial)
+    for field in ("times", "distributions", "leakage", "tail_bounds"):
+        assert getattr(traj, field).tobytes() == getattr(reference, field).tobytes(), field
+
+
+def test_a_long_grid_holds_the_shifted_family_one_block_at_a_time():
+    # 201 grid times of a 10^4-state family shifted at once, and their norms'
+    # temporary, took 232 MB; a block of one step keeps the peak near the
+    # 32 MB of distributions the solve returns and stacks.
+    spec = BirthDeathSpec(
+        lam=(1.0, 0.5), mu=(1.0, 0.5), states=10_000, boundary=Boundary.REFLECT_NONE
+    )
+    tracemalloc.start()
+    try:
+        traj, _ = solve_bdp(spec, 2.0, 200, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"

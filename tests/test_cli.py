@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -31,6 +32,17 @@ def test_pisum_golden_line(capsys):
     code, out, err = run_cli(capsys, "pisum", "7", "2", "1")
     assert code == 0 and err == ""
     assert out == "1/48  1/48  EQUAL\n"
+
+
+def test_pisum_over_the_budget_single_error_line(capsys):
+    # 22 597 760 tuples: refused from their count, well before enumerating any.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pisum", "30", "15", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == (
+        "error: pi_sum(30, 15, 3) needs 22597760 index tuples, over the budget of 1000000\n"
+    )
 
 
 def test_coeffs_csv(capsys):

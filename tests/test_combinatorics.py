@@ -1,11 +1,17 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evoseries import combinatorics, engine
 from evoseries.combinatorics import (
+    EXPLICIT_TERM_BUDGET,
+    TermBudgetError,
+    _bounded_count,
+    _compositions,
     enumerate_index_set,
     enumerate_restricted_index_set,
     max_total_index,
@@ -14,6 +20,54 @@ from evoseries.combinatorics import (
     pi_sum,
     term_count,
 )
+
+
+def compositions_reference(total, length, cap):
+    # The recursive generator the successor replaced, one nested generator a position.
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    if length == 1:
+        if 0 <= total <= cap:
+            yield (total,)
+        return
+    for first in range(min(cap, total) + 1):
+        rest = total - first
+        if rest > cap * (length - 1):
+            continue
+        for tail in compositions_reference(rest, length - 1, cap):
+            yield (first,) + tail
+
+
+def pi_reference(m):
+    # One Fraction a tuple: the reciprocal of the nested suffix-sum product.
+    denominator = 1
+    suffix = 0
+    for offset, entry in enumerate(reversed(m), start=1):
+        suffix += entry
+        denominator *= suffix + offset
+    return Fraction(1, denominator)
+
+
+def pi_sum_reference(n, q, p):
+    total = Fraction(0)
+    for m in compositions_reference(q, n - q, p):
+        total += pi_reference(m)
+    return total
+
+
+def multinomial_pi_sum_reference(n, q, p):
+    total = Fraction(0)
+    for k in compositions_reference(n - q, p + 1, n - q):
+        if sum(j * kj for j, kj in enumerate(k, start=1)) != n:
+            continue
+        denominator = 1
+        for j, kj in enumerate(k, start=1):
+            denominator *= math.factorial(kj) * j**kj
+        total += Fraction(1, denominator)
+    return total
+
 
 # Frozen weight table for the (7, 2, 1) index set, enumeration order.
 PI_TABLE = [
@@ -154,6 +208,63 @@ def test_multinomial_golden():
 def test_pi_sum_matches_multinomial(n, q, p):
     q = min(q, max_total_index(n, p))
     assert pi_sum(n, q, p) == multinomial_pi_sum(n, q, p)
+
+
+@given(st.integers(-2, 42), st.integers(0, 10), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_compositions_match_the_recursive_reference(total, length, cap):
+    # The 3% of sets above 20 000 tuples would take the reference seconds each.
+    assume(length < 6 or _bounded_count(length, total, cap) <= 20_000)
+    assert list(_compositions(total, length, cap)) == list(
+        compositions_reference(total, length, cap)
+    )
+
+
+@given(st.integers(1, 14), st.integers(0, 13), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_weight_sums_match_the_per_tuple_fraction_references(n, q, p):
+    q = min(q, max_total_index(n, p))
+    assert pi_sum(n, q, p) == pi_sum_reference(n, q, p)
+    assert multinomial_pi_sum(n, q, p) == multinomial_pi_sum_reference(n, q, p)
+
+
+def test_weight_sums_match_the_references_at_every_q_of_order_14():
+    for p in (1, 2, 3):
+        for q in range(max_total_index(14, p) + 1):
+            expected = pi_sum_reference(14, q, p)
+            assert pi_sum(14, q, p) == expected
+            assert multinomial_pi_sum(14, q, p) == expected
+
+
+def test_weight_sums_call_neither_each_other_nor_pi_coefficient(monkeypatch):
+    own_pi_sum, own_multinomial = pi_sum, multinomial_pi_sum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weight sum called another oracle")
+
+    for name in ("pi_coefficient", "pi_sum", "multinomial_pi_sum"):
+        monkeypatch.setattr(combinatorics, name, refuse)
+    assert own_pi_sum(7, 2, 1) == own_multinomial(7, 2, 1) == Fraction(1, 48)
+    assert own_pi_sum(12, 5, 2) == own_multinomial(12, 5, 2)
+
+
+def test_pi_sum_refuses_a_set_over_the_budget_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a set over the budget")
+        yield
+
+    monkeypatch.setattr(combinatorics, "_compositions", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetError) as err:
+        pi_sum(30, 15, 3)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.count == 22_597_760 and err.value.budget == EXPLICIT_TERM_BUDGET
+    assert "22597760" in str(err.value) and "\n" not in str(err.value)
+
+
+def test_engine_reexports_the_one_budget():
+    assert engine.TermBudgetError is TermBudgetError
+    assert engine.EXPLICIT_TERM_BUDGET == EXPLICIT_TERM_BUDGET == 1_000_000
 
 
 def test_term_count_fibonacci():

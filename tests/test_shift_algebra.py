@@ -25,6 +25,23 @@ words = st.text(alphabet="US", min_size=0, max_size=10)
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
+def reduce_reference(word, rng=None):
+    # The rewriter on letter tuples with a Fraction sign a branch.
+    pending = [(tuple(word), Fraction(1))]
+    collected = {}
+    while pending:
+        w, c = pending.pop()
+        spots = [i for i in range(len(w) - 1) if w[i] == "U" and w[i + 1] == "S"]
+        if not spots:
+            key = (w.count("S"), w.count("U"))
+            collected[key] = collected.get(key, Fraction(0)) + c
+            continue
+        i = spots[0] if rng is None else rng.choice(spots)
+        pending.append((w[:i] + w[i + 2 :], c))
+        pending.append((w[:i] + ("S",) + w[i + 2 :], -c))
+    return ShiftPolynomial(collected)
+
+
 def upoly(*pairs):
     # polynomial in U alone: pairs of (power, coeff)
     return ShiftPolynomial({(0, k): c for k, c in pairs})
@@ -70,6 +87,25 @@ def test_reduce_canonical_words_pass_through():
 def test_reduce_confluent_under_random_orders(word, seed):
     rng = random.Random(seed)
     assert reduce(word, rng=rng) == reduce(word)
+
+
+@given(st.text(alphabet="US", min_size=0, max_size=12), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_the_tuple_rewriter(word, seed):
+    assert reduce(word).terms == reduce_reference(word).terms
+    # The same seed picks the same adjacencies: the results agree and the two
+    # generators are left in the same state, so both drew the same choices.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert reduce(word, rng=ours).terms == reduce_reference(word, rng=theirs).terms
+    assert ours.random() == theirs.random()
+
+
+def test_shift_polynomial_keeps_fraction_coefficients_as_given():
+    half = Fraction(1, 2)
+    poly = ShiftPolynomial({(0, 1): half, (2, 0): 3})
+    assert poly.terms[0][1] is half
+    assert poly.terms[1][1] == Fraction(3) and type(poly.terms[1][1]) is Fraction
+    assert all(type(c) is Fraction for _, c in reduce("UUSSUS").terms)
 
 
 @given(words)
