@@ -104,14 +104,13 @@ def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
 
 
 def generator_family(spec: BirthDeathSpec) -> MatrixPolyCoefficients:
-    """The dense generator family A_0 + A_1 t with RIGHT orientation, from build_generator.
+    """The dense family A_0 + A_1 t with RIGHT orientation, each A_i as build_generator gives it.
 
     solve_bdp steps on the diagonals of the same family; this n x n form is
     for coefficient-level checks, such as compute_coefficients or a stepped
     solve of full propagators.
     """
-    generators = [build_generator(lam, mu, spec) for lam, mu in zip(spec.lam, spec.mu)]
-    return MatrixPolyCoefficients(generators, Orientation.RIGHT)
+    return MatrixPolyCoefficients(_dense(_diagonals(spec.lam, spec.mu, spec)), Orientation.RIGHT)
 
 
 def _diagonals(lam, mu, spec: BirthDeathSpec) -> np.ndarray:
@@ -311,10 +310,11 @@ def solve_bdp(
     and one Horner at h sums both.  The norms of the backward family, whose
     entries are those of the family at t_{k+1} up to sign, bound the error
     of the sums.  The local bounds of every step and of the row sums of
-    every step after the first nonzero mass are one stacked _local_bound
-    call after the last step.  Each entry of a tridiagonal product sums at
-    most 3 products, so _local_bound counts the recursion's rounding with
-    dim = 3; the mass ||p~||_1 still sums n entries.
+    every step after the first are one stacked _local_bound call after the
+    last step; the first step carries no error, so it needs no leak factor.
+    Each entry of a tridiagonal product sums at most 3 products, so
+    _local_bound counts the recursion's rounding with dim = 3; the mass
+    ||p~||_1 still sums n entries.
 
     The first step whose row series is not finite is refused by
     _refuse_overflow, with solve_stepped's one message.
@@ -353,10 +353,9 @@ def solve_bdp(
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Steps whose carried error needs the leak factor: for a leaky chain,
-        # those after some nonzero mass (else the carried error is 0), with
-        # the largest row sum of each and the family's norms at its end.
-        masses, step_norms, leaky_steps, tops, end_norms = [], [], [], [], []
+        # For a leaky chain, the largest row sum of every step after the
+        # first and the family's norms at its end, for its leak factor.
+        masses, step_norms, tops, end_norms = [], [], [], []
         dists = [p]
         for k, (t_prev, h) in enumerate(zip(times, hs)):
             b = k % per_block
@@ -376,26 +375,25 @@ def solve_bdp(
             # enters the first term: a non-finite shift shows in the series.
             _refuse_overflow([np.isfinite(stencil.segments(terms)[0]).all()], [t_prev])
             p, *sums = stencil.segments(_horner(terms, h))
-            if leaky and any(masses[:-1]):
-                leaky_steps.append(k)
+            if leaky and k:
                 tops.append(float(sums[0].max()))
                 end_norms.append(norms[b + 1])
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    # One stacked bound: every step's, then the row sums' of the leaky steps.
+    # One stacked bound: every step's, then the row sums' of steps 1 on.
     # The backward family's norms are those of the family at the step's end.
     rows = np.array(step_norms + end_norms)
-    starts = times[:-1] + [times[k + 1] for k in leaky_steps]
-    lengths = hs + [hs[k] for k in leaky_steps]
+    starts, lengths = times[:-1], hs
+    if leaky:
+        starts, lengths = starts + times[2:], lengths + hs[1:]
     local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
     errors = local_bounds[len(hs):]
-    factors = {k: min(1.0, top + error) for k, top, error in zip(leaky_steps, tops, errors)}
     bounds = [0.0]
     for k, (mass, local_bound) in enumerate(zip(masses, local_bounds)):
         carried = bounds[-1]
-        if leaky and carried:
-            carried = _up(carried * factors[k], 2)
+        if leaky and carried:  # nonzero only from step 1 on
+            carried = _up(carried * min(1.0, tops[k - 1] + errors[k - 1]), 2)
         # A zero row stays exactly zero, even where the local bound is inf.
         bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
     traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))

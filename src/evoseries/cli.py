@@ -20,6 +20,7 @@ import numpy as np
 from . import bdp as bdp_mod
 from . import shift_algebra
 from .combinatorics import (
+    _refuse_over_budget,
     enumerate_index_set,
     enumerate_restricted_index_set,
     multinomial_pi_sum,
@@ -108,10 +109,14 @@ def _entry_headers(dim: int) -> list[str]:
 
 
 def cmd_coeffs(args) -> int:
-    if args.p is None:
-        indices = enumerate_index_set(args.n, args.q)
+    n, q, p = args.n, args.q, args.p
+    if p is None:
+        indices = enumerate_index_set(n, q)
+        what, cap = f"coeffs({n}, {q})", q
     else:
-        indices = enumerate_restricted_index_set(args.n, args.q, args.p)
+        indices = enumerate_restricted_index_set(n, q, p)
+        what, cap = f"coeffs({n}, {q}, {p})", p
+    _refuse_over_budget(what, n, q, cap)  # counted before a tuple is built
     rows = [["index", "pi", "running_sum"]]
     running = Fraction(0)
     for m in indices:
@@ -248,20 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--p", type=int, default=None, help="restrict entries to at most p")
     p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.set_defaults(handler=cmd_coeffs)
 
     p = sub.add_parser("pisum", help="weight sum two ways plus verdict")
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
     p.add_argument("p", type=int)
-    p.set_defaults(handler=cmd_pisum)
 
     p = sub.add_parser("scalar", help="scalar series value vs closed form")
     p.add_argument("--a", required=True, help="comma-separated coefficients a_0,a_1,...")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--digits", type=_digits, default=12)
-    p.set_defaults(handler=cmd_scalar)
 
     p = sub.add_parser("solve", help="solve the matrix evolution equation")
     p.add_argument("--coeffs", required=True, help="matrix polynomial file")
@@ -271,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--out", default=None, help="CSV path, stdout when omitted")
     p.add_argument("--digits", type=_digits, default=12)
-    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("compare-pb", help="iterated-integral vs recursion gap per degree")
     p.add_argument("--coeffs", required=True)
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--out", default=None)
     p.add_argument("--digits", type=_digits, default=12)
-    p.set_defaults(handler=cmd_compare_pb)
 
     p = sub.add_parser(
         "counterexample",
@@ -290,22 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--terms", type=int, default=40)
     p.add_argument("--digits", type=_digits, default=12)
-    p.set_defaults(handler=cmd_counterexample)
 
     p = sub.add_parser("algebra", help="shift-operator normal forms")
     alg = p.add_subparsers(dest="algebra_command", required=True)
     q = alg.add_parser("reduce", help="canonical form of a word over U, S")
     q.add_argument("word")
-    q.set_defaults(handler=cmd_algebra_reduce)
     q = alg.add_parser("group", help="interleaving sum of m U atoms and j S U atoms")
     q.add_argument("m", type=int)
     q.add_argument("j", type=int)
-    q.set_defaults(handler=cmd_algebra_group)
     q = alg.add_parser("power", help="expand (lam U - mu S U)^k")
     q.add_argument("k", type=int)
     q.add_argument("--lam", default="1")
     q.add_argument("--mu", default="1")
-    q.set_defaults(handler=cmd_algebra_power)
 
     p = sub.add_parser("bdp", help="birth-death transient distribution")
     p.add_argument("--lam0", type=float, default=1.0)
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("absorb", "raw"), default="absorb")
     p.add_argument("--out", default=None)
     p.add_argument("--digits", type=_digits, default=12)
-    p.set_defaults(handler=cmd_bdp)
 
     return parser
 
@@ -330,8 +325,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its one line
         return int(exc.code or 0)
+    # Found by name at each call, so a rebound cmd_* function is the one that runs.
+    command = "_".join(filter(None, (args.command, vars(args).get("algebra_command"))))
+    handler = globals()["cmd_" + command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except Exception as exc:  # contract: one diagnostic line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

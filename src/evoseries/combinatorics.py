@@ -70,6 +70,25 @@ def _check_order_index(n: int, q: int) -> None:
         raise ValueError(f"total index q must lie in [0, {n - 1}] for n={n}, got {q}")
 
 
+def _check_restricted(n: int, q: int, p: int) -> None:
+    # The (n, q, p) set exists only up to the degree-p cutoff.
+    if p < 1:
+        raise ValueError(f"coefficient degree p must be >= 1, got {p}")
+    _check_order_index(n, q)
+    cutoff = max_total_index(n, p)
+    if q > cutoff:
+        raise ValueError(
+            f"total index q={q} exceeds the degree-{p} cutoff {cutoff} at order n={n}"
+        )
+
+
+def _refuse_over_budget(what: str, n: int, q: int, cap: int) -> None:
+    # Counts the (n, q) tuples with entries at most cap, without enumerating them.
+    count = _bounded_count(n - q, q, cap)
+    if count > EXPLICIT_TERM_BUDGET:
+        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "index tuples")
+
+
 def _compositions(total: int, length: int, cap: int) -> Iterator[MultiIndex]:
     # Lexicographically ascending tuples in {0..cap}^length with the given sum,
     # stepped on one list.  The successor raises the rightmost entry that is
@@ -117,14 +136,7 @@ def enumerate_restricted_index_set(n: int, q: int, p: int) -> Iterator[MultiInde
     These are the indices that actually contribute when the coefficient family
     stops at A_p.  Valid only for q <= max_total_index(n, p).
     """
-    if p < 1:
-        raise ValueError(f"coefficient degree p must be >= 1, got {p}")
-    _check_order_index(n, q)
-    cutoff = max_total_index(n, p)
-    if q > cutoff:
-        raise ValueError(
-            f"total index q={q} exceeds the degree-{p} cutoff {cutoff} at order n={n}"
-        )
+    _check_restricted(n, q, p)
     return _compositions(q, n - q, p)
 
 
@@ -160,11 +172,7 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
     EXPLICIT_TERM_BUDGET tuples.
     """
     indices = enumerate_restricted_index_set(n, q, p)
-    count = _bounded_count(n - q, q, p)
-    if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(
-            count, EXPLICIT_TERM_BUDGET, f"pi_sum({n}, {q}, {p})", "index tuples"
-        )
+    _refuse_over_budget(f"pi_sum({n}, {q}, {p})", n, q, p)
     factorial = math.factorial(n)
     return Fraction(sum(factorial // _pi_denominator(m) for m in indices), factorial)
 
@@ -182,13 +190,7 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     integer, the number of permutations of n elements with k_j cycles of
     length j (Cauchy's formula), since sum_j j k_j = n.
     """
-    if p < 1:
-        raise ValueError(f"coefficient degree p must be >= 1, got {p}")
-    _check_order_index(n, q)
-    if q > max_total_index(n, p):
-        raise ValueError(
-            f"total index q={q} exceeds the degree-{p} cutoff at order n={n}"
-        )
+    _check_restricted(n, q, p)
     factorial = math.factorial(n)
     numerator = 0
     for k in _compositions(n - q, p + 1, n - q):

@@ -20,7 +20,6 @@ import numpy as np
 from .engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation, compute_coefficients
 
 __all__ = [
-    "MatrixPolynomial",
     "DegreeGap",
     "pb_term",
     "pb_partial_sum",

@@ -40,8 +40,6 @@ __all__ = [
     "binomial_group",
     "power_expand",
     "realize",
-    "up_shift_matrix",
-    "down_shift_matrix",
     "letter_matrix",
 ]
 
@@ -387,22 +385,12 @@ def power_expand(power: int, lam, mu) -> ShiftPolynomial:
     return _polynomial(rows, scale**power)
 
 
-def up_shift_matrix(size: int) -> np.ndarray:
-    """Truncation of the up-shift S_r: ones on the first superdiagonal."""
-    return np.eye(size, k=1)
-
-
-def down_shift_matrix(size: int) -> np.ndarray:
-    """Truncation of the down-shift S = S_l: ones on the first subdiagonal."""
-    return np.eye(size, k=-1)
-
-
 def letter_matrix(letter: str, size: int) -> np.ndarray:
     """Truncated matrix for a single word letter: U = -I + S_r, S = S_l."""
     if letter == "U":
-        return -np.eye(size) + up_shift_matrix(size)
+        return -np.eye(size) + np.eye(size, k=1)
     if letter == "S":
-        return down_shift_matrix(size)
+        return np.eye(size, k=-1)
     raise ValueError(f"unknown letter {letter!r}")
 
 

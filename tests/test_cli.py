@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from evoseries import cli
 from evoseries.cli import build_parser, main
 from evoseries.matfile import format_coefficients
 from evoseries.shift_algebra import POWER_GUARD
@@ -61,6 +62,20 @@ def test_coeffs_table_and_full_set(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["index", "pi", "running_sum"]
     assert len(lines) == 4  # three indices in the unrestricted (4, 2) set
+
+
+def test_coeffs_over_the_budget_single_error_line():
+    # C(29, 14) = 77 558 760 tuples: refused from their count, before any row is built.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", "coeffs", "30", "15"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: coeffs(30, 15) needs 77558760 index tuples, over the budget of 1000000\n"
+    )
 
 
 def test_coeffs_rejects_bad_index(capsys):
@@ -445,6 +460,24 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/48  1/48  EQUAL\n"
+
+
+def test_main_runs_the_handler_bound_when_it_is_called(capsys, monkeypatch, tmp_path):
+    # A wrapper rebound after the shared parser is built, as a tracer's is, must run.
+    build_parser()
+    calls = []
+
+    def wrapper(args):
+        calls.append(args.t)
+        return original(args)
+
+    original = cli.cmd_solve
+    monkeypatch.setattr(cli, "cmd_solve", wrapper)
+    path = tmp_path / "a.txt"
+    path.write_text(EXAMPLE_MAT)
+    code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "0.5")
+    assert calls == [0.5]
+    assert code == 0 and err == "" and out.startswith("t,r_1_1,")
 
 
 def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):

@@ -116,6 +116,15 @@ def test_enumerate_errors():
         list(enumerate_restricted_index_set(7, 2, 0))
 
 
+def test_both_weight_set_checks_refuse_past_the_cutoff_in_one_message():
+    with pytest.raises(ValueError) as enumerated:
+        list(enumerate_restricted_index_set(7, 4, 1))
+    with pytest.raises(ValueError) as counted:
+        multinomial_pi_sum(7, 4, 1)
+    assert str(counted.value) == str(enumerated.value)
+    assert str(enumerated.value) == "total index q=4 exceeds the degree-1 cutoff 3 at order n=7"
+
+
 def test_max_total_index():
     assert max_total_index(7, 1) == 3
     assert max_total_index(12, 3) == 9

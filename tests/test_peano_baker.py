@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from evoseries.engine import MatrixPolyCoefficients, Orientation
+from evoseries.engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation
 from evoseries.peano_baker import (
-    MatrixPolynomial,
     pb_equivalence_report,
     pb_partial_sum,
     pb_term,
