@@ -7,14 +7,14 @@ convention distributions evolve as p(t) = p(0) R(t) with dR/dt = R(t) A(t),
 so everything runs through the series engine with RIGHT orientation.
 
 The distribution itself is carried from step to step: the recursion
-n p_n = sum_j p_{n-1-j} A_j runs on the row vector, so no n x n propagator
-is ever formed.  The generator is tridiagonal, so the family is carried as
-its diagonals, one (p+1, 3, n) array: a step's shift, norms and recursion
-cost O(order n), and a solve forms no n x n array.  The dense family, for
-checks at the coefficient level, is generator_family.
+n p_n = sum_j p_{n-1-j} A_j runs on the row vector, and the tridiagonal
+family is carried as its diagonals, one (p+1, 3, n) array, so a step costs
+O(order n) and a solve forms no n x n array.  The dense family, for
+coefficient-level checks, is generator_family.
 
 Truncating the state space loses probability mass.  The leakage column
-records |1 - sum(p)| at each grid time; nothing is ever renormalized.
+records |1 - sum(p)| at each grid time; nothing is ever renormalized.  Every
+local propagator is substochastic, so the bound carries earlier error unscaled.
 """
 
 from __future__ import annotations
@@ -164,41 +164,22 @@ def _diagonal_norm_bounds(diagonals: np.ndarray) -> np.ndarray:
 class _Stencil:
     """One padded term stack for n T_n = sum_j A_j T_{n-1-j}, reused by every expansion.
 
-    The terms are column vectors of n entries and A_0..A_p tridiagonal.  A
-    row of the stack lays `segments` columns out flat, each expanded from its
-    own start with its own family: entry i of T_n in a segment is
-    sum_j sum_k A_j[i, i - 1 + k] T_{n-1-j}[i - 1 + k], with that segment's
-    A_j.  Every segment of an order is one einsum over 3-entry windows of the
-    row, whose summation order is that of the segment expanded alone.  Each
-    entry is a sum of at most 3(p+1) products, then a division:
-    _local_bound's count with dim = 3.
-
-    The stack holds p zero terms before T_0, a zero entry before the first
-    segment and after the last, and `order` zeros between two segments.  A
-    family's diagonals are zero off its matrix and in those gaps, so the
-    gaps stay zero and each segment's entries sum the same products as the
-    segment alone.  A non-finite entry spreads one entry an order, through
-    products with zero, so within one expansion an overflow in one segment
-    never reaches another.
-
-    Write each expansion's starts into segments(start) and its diagonals
-    into segments(family), family[j, k, i] = A_j[i, i - 1 + k]; expand()
-    then fills T_1..T_order and returns T_0..T_order as one (order+1, width)
-    view, segments(terms) being each segment's.
+    The terms are column vectors of n entries and A_0..A_p tridiagonal, so
+    entry i of T_n is sum_j sum_k A_j[i, i - 1 + k] T_{n-1-j}[i - 1 + k]: one
+    einsum an order over 3-entry windows of the row, each entry a sum of at
+    most 3(p+1) products (_local_bound's dim = 3), then a division.  The
+    stack holds p zero terms before T_0 and a zero entry at each end of a
+    term.  Write the start into start and family[j, k, i] = A_j[i, i - 1 + k]
+    into family; expand() then returns T_0..T_order as one (order+1, n) view.
     """
 
-    def __init__(self, p: int, n: int, segments: int, order: int):
-        self._offsets = [s * (n + order) for s in range(segments)]
-        self._n = n
-        rows, width = order + 1 + p, self._offsets[-1] + n + 2
-        stack = np.zeros((rows, width))
-        self.family = np.zeros((p + 1, 3, width - 2))
+    def __init__(self, p: int, n: int, order: int):
+        stack = np.zeros((order + 1 + p, n + 2))
+        self.family = np.zeros((p + 1, 3, n))
         # [r, i, k] = stack[r, i + k]: sliding_window_view's windows, built
         # directly as a strided view in a small fraction of its time.
-        item = stack.itemsize
-        windows = np.ndarray(
-            (rows, width - 2, 3), buffer=stack, strides=(stack.strides[0], item, item)
-        )
+        row, item = stack.strides
+        windows = np.ndarray((len(stack), n, 3), buffer=stack, strides=(row, item, item))
         # Rows m - 1 .. m - 1 + p of the stack hold T_{m-1-p} .. T_{m-1}: A_p .. A_0.
         # A float m divides to the same bits as the int, in less time.
         self._reversed_family = self.family[::-1]
@@ -207,10 +188,6 @@ class _Stencil:
         ]
         self.terms = stack[p:, 1:-1]
         self.start = self.terms[0]
-
-    def segments(self, array: np.ndarray) -> list[np.ndarray]:
-        """Each segment's n entries, as views along the last axis of a row-shaped array."""
-        return [array[..., offset : offset + self._n] for offset in self._offsets]
 
     def expand(self) -> np.ndarray:
         family = self._reversed_family
@@ -227,25 +204,10 @@ def _stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.
     column.  Returns the (order+1, n) terms.  A row vector's series,
     n T_n = sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
     """
-    stencil = _Stencil(len(diagonals) - 1, len(start), 1, order)
+    stencil = _Stencil(len(diagonals) - 1, len(start), order)
     stencil.family[...] = diagonals
     stencil.start[...] = start
     return stencil.expand()
-
-
-def _backward(ahead: np.ndarray) -> np.ndarray:
-    """The diagonals of B(tau) = A(t_next - tau): ahead, at t_next, with odd coefficients negated.
-
-    The row sums u(s) of the exact propagator from s to t_next solve the
-    backward equation du/ds = -A(s) u, u(t_next) = 1, which in
-    tau = t_next - s is du/dtau = B(tau) u: the column of ones expanded on
-    this family and summed at h gives the row sums of the step's propagator.
-    The forward recursion run on the column of ones would instead give those
-    of the LEFT propagator, which multiplies in reverse time order; they
-    differ whenever A_0 and A_1 do not commute on that column.
-    """
-    signs = (-1.0) ** np.arange(len(ahead))
-    return ahead * signs[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,45 +238,26 @@ def solve_bdp(
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
     far to the given order and sums that series at the step length h.  The
-    family runs as its diagonals (_diagonals), shifted to the grid origins
-    of one block of steps at a time in one _shift, a block holding about
-    engine._BLOCK_DOUBLES // (6 n) steps, so a long grid never holds the
-    family at every grid time; the recursion is a _Stencil on their
-    transpose, one stack allocated per solve and reused by every step, and
-    the norms add 3 entries a row, so a step costs O(order n) time and
-    memory and a solve forms no n x n array.  The second value is those
-    diagonals, the read-only (2, 3, n) array of A_0 and A_1;
-    generator_family(spec) gives the dense family A_0 + A_1 t with RIGHT
-    orientation, whose expansion by compute_coefficients gives
-    coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
+    family runs as its diagonals (_diagonals), shifted to the starts of one
+    block of about engine._BLOCK_DOUBLES // (6 n) steps at a time, and the
+    recursion is one _Stencil on their transpose, reused by every step: a
+    step costs O(order n) time and memory and a solve forms no n x n array.
+    The second value is those diagonals, the read-only (2, 3, n) array of
+    A_0 and A_1; generator_family(spec) is their dense form, with RIGHT
+    orientation, for coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
     R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
     (p~_{k-1} - p_{k-1}) R_k; the first part, rounding included, is at most
-    ||p~_{k-1}||_1 times the engine's _local_bound (its sums rounded up), and
-    ||x M||_1 <= ||x||_1 ||M|| in the max-row-sum norm.  Every A(t), t >= 0,
-    has nonnegative off-diagonals and row sums <= 0 under both boundaries
-    (BirthDeathSpec keeps the rates nonnegative), so R_k is substochastic and
-    ||R_k|| <= 1: earlier error is carried forward without growth.  Under
-    REFLECT_NONE mass leaks and ||R_k||, the largest row sum of R_k, can be
-    well below 1, so the carried error is scaled by min(1, that row sum plus
-    its error), with the row sums taken from the backward equation
-    (_backward).  That keeps the bound close to the one composed from full
-    propagators, but not always at or below it: the factor adds the error
-    of the backward row sums at t_next, and at the rounding floor the two
-    bounds differ by a few ulps of exp(integral of a').  A factor that always
-    met the full-propagator bound would need ||R~_k||, the n x n local
-    propagator that the row solve avoids.  The row sums ride in each step's
-    expansion: the stencil holds the row, on the transposed family at t_k,
-    and the column of ones, on the backward family at t_{k+1}, side by side,
-    and one Horner at h sums both.  The norms of the backward family, whose
-    entries are those of the family at t_{k+1} up to sign, bound the error
-    of the sums.  The local bounds of every step and of the row sums of
-    every step after the first are one stacked _local_bound call after the
-    last step; the first step carries no error, so it needs no leak factor.
-    Each entry of a tridiagonal product sums at most 3 products, so
-    _local_bound counts the recursion's rounding with dim = 3; the mass
-    ||p~||_1 still sums n entries.
+    ||p~_{k-1}||_1 times the engine's _local_bound, and ||x M||_1 <=
+    ||x||_1 ||M|| in the max-row-sum norm.  Every A(t), t >= 0, has
+    nonnegative off-diagonals (BirthDeathSpec keeps the rates nonnegative)
+    and row sums <= 0 under both boundaries, so R_k is substochastic and
+    ||R_k|| <= 1: earlier error is carried unscaled.  Under REFLECT_NONE
+    ||R_k|| can be well below 1, so a tiny chain that leaks much of its mass
+    gets a looser bound than one composed from full propagators.  All local
+    bounds are one _local_bound call after the last step, with dim = 3, as
+    a tridiagonal product's entry sums 3 products; ||p~||_1 sums n entries.
 
     The first step whose row series is not finite is refused by
     _refuse_overflow, with solve_stepped's one message.
@@ -337,65 +280,42 @@ def solve_bdp(
             raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
-    leaky = spec.boundary is Boundary.REFLECT_NONE
     unshifted = _diagonal_norm_bounds(family).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
-    hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
-    # A leaky chain expands the column of ones beside the row.
-    stencil = _Stencil(len(family) - 1, n, 2 if leaky else 1, order)
-    row, *ones = stencil.segments(stencil.start)
-    forward, *backward = stencil.segments(stencil.family)
-    if leaky:
-        ones[0][...] = 1.0
+    starts = times[:-1]
+    hs = [t_next - t_prev for t_prev, t_next in zip(starts, times[1:])]
+    stencil = _Stencil(len(family) - 1, n, order)
     # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
     per_block = max(1, _BLOCK_DOUBLES // (6 * n))
     # Overflow, of the shifted family or of a series, shows as a refused
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # For a leaky chain, the largest row sum of every step after the
-        # first and the family's norms at its end, for its leak factor.
-        masses, step_norms, tops, end_norms = [], [], [], []
+        masses, step_norms = [], []
         dists = [p]
-        for k, (t_prev, h) in enumerate(zip(times, hs)):
+        for k, (t_prev, h) in enumerate(zip(starts, hs)):
             b = k % per_block
             if b == 0:
-                # The family recentered at the block's grid times and at the
-                # end of its last step, and its norms there.
-                shifted = _shift(family, times[k : k + per_block + 1])
+                # The family recentered at the block's step starts, and its norms there.
+                shifted = _shift(family, starts[k : k + per_block])
                 norms = _diagonal_norm_bounds(shifted)
             masses.append(_up(float(np.abs(p).sum()), n))
             step_norms.append(norms[b])
-            forward[...] = _transposed(shifted[:, b])
-            if leaky:
-                backward[0][...] = _backward(shifted[:, b + 1])
-            row[...] = p
+            stencil.family[...] = _transposed(shifted[:, b])
+            stencil.start[...] = p
             terms = stencil.expand()
             # The shift can overflow only in A_0 + t A_1, every entry of which
             # enters the first term: a non-finite shift shows in the series.
-            _refuse_overflow([np.isfinite(stencil.segments(terms)[0]).all()], [t_prev])
-            p, *sums = stencil.segments(_horner(terms, h))
-            if leaky and k:
-                tops.append(float(sums[0].max()))
-                end_norms.append(norms[b + 1])
+            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
+            p = _horner(terms, h)
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    # One stacked bound: every step's, then the row sums' of steps 1 on.
-    # The backward family's norms are those of the family at the step's end.
-    rows = np.array(step_norms + end_norms)
-    starts, lengths = times[:-1], hs
-    if leaky:
-        starts, lengths = starts + times[2:], lengths + hs[1:]
-    local_bounds = _local_bound(rows, unshifted, starts, 3, order, lengths)
-    errors = local_bounds[len(hs):]
+    local_bounds = _local_bound(np.array(step_norms), unshifted, starts, 3, order, hs)
     bounds = [0.0]
-    for k, (mass, local_bound) in enumerate(zip(masses, local_bounds)):
-        carried = bounds[-1]
-        if leaky and carried:  # nonzero only from step 1 on
-            carried = _up(carried * min(1.0, tops[k - 1] + errors[k - 1]), 2)
+    for mass, local_bound in zip(masses, local_bounds):
         # A zero row stays exactly zero, even where the local bound is inf.
-        bounds.append(_up(carried + mass * local_bound, 2) if mass else carried)
+        bounds.append(_up(bounds[-1] + mass * local_bound, 2) if mass else bounds[-1])
     traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
     return traj, family
 

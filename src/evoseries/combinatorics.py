@@ -188,12 +188,14 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
 
     Summed as integer numerators over n!: n! // (prod_j k_j! j^{k_j}) is an
     integer, the number of permutations of n elements with k_j cycles of
-    length j (Cauchy's formula), since sum_j j k_j = n.
+    length j (Cauchy's formula), since sum_j j k_j = n.  The two sums give
+    sum_j (j - 1) k_j = q, so k_j = 0 for j > q + 1: only the first
+    min(p, q) + 1 counts are enumerated.
     """
     _check_restricted(n, q, p)
     factorial = math.factorial(n)
     numerator = 0
-    for k in _compositions(n - q, p + 1, n - q):
+    for k in _compositions(n - q, min(p, q) + 1, n - q):
         if sum(j * kj for j, kj in enumerate(k, start=1)) != n:
             continue
         denominator = 1

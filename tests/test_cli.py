@@ -46,6 +46,19 @@ def test_pisum_over_the_budget_single_error_line(capsys):
     )
 
 
+def test_pisum_with_a_degree_above_the_total_index_finishes_at_once():
+    # Enumerating all 13 exponent counts would visit C(31, 12) = 141 120 525
+    # vectors; only the first two can be nonzero.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", "pisum", "20", "1", "12"],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "1/12804747411456000  1/12804747411456000  EQUAL\n"
+
+
 def test_coeffs_csv(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "7", "2", "--p", "1", "--format", "csv")
     assert code == 0

@@ -245,6 +245,16 @@ def test_weight_sums_match_the_references_at_every_q_of_order_14():
             assert multinomial_pi_sum(14, q, p) == expected
 
 
+def test_multinomial_sum_matches_the_uncapped_enumeration_when_p_exceeds_q():
+    # sum_j (j - 1) k_j = q leaves only the first q + 1 exponent counts
+    # nonzero, so multinomial_pi_sum enumerates min(p, q) + 1 of them; the
+    # reference still enumerates all p + 1.
+    for n in range(1, 11):
+        for p in range(2, 7):
+            for q in range(min(p, max_total_index(n, p) + 1)):
+                assert multinomial_pi_sum(n, q, p) == multinomial_pi_sum_reference(n, q, p)
+
+
 def test_weight_sums_call_neither_each_other_nor_pi_coefficient(monkeypatch):
     own_pi_sum, own_multinomial = pi_sum, multinomial_pi_sum
 
