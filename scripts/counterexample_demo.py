@@ -11,7 +11,6 @@ from evoseries.engine import (
     compute_coefficients,
     counterexample_coefficients,
     counterexample_report,
-    evaluate,
     naive_exponential,
 )
 
@@ -25,7 +24,7 @@ def main() -> None:
     coeffs = counterexample_coefficients()
     series = compute_coefficients(coeffs, 30)
     t = 1.0
-    good = evaluate(series, t)
+    good = series.value_at(t)
     bad = naive_exponential(coeffs, t)
     print(f"\nat t={t}:")
     print("series solution:\n", good)

@@ -6,7 +6,6 @@ from evoseries.engine import (
     MatrixPolyCoefficients,
     compute_coefficients,
     compute_coefficients_explicit,
-    evaluate,
     residual,
     solve_stepped,
     tail_bound,
@@ -31,7 +30,7 @@ def main() -> None:
         gap = np.abs(series.terms[n] - compute_coefficients_explicit(coeffs, n)).max()
         print(f"  explicit-formula gap: {gap:.2e}")
 
-    value = evaluate(series, T)
+    value = series.value_at(T)
     bound = tail_bound(coeffs, ORDER, T)
     print(f"\nR({T}) =")
     print(value)

@@ -13,7 +13,6 @@ from .engine import (
     Orientation,
     compute_coefficients,
     compute_coefficients_explicit,
-    evaluate,
     solve_stepped,
     tail_bound,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Orientation",
     "compute_coefficients",
     "compute_coefficients_explicit",
-    "evaluate",
     "solve_stepped",
     "tail_bound",
     "__version__",

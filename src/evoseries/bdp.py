@@ -43,7 +43,6 @@ __all__ = [
     "DistributionTrajectory",
     "StochasticityRow",
     "StochasticityReport",
-    "build_generator",
     "generator_family",
     "solve_bdp",
     "stochasticity_report",
@@ -91,33 +90,29 @@ class BirthDeathSpec:
             raise ValueError("linear rate parts must be >= 0")
         if self.states < 3:
             raise ValueError(f"need at least 3 states, got {self.states}")
-
-
-def build_generator(lam: float, mu: float, spec: BirthDeathSpec) -> np.ndarray:
-    """Tridiagonal truncated generator for one (birth, death) rate pair.
-
-    First row (-lam, lam, 0, ...); interior rows (mu, -(lam+mu), lam); last
-    row (..., mu, -mu) under ABSORB_LAST or (..., mu, -(lam+mu)) under
-    REFLECT_NONE.
-    """
-    return _dense(_diagonals(lam, mu, spec))
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
 
 
 def generator_family(spec: BirthDeathSpec) -> MatrixPolyCoefficients:
-    """The dense family A_0 + A_1 t with RIGHT orientation, each A_i as build_generator gives it.
+    """The dense family A_0 + A_1 t with RIGHT orientation.
 
-    solve_bdp steps on the diagonals of the same family; this n x n form is
-    for coefficient-level checks, such as compute_coefficients or a stepped
-    solve of full propagators.
+    Each A_i is the tridiagonal truncated generator of one (birth, death)
+    rate pair (lam, mu): first row (-lam, lam, 0, ...); interior rows
+    (mu, -(lam+mu), lam); last row (..., mu, -mu) under ABSORB_LAST or
+    (..., mu, -(lam+mu)) under REFLECT_NONE.  solve_bdp steps on the
+    diagonals of the same family; this n x n form is for coefficient-level
+    checks, such as compute_coefficients or a stepped solve of full
+    propagators.
     """
     return MatrixPolyCoefficients(_dense(_diagonals(spec.lam, spec.mu, spec)), Orientation.RIGHT)
 
 
 def _diagonals(lam, mu, spec: BirthDeathSpec) -> np.ndarray:
-    """build_generator's matrix A as its diagonals: out[k, i] = A[i, i - 1 + k], 0 off the matrix.
+    """The generator A of one rate pair (see generator_family) as its diagonals.
 
-    lam and mu may be sequences of one length m; the result is then the
-    (m, 3, n) stack of the generators of the pairs (lam[j], mu[j]).
+    out[k, i] = A[i, i - 1 + k], 0 off the matrix.  lam and mu may be
+    sequences of one length m; the result is then the (m, 3, n) stack of the
+    generators of the pairs (lam[j], mu[j]).
     """
     lam = np.asarray(lam, dtype=float)[..., None]
     mu = np.asarray(mu, dtype=float)[..., None]
@@ -195,19 +190,6 @@ class _Stencil:
             np.einsum("jik,jki->i", windows, family, out=term)
             term /= m
         return self.terms
-
-
-def _stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
-    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} for one column vector, as _Stencil runs it.
-
-    diagonals[j, k, i] = A_j[i, i - 1 + k] and start[i] is entry i of the
-    column.  Returns the (order+1, n) terms.  A row vector's series,
-    n T_n = sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
-    """
-    stencil = _Stencil(len(diagonals) - 1, len(start), order)
-    stencil.family[...] = diagonals
-    stencil.start[...] = start
-    return stencil.expand()
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from .combinatorics import (
 from .engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _horner,
     counterexample_report,
     solve_stepped,
 )
@@ -139,8 +140,12 @@ def cmd_pisum(args) -> int:
 
 
 def cmd_scalar(args) -> int:
-    a = [float(tok) for tok in args.a.split(",") if tok != ""]
-    series = scalar_coefficients(a, args.order).partial_sum(args.t)
+    # Trailing commas are allowed; an empty field before a value is refused.
+    fields = args.a.rstrip(",").split(",")
+    if "" in fields[:-1]:
+        raise ValueError(f"--a: field {fields.index('') + 1} of {args.a!r} is empty")
+    a = [float(tok) for tok in fields if tok]
+    series = float(_horner(scalar_coefficients(a, args.order), args.t))
     with warnings.catch_warnings(record=True) as overflowed:
         warnings.simplefilter("always")
         closed = scalar_closed_form(a, args.t)

@@ -38,7 +38,6 @@ __all__ = [
     "operator_norm",
     "compute_coefficients",
     "compute_coefficients_explicit",
-    "evaluate",
     "tail_bound",
     "residual",
     "naive_exponential",
@@ -82,11 +81,12 @@ def _horner(stack: np.ndarray, t) -> np.ndarray:
     t is a float, or an array that broadcasts against one term: a (S, 1, 1)
     array evaluates a (k+1, S, d, d) stack at one time per step.
 
-    Overflow gives inf entries without a floating-point warning: a caller
-    that certifies the value reports the lost certificate through its bound.
+    Overflow gives inf entries, and inf times 0 or inf - inf nan entries,
+    without a floating-point warning: a caller that certifies the value
+    reports the lost certificate through its bound.
     """
     acc = np.array(stack[-1])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for term in stack[-2::-1]:
             acc *= t
             acc += term
@@ -135,11 +135,6 @@ class MatrixPolynomial:
             return self.stack[k]
         return np.zeros((self.dim, self.dim))
 
-    def min_degree(self) -> int | None:
-        """Lowest degree with a nonzero coefficient, or None for the zero polynomial."""
-        nonzero = np.flatnonzero(self.stack.any(axis=(1, 2)))
-        return int(nonzero[0]) if nonzero.size else None
-
     def value_at(self, t: float) -> np.ndarray:
         """The polynomial at t by Horner evaluation."""
         return _horner(self.stack, t)
@@ -156,10 +151,9 @@ class MatrixPolyCoefficients(MatrixPolynomial):
 
     orientation: Orientation = Orientation.LEFT
 
-    @property
-    def matrices(self) -> np.ndarray:
-        """The read-only (p+1, d, d) stack of A_0..A_p."""
-        return self.stack
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "orientation", Orientation(self.orientation))
 
 
 def operator_norm(mat: np.ndarray, orientation: Orientation) -> float:
@@ -185,6 +179,7 @@ class MatrixSeries(MatrixPolynomial):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "orientation", Orientation(self.orientation))
         if not np.array_equal(self.stack[0], np.eye(self.dim)):
             raise ValueError("order-0 term must be exactly the identity")
 
@@ -205,7 +200,7 @@ def compute_coefficients(
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    stack = _expand(coeffs.matrices, coeffs.orientation, np.eye(coeffs.dim), order)
+    stack = _expand(coeffs.stack, coeffs.orientation, np.eye(coeffs.dim), order)
     stack.setflags(write=False)
     return MatrixSeries(stack, coeffs.orientation)
 
@@ -269,7 +264,7 @@ def compute_coefficients_explicit(
     """
     if n < 1:
         raise ValueError(f"coefficient order must be >= 1, got {n}")
-    mats = coeffs.matrices
+    mats = coeffs.stack
     p = coeffs.degree
     if p == 0:
         return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
@@ -331,13 +326,8 @@ def _word_levels(n: int, q: int, p: int, left: bool):
         yield parent, letter, den
 
 
-def evaluate(series: MatrixSeries, t: float) -> np.ndarray:
-    """Value of the truncated series at t, by Horner evaluation."""
-    return series.value_at(t)
-
-
 def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
-    """Bound on ||R(t) - evaluate(compute_coefficients(coeffs, order), t)||, orientation norm.
+    """Bound on ||R(t) - compute_coefficients(coeffs, order).value_at(t)||, orientation norm.
 
     _local_bound of the family as given (a shift to 0, exact): the tail and the
     recursion's and Horner's rounding.  Finite unless the exponential overflows.
@@ -346,7 +336,7 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
         raise ValueError(f"series order must be >= 1, got {order}")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    norms = _norm_bounds(coeffs.matrices, coeffs.orientation)
+    norms = _norm_bounds(coeffs.stack, coeffs.orientation)
     return _local_bound(norms[None], norms.tolist(), [0.0], coeffs.dim, order, [t])[0]
 
 
@@ -428,9 +418,9 @@ def _local_bound(
     gamma_(2N+1), far above the absolute error of a subnormal result.
 
     The rows are stacked: every float operation runs elementwise on arrays
-    with a step axis (scalar_coefficients and Horner on the (p+1, S)
-    transpose), in the order a single row's would, so each row's bound is
-    bit for bit the one a one-row call gives.  Only exp runs per row, as
+    with a step axis (scalar_coefficients on the (p+1, S) transpose, _horner
+    on its (N+1, S) terms), in the order a single row's would, so each row's
+    bound is bit for bit the one a one-row call gives.  Only exp runs per row, as
     math.exp: numpy's vectorised exp is not promised within the one ulp
     that the rounding model assumes.  At order 30 a call costs about
     0.15 ms however few rows it has, several times one row in plain Python,
@@ -451,7 +441,7 @@ def _local_bound(
         total = _up(growth * (1.0 + _gamma(2 * order + 1)), 2)
         # The partial sum is within K = N(p + 4) roundings (p + 2 an order in r,
         # 2N in Horner) of its value; 1 - gamma_(K+2) also covers this product.
-        partial = scalar_coefficients(norms.T, order).partial_sum(h)
+        partial = _horner(scalar_coefficients(norms.T, order), h)
         partial = partial * (1.0 - _gamma(order * (p + 4) + 2))
         # An overflow, in the exponential or in r, loses the row's bound.
         finite = (partial <= total) & (total < math.inf)
@@ -473,7 +463,7 @@ def residual(
         raise ValueError(f"time must be finite, got {t}")
     if not math.isfinite(h) or h <= 0:
         raise ValueError(f"finite-difference step must be finite and > 0, got {h}")
-    return _defect(coeffs, lambda s: evaluate(series, s), t, h)
+    return _defect(coeffs, series.value_at, t, h)
 
 
 def _defect(coeffs: MatrixPolyCoefficients, value_at, t: float, h: float) -> float:
@@ -508,7 +498,7 @@ def naive_exponential(
         raise ValueError(f"need at least 1 Taylor term, got {terms}")
     dim = coeffs.dim
     b = np.zeros((dim, dim))
-    for j, mat in enumerate(coeffs.matrices):
+    for j, mat in enumerate(coeffs.stack):
         try:
             power = t ** (j + 1)
         except OverflowError:
@@ -529,7 +519,7 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     powers of t0.  An origin whose shifted family overflows raises the
     constructor's ValueError.
     """
-    shifted = _shift(coeffs.matrices, [t0])[:, 0]
+    shifted = _shift(coeffs.stack, [t0])[:, 0]
     shifted.setflags(write=False)
     return MatrixPolyCoefficients(shifted, coeffs.orientation)
 
@@ -618,7 +608,7 @@ def solve_stepped(
 
     The local expansions of each block of consecutive steps, and their
     bounds, run as one stack (_local_propagators), bit for bit what
-    recenter, compute_coefficients, evaluate and tail_bound's majorant give
+    recenter, compute_coefficients, value_at and tail_bound's majorant give
     step by step.  Overflow shows as inf in the values and bounds (never a
     NaN bound), or, at the first step whose shifted family or series is not
     finite, as the ValueError "the series overflows on the step from t = t0",
@@ -679,13 +669,13 @@ def _local_propagators(
     or series is not finite is refused by _refuse_overflow.
     """
     dim = coeffs.dim
-    shifted = _shift(coeffs.matrices, starts)
+    shifted = _shift(coeffs.stack, starts)
     start = np.broadcast_to(np.eye(dim), (len(starts), dim, dim))
     terms = _expand(shifted, coeffs.orientation, start, order)
     finite = np.isfinite(shifted).all(axis=(0, 2, 3)) & np.isfinite(terms).all(axis=(0, 2, 3))
     _refuse_overflow(finite.tolist(), starts)
     values = _horner(terms, np.array(hs)[:, None, None])
-    unshifted = _norm_bounds(coeffs.matrices, coeffs.orientation).tolist()
+    unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
     norms = _norm_bounds(shifted, coeffs.orientation).T
     return values, _local_bound(norms, unshifted, starts, dim, order, hs)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["MatrixFileError", "parse_coefficient_text", "load_coefficients", "format_coefficients"]
+__all__ = ["MatrixFileError", "parse_coefficient_text", "load_coefficients"]
 
 
 class MatrixFileError(ValueError):
@@ -24,15 +24,19 @@ class MatrixFileError(ValueError):
 
 
 def parse_coefficient_text(text: str, source: str = "<string>") -> list[np.ndarray]:
-    """Parse coefficient matrices A_0, A_1, ... from file text."""
-    blocks: list[list[list[float]]] = []
+    """Parse coefficient matrices A_0, A_1, ... from file text.
+
+    Every block must be square and of the first block's size; one that is
+    not is refused at the line of its first row.
+    """
+    blocks: list[tuple[int, list[list[float]]]] = []
     rows: list[list[float]] = []
     row_start = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             if rows:
-                blocks.append(rows)
+                blocks.append((row_start, rows))
                 rows = []
                 row_start = None
             continue
@@ -53,10 +57,17 @@ def parse_coefficient_text(text: str, source: str = "<string>") -> list[np.ndarr
             row_start = lineno
         rows.append(values)
     if rows:
-        blocks.append(rows)
+        blocks.append((row_start, rows))
     if not blocks:
         raise MatrixFileError(source, None, "no matrices found")
-    return [np.array(block, dtype=float) for block in blocks]
+    size = len(blocks[0][1])
+    for start, block in blocks:
+        n, m = len(block), len(block[0])
+        if n != m:
+            raise MatrixFileError(source, start, f"block is {n}x{m}, not square")
+        if n != size:
+            raise MatrixFileError(source, start, f"block is {n}x{m}, the first is {size}x{size}")
+    return [np.array(block, dtype=float) for _, block in blocks]
 
 
 def load_coefficients(path: str) -> list[np.ndarray]:
@@ -64,13 +75,3 @@ def load_coefficients(path: str) -> list[np.ndarray]:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_coefficient_text(text, source=str(path))
-
-
-def format_coefficients(matrices, digits: int = 12) -> str:
-    """Render matrices back to file text; inverse of parsing up to rounding."""
-    blocks = []
-    for mat in matrices:
-        arr = np.asarray(mat, dtype=float)
-        lines = [" ".join(f"{v:.{digits}g}" for v in row) for row in arr]
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

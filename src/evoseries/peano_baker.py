@@ -21,7 +21,6 @@ from .engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation, compu
 
 __all__ = [
     "DegreeGap",
-    "pb_term",
     "pb_partial_sum",
     "pb_equivalence_report",
 ]
@@ -31,7 +30,7 @@ def _family_times(coeffs: MatrixPolyCoefficients, stack: np.ndarray) -> np.ndarr
     # A(t) P(t) for LEFT, P(t) A(t) for RIGHT; exact convolution of the stacks.
     left = coeffs.orientation is Orientation.LEFT
     out = np.zeros((coeffs.degree + len(stack), coeffs.dim, coeffs.dim))
-    for j, aj in enumerate(coeffs.matrices):
+    for j, aj in enumerate(coeffs.stack):
         out[j : j + len(stack)] += aj @ stack if left else stack @ aj
     return out
 
@@ -60,21 +59,6 @@ def _polynomial(stack: np.ndarray) -> MatrixPolynomial:
     # Trailing zero matrices dropped; C_0 is always kept.
     nonzero = np.flatnonzero(stack.any(axis=(1, 2)))
     return MatrixPolynomial(stack[: nonzero[-1] + 1 if nonzero.size else 1])
-
-
-def pb_term(
-    coeffs: MatrixPolyCoefficients, n: int, max_degree: int | None = None
-) -> MatrixPolynomial:
-    """The n-th iterated-integral term U_n as an exact matrix polynomial.
-
-    Each integration raises the minimum degree by at least one, so U_n has no
-    terms below degree n.  Passing max_degree discards higher terms after each
-    integration, which keeps long runs cheap without touching the kept range.
-    Trailing zero coefficients are trimmed from the result.
-    """
-    if n < 0:
-        raise ValueError(f"term index must be >= 0, got {n}")
-    return _polynomial(next(islice(_terms(coeffs, max_degree), n, None)))
 
 
 def pb_partial_sum(

@@ -1,4 +1,4 @@
-"""Scalar evolution series dr/dt = a(t) r(t): recursion, closed forms, bounds.
+"""Scalar evolution series dr/dt = a(t) r(t): recursion and closed form.
 
 The scalar problem plays two roles.  It is the ground truth for 1x1 systems,
 where the closed form exp(integral of a) is available.  And it is the source
@@ -9,86 +9,45 @@ minus the partial sum of scalar_coefficients bounds the matrix tail; the
 engine's local bound widens the a_j to cover rounding too.
 
 Coefficient lists a = (a_0, ..., a_p) are plain float sequences throughout.
-scalar_coefficients and ScalarSeries.partial_sum also run elementwise on
-numpy arrays of one shape; the engine's local bound stacks the steps of a
-whole block that way, in one pass.
+scalar_coefficients also runs elementwise on numpy arrays of one shape; the
+engine's local bound stacks the steps of a whole block that way, in one
+pass, and sums the series with the engine's one Horner routine.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = [
-    "ScalarSeries",
-    "scalar_coefficients",
-    "scalar_explicit_rn",
-    "scalar_closed_form",
-    "coefficient_bound",
-    "lemma_constants",
-]
+import numpy as np
+
+__all__ = ["scalar_coefficients", "scalar_closed_form"]
 
 
-@dataclass(frozen=True)
-class ScalarSeries:
-    """Maclaurin coefficients r_0 = 1, r_1, ..., r_N of the scalar solution."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1 or self.coeffs[0] != 1.0:
-            raise ValueError("scalar series must start at r_0 = 1")
-
-    def partial_sum(self, t: float) -> float:
-        """Value of the truncated series at t, by Horner evaluation.
-
-        Coefficients and t may be arrays of one shape (see scalar_coefficients).
-        """
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-
-def scalar_coefficients(a: Sequence[float], order: int) -> ScalarSeries:
-    """Coefficients from the recursion n r_n = a_0 r_{n-1} + ... + a_{n-1} r_0.
+def scalar_coefficients(a: Sequence[float], order: int) -> np.ndarray:
+    """r_0 = 1, r_1, ..., r_order from the recursion n r_n = a_0 r_{n-1} + ... + a_{n-1} r_0.
 
     Coefficients a_j with j >= len(a) are treated as zero.  Each a_j may be
     a numpy array, all of one shape: the products and sums then run
     elementwise in the same order, so each element is bit for bit the float
-    call on its own coefficients.  Where floats overflow silently to inf,
-    numpy also warns, unless the caller sets np.errstate.
+    call on its own coefficients.  Returns the (order+1, *shape) float array
+    of the r_n.  Overflow gives inf, and infs of both signs nan, without a
+    floating-point warning.
     """
     if len(a) == 0:
         raise ValueError("need at least the constant coefficient a_0")
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     r = [1.0]
-    for n in range(1, order + 1):
-        acc = 0.0
-        for j in range(min(len(a), n)):
-            acc += a[j] * r[n - 1 - j]
-        r.append(acc / n)
-    return ScalarSeries(tuple(r))
-
-
-def scalar_explicit_rn(a0: float, a1: float, n: int) -> float:
-    """r_n for linear a(t) = a0 + a1 t, without running the recursion.
-
-    r_n = sum over q of a0^(n-2q) a1^q / ((n-2q)! q! 2^q); the q-th term
-    collects every product with q picks of a1, whose weights sum to exactly
-    1 / ((n-2q)! q! 2^q).
-    """
-    if n < 1:
-        raise ValueError(f"coefficient order must be >= 1, got {n}")
-    total = 0.0
-    for q in range(n // 2 + 1):
-        total += a0 ** (n - 2 * q) * a1**q / (
-            math.factorial(n - 2 * q) * math.factorial(q) * 2**q
-        )
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order + 1):
+            acc = 0.0
+            for j in range(min(len(a), n)):
+                acc += a[j] * r[n - 1 - j]
+            r.append(acc / n)
+    r[0] = np.ones(np.shape(a[0]))  # r_0 in every element, for the stack
+    return np.array(r)
 
 
 def scalar_closed_form(a: Sequence[float], t: float) -> float:
@@ -134,33 +93,3 @@ def scalar_closed_form(a: Sequence[float], t: float) -> float:
             stacklevel=2,
         )
     return value
-
-
-def coefficient_bound(c: float, d: float, n: int) -> float:
-    """The factorial envelope d * c^floor(n/2) / floor(n/2)!."""
-    if c < 0 or d <= 0:
-        raise ValueError("bound constants require c >= 0 and d > 0")
-    if n < 1:
-        raise ValueError(f"coefficient order must be >= 1, got {n}")
-    half = n // 2
-    return d * c**half / math.factorial(half)
-
-
-def lemma_constants(a0: float, a1: float) -> tuple[float, float]:
-    """Constants (c, d) with |r_n| <= d c^floor(n/2) / floor(n/2)! for all n.
-
-    c = max(|a0|, |a1|).  The inductive step of the bound is self-sustaining
-    once n/2 > c, so d only has to absorb a finite window of small orders: we
-    take the max of |r_n| floor(n/2)! / c^floor(n/2) over n <= 2m, where m is
-    the smallest integer with m + 1/2 > c, and floor the result at 1.
-    """
-    c = max(abs(a0), abs(a1))
-    if c == 0.0:
-        return 0.0, 1.0
-    m = max(1, math.floor(c - 0.5) + 1)
-    series = scalar_coefficients((a0, a1), 2 * m)
-    d = 1.0
-    for n in range(1, 2 * m + 1):
-        half = n // 2
-        d = max(d, abs(series.coeffs[n]) * math.factorial(half) / c**half)
-    return c, d

@@ -35,7 +35,6 @@ __all__ = [
     "BinomialGroupDecomposition",
     "POWER_GUARD",
     "reduce",
-    "word_power_mixed",
     "shift_identities_check",
     "binomial_group",
     "power_expand",
@@ -71,18 +70,6 @@ class ShiftPolynomial:
         if isinstance(terms, dict):
             terms = terms.items()
         self._terms = _as_terms(terms)
-
-    @classmethod
-    def monomial(cls, s: int, k: int, coeff=1) -> "ShiftPolynomial":
-        return cls([((s, k), coeff)])
-
-    @classmethod
-    def identity(cls) -> "ShiftPolynomial":
-        return cls.monomial(0, 0)
-
-    @classmethod
-    def zero(cls) -> "ShiftPolynomial":
-        return cls()
 
     @property
     def terms(self) -> tuple:
@@ -183,25 +170,6 @@ def reduce(word, rng: random.Random | None = None) -> ShiftPolynomial:
         pending.append((w[:i] + w[i + 2 :], c))
         pending.append((w[:i] + "S" + w[i + 2 :], -c))
     return ShiftPolynomial(collected)
-
-
-def word_power_mixed(p: int, q: int) -> ShiftPolynomial:
-    """Closed form for U^p (S U)^q without any rewriting.
-
-    U^p (S U)^q = sum_{k=0}^{p-1} (-1)^k C(q+k-1, k) U^{p-k}
-                + sum_{k=p}^{q+p-1} (-1)^k C(q+p-1, k) S^{k-p+1} U.
-
-    The first sum is the head (pure powers of U); the second collapses every
-    delayed contribution to a single trailing U.
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"need p >= 1 and q >= 1, got p={p}, q={q}")
-    terms: dict[tuple[int, int], Fraction] = {}
-    for k in range(p):
-        terms[(0, p - k)] = Fraction((-1) ** k * math.comb(q + k - 1, k))
-    for k in range(p, q + p):
-        terms[(k - p + 1, 1)] = Fraction((-1) ** k * math.comb(q + p - 1, k))
-    return ShiftPolynomial(terms)
 
 
 def _times_u(rows: list) -> list:

@@ -8,9 +8,10 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from conftest import min_degree, pb_term
 from scipy.linalg import expm
 
-from evoseries.bdp import BirthDeathSpec, build_generator, solve_bdp
+from evoseries.bdp import BirthDeathSpec, generator_family, solve_bdp
 from evoseries.combinatorics import (
     enumerate_restricted_index_set,
     max_total_index,
@@ -25,10 +26,9 @@ from evoseries.engine import (
     compute_coefficients,
     compute_coefficients_explicit,
     counterexample_report,
-    evaluate,
     tail_bound,
 )
-from evoseries.peano_baker import pb_equivalence_report, pb_term
+from evoseries.peano_baker import pb_equivalence_report
 from evoseries.scalar import scalar_closed_form
 from evoseries.shift_algebra import (
     ShiftPolynomial,
@@ -131,7 +131,7 @@ def test_criterion_05_peano_baker():
         coeffs = MatrixPolyCoefficients(mats, orientation)
         assert max(r.rel_gap for r in pb_equivalence_report(coeffs, 8)) < 1e-12
     for n in range(13):
-        md = pb_term(example, n, max_degree=14).min_degree()
+        md = min_degree(pb_term(example, n, max_degree=14))
         assert md is not None and md >= n
 
 
@@ -141,10 +141,10 @@ def test_criterion_06_scalar_truth():
     series40 = compute_coefficients(coeffs, 40)
     for t in (0.25, 0.5, 1.0):
         truth = math.exp(t + t * t / 2)
-        assert abs(evaluate(series40, t)[0, 0] - truth) < 1e-10
+        assert abs(series40.value_at(t)[0, 0] - truth) < 1e-10
         assert abs(scalar_closed_form((1.0, 1.0), t) - truth) < 1e-12
         for order in (5, 10, 20, 40):
-            partial = evaluate(compute_coefficients(coeffs, order), t)[0, 0]
+            partial = compute_coefficients(coeffs, order).value_at(t)[0, 0]
             assert tail_bound(coeffs, order, t) >= abs(truth - partial)
 
 
@@ -172,13 +172,13 @@ def test_criterion_08_shift_algebra():
         (3, 0): (upoly((3, 1)), ()),
         (2, 1): (upoly((2, 2), (1, -1)), (upoly((3, 1), (2, -1), (1, 1)),)),
         (1, 2): (upoly((1, 1)), (upoly((2, 2), (1, -3)), upoly((2, -1), (1, 2)))),
-        (0, 3): (ShiftPolynomial.zero(), (upoly((1, 1)), upoly((1, -2)), upoly((1, 1)))),
+        (0, 3): (ShiftPolynomial(), (upoly((1, 1)), upoly((1, -2)), upoly((1, 1)))),
     }
     for (m, j), (head, tails) in cubic.items():
         got = binomial_group(m, j)
         assert got.head == head and got.tails == tails, (m, j)
     for lam, mu in ((Fraction(5), Fraction(7)), (Fraction(1), Fraction(1))):
-        expected = ShiftPolynomial.zero()
+        expected = ShiftPolynomial()
         for m in range(4):
             j = 3 - m
             head, tails = cubic[(m, j)]
@@ -203,7 +203,7 @@ def test_criterion_09_birth_death():
     traj0, _ = solve_bdp(autonomous, 0.5, 10, 30)
     p0 = np.zeros(80)
     p0[0] = 1.0
-    oracle = p0 @ expm(0.5 * build_generator(1.0, 1.0, autonomous))
+    oracle = p0 @ expm(0.5 * generator_family(autonomous).stack[0])
     assert np.abs(traj0.distributions[-1] - oracle).max() < 1e-8
 
 

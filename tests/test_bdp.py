@@ -14,12 +14,11 @@ from evoseries.bdp import (
     BirthDeathSpec,
     Boundary,
     DistributionTrajectory,
+    _Stencil,
     _dense,
     _diagonal_norm_bounds,
     _diagonals,
-    _stencil_expand,
     _transposed,
-    build_generator,
     generator_family,
     solve_bdp,
     stochasticity_report,
@@ -69,7 +68,7 @@ def recursion_reference(coeffs: MatrixPolyCoefficients, order: int) -> np.ndarra
     """The fundamental recursion as one plain loop, matched bit for bit by compute_coefficients."""
     dim = coeffs.dim
     left = coeffs.orientation is Orientation.LEFT
-    mats = list(coeffs.matrices)
+    mats = list(coeffs.stack)
     stack = np.zeros((order + 1, dim, dim))
     terms = list(stack)
     terms[0] += np.eye(dim)
@@ -152,9 +151,24 @@ def test_spec_rejects_non_finite_rates(field, bad):
         BirthDeathSpec(states=10, **rates)
 
 
+def test_boundary_given_as_a_string_is_the_enum_member():
+    # The generator tests "is Boundary.ABSORB_LAST", so a name must become the
+    # member: a spec that kept the string "absorb" would build the leaky raw chain.
+    spec = BirthDeathSpec(lam=(2.0, 0.5), mu=(1.0, 0.5), states=5, boundary="absorb")
+    assert spec.boundary is Boundary.ABSORB_LAST
+    assert generator_family(spec).stack[0][-1, -1] == -1.0
+    traj, _ = solve_bdp(spec, 1.0, 4, 30)
+    assert traj.leakage[-1] < 1e-12
+    assert BirthDeathSpec(lam=(2.0, 0.5), mu=(1.0, 0.5), states=5, boundary="raw").boundary is (
+        Boundary.REFLECT_NONE
+    )
+    with pytest.raises(ValueError, match="sideways"):
+        BirthDeathSpec(lam=(2.0, 0.5), mu=(1.0, 0.5), states=5, boundary="sideways")
+
+
 def test_generator_structure():
     spec = BirthDeathSpec(lam=(2.0, 0.5), mu=(3.0, 0.5), states=5)
-    gen = build_generator(2.0, 3.0, spec)
+    gen = generator_family(spec).stack[0]
     assert gen[0, 0] == -2.0 and gen[0, 1] == 2.0
     assert gen[1, 0] == 3.0 and gen[1, 1] == -5.0 and gen[1, 2] == 2.0
     assert gen[4, 3] == 3.0 and gen[4, 4] == -3.0
@@ -165,7 +179,7 @@ def test_generator_raw_truncation_leaks():
     spec = BirthDeathSpec(
         lam=(2.0, 0.5), mu=(3.0, 0.5), states=5, boundary=Boundary.REFLECT_NONE
     )
-    gen = build_generator(2.0, 3.0, spec)
+    gen = generator_family(spec).stack[0]
     assert gen[4, 4] == -5.0
     sums = gen.sum(axis=1)
     assert np.allclose(sums[:-1], 0.0) and sums[-1] == -2.0
@@ -178,12 +192,12 @@ def test_generator_matches_shift_algebra_realization():
     spec = BirthDeathSpec(
         lam=(lam, 0.0), mu=(mu, 0.0), states=size, boundary=Boundary.REFLECT_NONE
     )
-    gen = build_generator(lam, mu, spec)
+    gen = generator_family(spec).stack[0]
     poly = ShiftPolynomial({(0, 1): 2, (1, 1): -3})
     assert np.array_equal(gen, realize(poly, size))
     # the mass-conserving variant differs only in the last diagonal entry
     spec_abs = BirthDeathSpec(lam=(lam, 0.0), mu=(mu, 0.0), states=size)
-    gen_abs = build_generator(lam, mu, spec_abs)
+    gen_abs = generator_family(spec_abs).stack[0]
     diff = gen_abs - gen
     assert diff[size - 1, size - 1] == lam
     assert np.count_nonzero(diff) == 1
@@ -265,8 +279,7 @@ def test_tiny_leaky_chain_bound_covers_an_independent_reference(
     # bounds well above it.
     spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=Boundary.REFLECT_NONE)
     traj, _ = solve_bdp(spec, t_final, steps, order)
-    a0 = build_generator(lam[0], mu[0], spec)
-    a1 = build_generator(lam[1], mu[1], spec)
+    a0, a1 = generator_family(spec).stack
     p0 = traj.distributions[0]
     if not a1.any():
         reference = np.vstack([p0 @ expm(t * a0) for t in traj.times])
@@ -292,7 +305,7 @@ def test_leaky_chain_bound_can_exceed_propagator_bound_and_still_holds():
     coeffs = generator_family(spec)
     full = [s.tail_bound for s in solve_stepped(coeffs, 1.0, 0.5, 11)]
     assert traj.tail_bounds[-1] > full[-1]
-    a0, a1 = coeffs.matrices
+    a0, a1 = coeffs.stack
     sol = solve_ivp(
         lambda t, p: p @ a0 + t * (p @ a1), (0.0, 1.0), [1.0, 0.0, 0.0],
         t_eval=traj.times, method="DOP853", rtol=1e-13, atol=1e-16,
@@ -316,7 +329,7 @@ def test_autonomous_limit_matches_uniformization():
     p0 = np.zeros(40)
     p0[:4] = 0.25
     traj, _ = solve_bdp(spec, 1.5, 6, 30, initial=p0)
-    gen = build_generator(1.5, 1.0, spec)
+    gen = generator_family(spec).stack[0]
     for t, dist, bound in zip(traj.times, traj.distributions, traj.tail_bounds):
         reference = uniformized(gen, p0, t)
         assert np.abs(reference - p0 @ expm(t * gen)).sum() < 1e-13  # the two oracles agree
@@ -351,8 +364,7 @@ def test_row_solve_within_bound_of_propagator_and_references(
     propagated = np.vstack([p0 @ s.value for s in path])
     gap = np.abs(traj.distributions - propagated).sum(axis=1)
     assert np.all(gap <= traj.tail_bounds + full + slack)
-    a0 = build_generator(lam[0], mu[0], spec)
-    a1 = build_generator(lam[1], mu[1], spec)
+    a0, a1 = generator_family(spec).stack
     if not a1.any():
         reference = np.vstack([uniformized(a0, p0, t) for t in traj.times])
     else:
@@ -364,7 +376,7 @@ def test_row_solve_within_bound_of_propagator_and_references(
     gap = np.abs(traj.distributions - reference).sum(axis=1)
     assert np.all(gap <= traj.tail_bounds + 1e-10 * mass)
     for orientation in Orientation:
-        family = MatrixPolyCoefficients(coeffs.matrices, orientation)
+        family = MatrixPolyCoefficients(coeffs.stack, orientation)
         assert np.array_equal(
             compute_coefficients(family, order).terms, recursion_reference(family, order)
         )
@@ -375,8 +387,7 @@ def test_initial_distribution_and_coefficient():
     traj, _ = solve_bdp(spec, 0.5, 5, 20)
     assert traj.distributions[0][0] == 1.0 and traj.distributions[0][1:].max() == 0.0
     coeffs = generator_family(spec)
-    a0 = build_generator(1.0, 1.0, spec)
-    a1 = build_generator(0.5, 0.5, spec)
+    a0, a1 = coeffs.stack
     assert coeffs.orientation is Orientation.RIGHT
     series = compute_coefficients(coeffs, 20)
     assert np.array_equal(series.terms[2], (a0 @ a0 + a1) / 2)
@@ -400,7 +411,7 @@ def test_autonomous_limit_matches_matrix_exponential():
     traj, _ = solve_bdp(spec, 0.5, 10, 30)
     p0 = np.zeros(80)
     p0[0] = 1.0
-    oracle = p0 @ expm(0.5 * build_generator(1.0, 1.0, spec))
+    oracle = p0 @ expm(0.5 * generator_family(spec).stack[0])
     assert np.abs(traj.distributions[-1] - oracle).max() < 1e-8
 
 
@@ -459,6 +470,18 @@ def test_solve_bdp_makes_one_bound_call(monkeypatch, boundary):
     assert rows == [7]
 
 
+def stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
+    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} for one column vector, by one _Stencil.
+
+    diagonals[j, k, i] = A_j[i, i - 1 + k].  A row vector's series,
+    n T_n = sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
+    """
+    stencil = _Stencil(len(diagonals) - 1, len(start), order)
+    stencil.family[...] = diagonals
+    stencil.start[...] = start
+    return stencil.expand()
+
+
 @given(
     lam=st.tuples(rate, linear_rate),
     mu=st.tuples(rate, linear_rate),
@@ -474,8 +497,7 @@ def test_stencil_expansion_matches_the_dense_recursion(
 ):
     spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
     family = _shift(_diagonals(spec.lam, spec.mu, spec), [t0])[:, 0]
-    generators = (build_generator(lam[0], mu[0], spec), build_generator(lam[1], mu[1], spec))
-    dense = recenter(MatrixPolyCoefficients(generators, Orientation.RIGHT), t0).matrices
+    dense = recenter(generator_family(spec), t0).stack
     assert np.array_equal(_dense(family), dense)  # one shift, entry for entry
     start = np.random.default_rng(seed).standard_normal(states)
     # Each computed expansion is within r'_n - r_n times the start's norm of
@@ -483,13 +505,13 @@ def test_stencil_expansion_matches_the_dense_recursion(
     # directions take norms from the max row sums.
     norms = _norm_bounds(dense, Orientation.RIGHT)
     widened = _up(norms * (1.0 + _gamma(states * len(dense) + 2)), 2)
-    r = np.array(scalar_coefficients(norms.tolist(), order).coeffs)
-    r_widened = np.array(scalar_coefficients(widened.tolist(), order).coeffs)
+    r = scalar_coefficients(norms.tolist(), order)
+    r_widened = scalar_coefficients(widened.tolist(), order)
     allowance = 2.0 * (r_widened - r)
-    rows = _stencil_expand(_transposed(family), start, order)
+    rows = stencil_expand(_transposed(family), start, order)
     gap = np.abs(rows - _expand(dense, Orientation.RIGHT, start, order)).sum(axis=1)
     assert np.all(gap <= allowance * np.abs(start).sum())
-    columns = _stencil_expand(family, start, order)
+    columns = stencil_expand(family, start, order)
     gap = np.abs(columns - _expand(dense, Orientation.LEFT, start, order)).max(axis=1)
     assert np.all(gap <= allowance * np.abs(start).max())
 
@@ -500,7 +522,7 @@ def test_solve_bdp_steps_touch_no_dense_family(monkeypatch, boundary):
         raise AssertionError("a step of solve_bdp used a dense family")
 
     for module in (bdp, engine):
-        for name in ("recenter", "_expand", "_norm_bounds", "_dense", "build_generator"):
+        for name in ("recenter", "_expand", "_norm_bounds", "_dense"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
     traj, diagonals = solve_bdp(spec, 1.0, 7, 20)
@@ -509,12 +531,8 @@ def test_solve_bdp_steps_touch_no_dense_family(monkeypatch, boundary):
     assert np.array_equal(diagonals, _diagonals(spec.lam, spec.mu, spec))
     assert not diagonals.flags.writeable
     monkeypatch.undo()
-    # generator_family is their dense form, build_generator's.
-    assert np.array_equal(_dense(diagonals), generator_family(spec).matrices)
-    assert np.array_equal(
-        generator_family(spec).matrices,
-        [build_generator(1.0, 2.0, spec), build_generator(0.5, 0.5, spec)],
-    )
+    # generator_family is their dense form.
+    assert np.array_equal(_dense(diagonals), generator_family(spec).stack)
 
 
 @given(

@@ -143,7 +143,7 @@ def test_bdp_row_error_within_bound(lam, mu, boundary, states, t_final, steps, o
     p0 = np.random.default_rng(seed).dirichlet(np.ones(states))
     traj, _ = solve_bdp(spec, t_final, steps, order, initial=p0)
     with mpmath.workdps(DIGITS):
-        mats = [mp_array(m) for m in generator_family(spec).matrices]
+        mats = [mp_array(m) for m in generator_family(spec).stack]
         reference = mp_stepped(mats, False, mp_array(p0[None, :]), traj.times.tolist())
         for dist, exact, bound in zip(traj.distributions, reference, traj.tail_bounds):
             error = abs(mp_array(dist[None, :]) - exact).sum()
@@ -187,8 +187,8 @@ def test_shift_rounding_bounds_the_float_shift(seed, dim, degree, left, log_t0):
     orientation = Orientation.LEFT if left else Orientation.RIGHT
     coeffs = MatrixPolyCoefficients(mats, orientation)
     t0 = 10.0**log_t0
-    shifted = recenter(coeffs, t0).matrices
-    norms = _norm_bounds(coeffs.matrices, orientation).tolist()
+    shifted = recenter(coeffs, t0).stack
+    norms = _norm_bounds(coeffs.stack, orientation).tolist()
     assert _shift_rounding(norms, [0.0]).tolist() == [[0.0] * (degree + 1)]  # the shift to 0 is exact
     [rho] = _shift_rounding(norms, [t0]).tolist()
     with mpmath.workdps(DIGITS):

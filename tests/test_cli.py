@@ -9,7 +9,6 @@ import pytest
 
 from evoseries import cli
 from evoseries.cli import build_parser, main
-from evoseries.matfile import format_coefficients
 from evoseries.shift_algebra import POWER_GUARD
 
 EXAMPLE_MAT = """\
@@ -104,6 +103,15 @@ def test_scalar_output(capsys):
     assert set(lines) == {"series", "closed_form", "abs_gap"}
     assert float(lines["abs_gap"]) < 1e-12
     assert float(lines["series"]) == pytest.approx(np.exp(0.625), rel=1e-10)
+
+
+def test_scalar_refuses_an_empty_coefficient_field(capsys):
+    code, out, err = run_cli(capsys, "scalar", "--a", "1,,2", "--t", "0.5")
+    assert code == 1 and out == ""
+    assert err == "error: --a: field 2 of '1,,2' is empty\n"
+    # Trailing commas still end the list: the output is that of --a 1,2.
+    results = [run_cli(capsys, "scalar", "--a", a, "--t", "0.5") for a in ("1,2", "1,2,", "1,2,,")]
+    assert results[0][0] == 0 and results[1:] == results[:1] * 2
 
 
 @pytest.mark.parametrize(
@@ -253,6 +261,22 @@ def test_solve_malformed_file_single_error_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "1")
     assert code == 1
     assert err.startswith("error:") and ":2:" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 3\n4 5 6\n", "bad.mat:1: block is 2x3, not square"),
+        ("1 0\n0 1\n\n1 0 0\n0 1 0\n0 0 1\n", "bad.mat:4: block is 3x3, the first is 2x2"),
+        ("1 0\n0 1\n\n\n1 2\n", "bad.mat:5: block is 1x2, not square"),
+    ],
+)
+def test_solve_badly_shaped_block_names_file_and_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.mat"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--coeffs", str(path), "--t", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: {tmp_path / message}\n"
 
 
 def test_solve_non_finite_file_single_error_line(capsys, tmp_path):

@@ -26,7 +26,6 @@ from evoseries.engine import (
     compute_coefficients_explicit,
     counterexample_coefficients,
     counterexample_report,
-    evaluate,
     naive_exponential,
     operator_norm,
     recenter,
@@ -77,7 +76,23 @@ def test_coefficients_validation():
     coeffs = MatrixPolyCoefficients((np.eye(2),))
     assert coeffs.dim == 2 and coeffs.degree == 0
     with pytest.raises(ValueError):
-        coeffs.matrices[0][0, 0] = 5.0  # frozen
+        coeffs.stack[0][0, 0] = 5.0  # frozen
+
+
+def test_orientation_given_as_a_string_is_the_enum_member(example_pair):
+    # The solver tests "is Orientation.LEFT", so a name must become the member:
+    # a family that kept the string "left" would expand as RIGHT.
+    by_name = MatrixPolyCoefficients(example_pair, "left")
+    assert by_name.orientation is Orientation.LEFT
+    by_member = MatrixPolyCoefficients(example_pair, Orientation.LEFT)
+    assert np.array_equal(
+        compute_coefficients(by_name, 6).stack, compute_coefficients(by_member, 6).stack
+    )
+    assert MatrixSeries((np.eye(2),), "right").orientation is Orientation.RIGHT
+    with pytest.raises(ValueError, match="sideways"):
+        MatrixPolyCoefficients(example_pair, "sideways")
+    with pytest.raises(ValueError, match="sideways"):
+        MatrixSeries((np.eye(2),), "sideways")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -193,7 +208,7 @@ def test_explicit_budget_guard(example_left):
 def explicit_per_word(coeffs, n):
     # The explicit formula one word at a time: a fresh product per word,
     # weighted by float(pi_coefficient(m)) and added onto the total in turn.
-    mats = list(coeffs.matrices)
+    mats = list(coeffs.stack)
     p = coeffs.degree
     if p == 0:
         return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
@@ -284,14 +299,14 @@ def test_explicit_never_calls_the_recursion(monkeypatch):
 
 def test_evaluate_identity_at_zero(example_left):
     series = compute_coefficients(example_left, 5)
-    assert np.array_equal(evaluate(series, 0.0), np.eye(3))
+    assert np.array_equal(series.value_at(0.0), np.eye(3))
 
 
 def test_evaluate_scalar_embedding():
     coeffs = MatrixPolyCoefficients((np.array([[1.0]]), np.array([[1.0]])),)
     series = compute_coefficients(coeffs, 30)
     t = 0.5
-    assert evaluate(series, t)[0, 0] == pytest.approx(
+    assert series.value_at(t)[0, 0] == pytest.approx(
         scalar_closed_form((1.0, 1.0), t), abs=1e-10
     )
 
@@ -300,7 +315,7 @@ def test_evaluate_against_adaptive_integrator(example_left):
     series = compute_coefficients(example_left, 25)
     t = 0.1
     oracle = integrate_oracle(example_left, t)
-    assert np.abs(evaluate(series, t) - oracle).max() < 1e-8
+    assert np.abs(series.value_at(t) - oracle).max() < 1e-8
 
 
 def test_tail_bound_zero_family():
@@ -310,7 +325,7 @@ def test_tail_bound_zero_family():
     nilp = MatrixPolyCoefficients((np.zeros((2, 2)), np.eye(2) * 3.0))
     bound = tail_bound(nilp, 5, 0.5)
     truth = math.exp(1.5 * 0.5**2)
-    partial = evaluate(compute_coefficients(nilp, 5), 0.5)[0, 0]
+    partial = compute_coefficients(nilp, 5).value_at(0.5)[0, 0]
     assert truth - partial <= bound < math.inf
 
 
@@ -319,7 +334,7 @@ def test_tail_bound_dominates_scalar_truth():
     closed = {t: scalar_closed_form((1.0, 1.0), t) for t in (0.0, 0.25, 0.5, 0.9)}
     for t, truth in closed.items():
         for order in range(1, 41):
-            partial = evaluate(compute_coefficients(coeffs, order), t)[0, 0]
+            partial = compute_coefficients(coeffs, order).value_at(t)[0, 0]
             assert tail_bound(coeffs, order, t) >= abs(truth - partial)
 
 
@@ -329,7 +344,7 @@ def test_tail_bound_is_finite_for_every_step():
     coeffs = MatrixPolyCoefficients((np.array([[1.0]]), np.array([[1.0]])),)
     for t in (1.0, 2.0, 5.0):
         truth = math.exp(t + t * t / 2)
-        partial = evaluate(compute_coefficients(coeffs, 10), t)[0, 0]
+        partial = compute_coefficients(coeffs, 10).value_at(t)[0, 0]
         assert truth - partial <= tail_bound(coeffs, 10, t) < math.inf
 
 
@@ -369,7 +384,7 @@ def test_residual_right_orientation_multiplies_on_the_right(example_right):
     # A_0 and A_1 do not commute.
     series = compute_coefficients(example_right, 25)
     assert residual(example_right, series, 0.1, 1e-4) < 1e-6
-    left = MatrixPolyCoefficients(example_right.matrices, Orientation.LEFT)
+    left = MatrixPolyCoefficients(example_right.stack, Orientation.LEFT)
     assert residual(left, series, 0.1, 1e-4) > 1e-2
 
 
@@ -382,7 +397,7 @@ def test_naive_exponential_autonomous_case():
     coeffs = MatrixPolyCoefficients((a0,))
     t = 0.8
     series = compute_coefficients(coeffs, 30)
-    gap = np.abs(naive_exponential(coeffs, t, 40) - evaluate(series, t)).max()
+    gap = np.abs(naive_exponential(coeffs, t, 40) - series.value_at(t)).max()
     assert gap <= tail_bound(coeffs, 30, t) + 1e-12
 
 
@@ -405,11 +420,11 @@ def test_counterexample_series_beats_exponential():
 def test_recenter_constant_and_linear(example_pair):
     a0, a1 = example_pair
     const = MatrixPolyCoefficients((a0,))
-    assert np.array_equal(recenter(const, 2.0).matrices[0], a0)
+    assert np.array_equal(recenter(const, 2.0).stack[0], a0)
     linear = MatrixPolyCoefficients((a0, a1))
     shifted = recenter(linear, 0.5)
-    assert np.allclose(shifted.matrices[0], a0 + 0.5 * a1, atol=1e-15)
-    assert np.array_equal(shifted.matrices[1], a1)
+    assert np.allclose(shifted.stack[0], a0 + 0.5 * a1, atol=1e-15)
+    assert np.array_equal(shifted.stack[1], a1)
 
 
 def test_recenter_agrees_with_evaluation():
@@ -423,7 +438,7 @@ def test_recenter_agrees_with_evaluation():
             shifted.value_at(s), coeffs.value_at(t0 + s), rtol=1e-12, atol=1e-12
         )
     back = recenter(shifted, -t0)
-    for orig, round_tripped in zip(coeffs.matrices, back.matrices):
+    for orig, round_tripped in zip(coeffs.stack, back.stack):
         assert np.allclose(orig, round_tripped, rtol=1e-12, atol=1e-12)
 
 
@@ -440,7 +455,7 @@ def test_recenter_overflowing_origin_is_value_error(example_pair, t0):
 def test_recenter_int_origin_equals_float_origin():
     # 5^30 is past the int64 range: the powers are floats, not an object array.
     coeffs = MatrixPolyCoefficients(np.random.default_rng(3).standard_normal((31, 2, 2)))
-    assert recenter(coeffs, 5).matrices.tobytes() == recenter(coeffs, 5.0).matrices.tobytes()
+    assert recenter(coeffs, 5).stack.tobytes() == recenter(coeffs, 5.0).stack.tobytes()
 
 
 def test_solve_stepped_grid_and_errors(example_left):
@@ -482,7 +497,7 @@ def test_solve_stepped_refuses_step_count_over_cap(example_left):
 def test_solve_stepped_single_step_equals_direct(example_left):
     # final time below the step size collapses to one local expansion
     path = solve_stepped(example_left, 0.2, 0.5, 15)
-    direct = evaluate(compute_coefficients(example_left, 15), 0.2)
+    direct = compute_coefficients(example_left, 15).value_at(0.2)
     assert len(path) == 2
     assert np.array_equal(path[1].value, direct)
     assert path[1].tail_bound == tail_bound(example_left, 15, 0.2)
@@ -494,7 +509,7 @@ def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
     # must not turn inf * 0 into NaN
     with np.errstate(over="ignore"):
         last = solve_stepped(example_left, 1e8, 1e8, 40)[-1]
-        direct = evaluate(compute_coefficients(example_left, 40), 1e8)
+        direct = compute_coefficients(example_left, 40).value_at(1e8)
     assert last.tail_bound == math.inf
     assert np.array_equal(last.value, direct)
 
@@ -513,7 +528,7 @@ def test_overflowed_evaluation_warns_nothing(example_left):
     series = compute_coefficients(example_left, 40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = evaluate(series, 1e8)
+        value = series.value_at(1e8)
     assert np.isinf(value).any()
 
 
@@ -526,7 +541,7 @@ def test_tail_bound_certifies_a_tiny_linear_part():
     # b t = 5e-21 rounds 1 - b t to 1; the bound must still cover the true tail
     coeffs = MatrixPolyCoefficients((np.array([[2.0]]), np.array([[1e-20]])))
     truth = math.exp(2.0 + 0.5e-20)
-    partial = evaluate(compute_coefficients(coeffs, 10), 1.0)[0, 0]
+    partial = compute_coefficients(coeffs, 10).value_at(1.0)[0, 0]
     bound = tail_bound(coeffs, 10, 1.0)
     assert truth - partial > 1e-5
     assert truth - partial <= bound <= 2 * (truth - partial)
@@ -584,10 +599,10 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
     def norm(mat):
         return up(float(np.abs(mat).sum(axis=0 if left else 1).max()), dim)
 
-    unshifted = [norm(m) for m in coeffs.matrices]
+    unshifted = [norm(m) for m in coeffs.stack]
 
     def local_bound(local, t0, h):
-        a = [norm(m) for m in local.matrices]
+        a = [norm(m) for m in local.stack]
         rho = [0.0] * (p + 1)
         for j in range(p if t0 else 0):
             c = sum(math.comb(k, j) * abs(t0) ** (k - j) * unshifted[k] for k in range(j, p + 1))
@@ -625,14 +640,14 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
         for k, t_next in enumerate(_step_ends(t_final, step), start=1):
             h = t_next - t_prev
             refusal = ValueError(f"the series overflows on the step from t = {t_prev}")
-            shifted = np.zeros_like(coeffs.matrices)
+            shifted = np.zeros_like(coeffs.stack)
             for j, acc in enumerate(shifted):
                 for i in range(j, p + 1):
                     try:
                         power = t_prev ** (i - j)
                     except OverflowError:
                         raise refusal from None
-                    acc += math.comb(i, j) * power * coeffs.matrices[i]
+                    acc += math.comb(i, j) * power * coeffs.stack[i]
             if not np.isfinite(shifted).all():
                 raise refusal
             local = MatrixPolyCoefficients(shifted, coeffs.orientation)
@@ -643,9 +658,9 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
                 acc = np.zeros((coeffs.dim, coeffs.dim))
                 for j in range(min(p, n - 1) + 1):
                     if left:
-                        acc += local.matrices[j] @ terms[n - 1 - j]
+                        acc += local.stack[j] @ terms[n - 1 - j]
                     else:
-                        acc += terms[n - 1 - j] @ local.matrices[j]
+                        acc += terms[n - 1 - j] @ local.stack[j]
                 acc /= n
                 terms.append(acc)
             if not np.isfinite(terms).all():

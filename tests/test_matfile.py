@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from evoseries.matfile import (
-    MatrixFileError,
-    format_coefficients,
-    load_coefficients,
-    parse_coefficient_text,
-)
+from conftest import format_coefficients
+from evoseries.matfile import MatrixFileError, load_coefficients, parse_coefficient_text
 
 SAMPLE = """\
 1 -1 2
