@@ -31,6 +31,7 @@ from .engine import (
     _BLOCK_DOUBLES,
     _horner,
     _local_bound,
+    _powers,
     _refuse_overflow,
     _shift,
     _step_ends,
@@ -266,6 +267,7 @@ def solve_bdp(
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     starts = times[:-1]
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, times[1:])]
+    powers = _powers(starts, len(family) - 1)
     stencil = _Stencil(len(family) - 1, n, order)
     # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
     per_block = max(1, _BLOCK_DOUBLES // (6 * n))
@@ -279,7 +281,7 @@ def solve_bdp(
             b = k % per_block
             if b == 0:
                 # The family recentered at the block's step starts, and its norms there.
-                shifted = _shift(family, starts[k : k + per_block])
+                shifted = _shift(family, powers[k : k + per_block])
                 norms = _diagonal_norm_bounds(shifted)
             masses.append(_up(float(np.abs(p).sum()), n))
             step_norms.append(norms[b])
@@ -293,7 +295,7 @@ def solve_bdp(
             dists.append(p)
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    local_bounds = _local_bound(np.array(step_norms), unshifted, starts, 3, order, hs)
+    local_bounds = _local_bound(np.array(step_norms), unshifted, powers, 3, order, hs)
     bounds = [0.0]
     for mass, local_bound in zip(masses, local_bounds):
         # A zero row stays exactly zero, even where the local bound is inf.

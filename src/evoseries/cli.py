@@ -81,16 +81,15 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def _emit_certified(
-    header: str, rows: list[list[float]], digits: int, out_path: str | None
-) -> None:
-    """A CSV table of floats, t first and the certified bound last, then _warn_if_lost.
+def _emit_certified(header: str, table: np.ndarray, digits: int, out_path: str | None) -> None:
+    """A CSV of a 2-D float array, t first and the certified bound last, then _warn_if_lost.
 
-    Each row is one format call, every cell printed as _fmt prints it.
+    The whole table is one % call; '%.12g' % x is the text _fmt(x, 12) gives.
     """
-    row = ",".join([f"{{:.{digits}g}}"] * (header.count(",") + 1))
-    _emit([header, *(row.format(*cells) for cells in rows)], out_path)
-    _warn_if_lost([cells[0] for cells in rows], [cells[-1] for cells in rows], digits)
+    row = ",".join([f"%.{digits}g"] * table.shape[1])
+    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
+    _emit([header, body], out_path)
+    _warn_if_lost(table[:, 0].tolist(), table[:, -1].tolist(), digits)
 
 
 def _warn_if_lost(times, bounds, digits: int) -> None:
@@ -139,12 +138,19 @@ def cmd_pisum(args) -> int:
     return 0
 
 
-def cmd_scalar(args) -> int:
-    # Trailing commas are allowed; an empty field before a value is refused.
-    fields = args.a.rstrip(",").split(",")
+def _float_list(option: str, text: str) -> list[float]:
+    """The floats of a comma-separated option value.
+
+    Trailing commas are allowed; an empty field before a value is refused.
+    """
+    fields = text.rstrip(",").split(",")
     if "" in fields[:-1]:
-        raise ValueError(f"--a: field {fields.index('') + 1} of {args.a!r} is empty")
-    a = [float(tok) for tok in fields if tok]
+        raise ValueError(f"{option}: field {fields.index('') + 1} of {text!r} is empty")
+    return [float(tok) for tok in fields if tok]
+
+
+def cmd_scalar(args) -> int:
+    a = _float_list("--a", args.a)
     series = float(_horner(scalar_coefficients(a, args.order), args.t))
     with warnings.catch_warnings(record=True) as overflowed:
         warnings.simplefilter("always")
@@ -164,8 +170,9 @@ def cmd_solve(args) -> int:
     path = solve_stepped(coeffs, args.t, step, args.order)
     if args.step is None:  # one step, or the lone t = 0 point: print its end only
         path = path[-1:]
-    rows = [[s.t, *s.value.ravel().tolist(), s.tail_bound] for s in path]
-    _emit_certified(header, rows, args.digits, args.out)
+    values = np.reshape([s.value for s in path], (len(path), -1))
+    table = np.column_stack(([s.t for s in path], values, [s.tail_bound for s in path]))
+    _emit_certified(header, table, args.digits, args.out)
     return 0
 
 
@@ -180,7 +187,7 @@ def cmd_compare_pb(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    times = tuple(float(tok) for tok in args.times.split(",") if tok != "")
+    times = tuple(_float_list("--times", args.times))
     if not times:
         raise ValueError(f"--times: no time given in {args.times!r}")
     report = counterexample_report(
@@ -243,7 +250,7 @@ def cmd_bdp(args) -> int:
     traj, _ = bdp_mod.solve_bdp(spec, args.T, args.steps, args.order)
     header = "t," + ",".join(f"p_{i}" for i in range(1, spec.states + 1)) + ",leakage,tail_bound"
     columns = (traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
-    _emit_certified(header, np.column_stack(columns).tolist(), args.digits, args.out)
+    _emit_certified(header, np.column_stack(columns), args.digits, args.out)
     return 0
 
 

@@ -8,7 +8,7 @@ index sets.  A local expansion's error, rounding included, is certified by
 the scalar majorant exp(integral of the coefficient norms), finite for every
 step; longer horizons re-expand at shifted origins and compose the per-step
 propagators, adding the rounding of each product to the bound.  The majorant
-runs stacked: one array pass bounds every step of a block.
+runs stacked: one array pass bounds every step of a solve.
 """
 
 from __future__ import annotations
@@ -359,22 +359,28 @@ def _norm_bounds(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
     return _up(_norms(mats, orientation), mats.shape[-1])
 
 
-def _shift_rounding(norms: list[float], starts: list[float]) -> np.ndarray:
+def _shift_rounding(norms: list[float], starts) -> np.ndarray:
     """Bounds rho[s, j] on ||A~_j - A_j(t0)||, the rounding of _shift to t0 = starts[s].
 
-    norms[k] >= ||A_k||.  A term comb(k, j) t0^(k-j) A_k of A~_j takes at
-    most p + 4 roundings (the power within an ulp, two products, p - j sums),
-    so entrywise |A~_j - A_j(t0)| <= gamma_(p+4) sum_k comb(k, j) |t0|^(k-j) |A_k|.
-    That sum is the _shift of the norms, as 1 x 1 matrices, to |t0|: the same
-    products summed in the same order of k, so each row has the bits of its
-    origin's sums alone.  At t0 = 0, and for A~_p, the shift adds zeros to
-    one exact term: rho = 0.
+    norms[k] >= ||A_k||.  starts may be the origins' _powers table, which a
+    solve makes once for all its steps; its one _local_bound call passes
+    them all here in one call.  A term comb(k, j) t0^(k-j) A_k of
+    A~_j takes at most p + 4 roundings (the power within an ulp, two
+    products, p - j sums), so entrywise |A~_j - A_j(t0)| <= gamma_(p+4)
+    sum_k comb(k, j) |t0|^(k-j) |A_k|.  That sum is the _shift of the norms,
+    as 1 x 1 matrices, by the table's absolute values, the powers of |t0|
+    (Python takes a negative float's integer power as that of its absolute
+    value, negated when odd): the same products summed in the same order of
+    k, so each row has the bits of its origin's sums alone.  At t0 = 0, and
+    for A~_p, the shift adds zeros to one exact term: rho = 0.
     """
     p = len(norms) - 1
-    sums = _shift(np.array(norms)[:, None, None], [abs(t0) for t0 in starts])[:, :, 0, 0].T
+    weights = np.abs(_powers(starts, p))
+    sums = _shift(np.array(norms)[:, None, None], weights)[:, :, 0, 0].T
     rho = _up(_gamma(p + 4) * sums, p + 5)
     rho[:, p] = 0.0
-    rho[np.array(starts) == 0.0] = 0.0
+    if p:
+        rho[weights[:, 1] == 0.0] = 0.0  # column 1 is |t0| itself
     return rho
 
 
@@ -387,15 +393,15 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _local_bound(
-    norms: np.ndarray, unshifted: list[float], starts: list[float], dim: int, order: int,
-    hs: list[float],
+    norms: np.ndarray, unshifted: list[float], starts, dim: int, order: int, hs: list[float],
 ) -> list[float]:
     """Bounds on ||S - R(h)||, one per row: the computed local series S against the exact R.
 
     Row s of the (S, p+1) array norms bounds the step [t0, t0 + h] with
-    t0 = starts[s] and h = hs[s].  S is the order-N series of A~_0..A~_p,
-    the float _shift to t0 of a family whose coefficient norms are at most
-    unshifted, summed by Horner at h, and norms[s, j] >= ||A~_j||; R solves
+    t0 = starts[s] and h = hs[s]; starts may be the origins' _powers table.
+    S is the order-N series of A~_0..A~_p, the float _shift to t0 of a
+    family whose coefficient norms are at most unshifted, summed by Horner
+    at h, and norms[s, j] >= ||A~_j||; R solves
     the family shifted exactly.  dim is the most products in one entry of a
     term times one coefficient: d for dense d x d matrices, 3 for
     tridiagonal ones of any size.  A sum of k products errs by at most
@@ -424,7 +430,8 @@ def _local_bound(
     math.exp: numpy's vectorised exp is not promised within the one ulp
     that the rounding model assumes.  At order 30 a call costs about
     0.15 ms however few rows it has, several times one row in plain Python,
-    so a caller passes all the steps it has at once.
+    so a solve passes all its steps in one call: solve_stepped and solve_bdp
+    each make one call after their last step.
     """
     p = norms.shape[1] - 1
     slack = 1.0 + _gamma(dim * (p + 1) + 2)
@@ -524,21 +531,17 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     return MatrixPolyCoefficients(shifted, coeffs.orientation)
 
 
-def _shift(mats: np.ndarray, origins: list[float]) -> np.ndarray:
-    """The binomial shift of the stack A_0..A_p to the S origins t_s, as (p+1, S, d, d).
+def _powers(origins, p: int) -> np.ndarray:
+    """The (S, p+1) table of the powers t_s ** e, e = 0..p, of the S origins t_s.
 
-    Entry [j, s] is the degree-j coefficient of u -> A(t_s + u): the sum
-    over k >= j, in increasing k, of the double comb(k, j) t_s^(k-j) times
-    A_k.  The powers t_s ** e are Python floats, not numpy powers or ints,
-    so each origin gets the bits of its own shift; an origin whose power
-    overflows gets a row of inf, so its shift is not finite, and no numpy
-    warning.
-    The sums run entrywise, so each A_k may be any 2-D array: the (3, n)
-    diagonals of a tridiagonal matrix shift to the same bits as its dense
-    (n, n) form at every entry they share.
+    The powers are Python floats, not numpy powers or ints, so each origin
+    gets the bits of its own powers; an origin whose power overflows gets a
+    row of inf and no numpy warning.  A table (a 2-D array) is returned as
+    it is: a solve makes one for all its steps, and _shift and
+    _shift_rounding read its rows.
     """
-    p = len(mats) - 1
-    shifted = np.zeros((p + 1, len(origins), *mats.shape[1:]))
+    if isinstance(origins, np.ndarray) and origins.ndim == 2:
+        return origins
     powers = []
     for t0 in origins:
         try:
@@ -546,7 +549,25 @@ def _shift(mats: np.ndarray, origins: list[float]) -> np.ndarray:
             powers.append([t0**e for e in range(p + 1)])
         except OverflowError:
             powers.append([math.inf] * (p + 1))
-    weights = np.array(powers)
+    return np.array(powers)
+
+
+def _shift(mats: np.ndarray, origins) -> np.ndarray:
+    """The binomial shift of the stack A_0..A_p to the S origins t_s, as (p+1, S, d, d).
+
+    Entry [j, s] is the degree-j coefficient of u -> A(t_s + u): the sum
+    over k >= j, in increasing k, of the double comb(k, j) t_s^(k-j) times
+    A_k, the power read from _powers(origins, p).  A solve passes its
+    one table of powers, sliced to the origins at hand.  An origin whose
+    power overflows has a row of inf powers, so its shift is not finite,
+    with no numpy warning.
+    The sums run entrywise, so each A_k may be any 2-D array: the (3, n)
+    diagonals of a tridiagonal matrix shift to the same bits as its dense
+    (n, n) form at every entry they share.
+    """
+    p = len(mats) - 1
+    weights = _powers(origins, p)
+    shifted = np.zeros((p + 1, len(weights), *mats.shape[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, acc in enumerate(shifted):
             for k in range(j, p + 1):
@@ -606,32 +627,39 @@ def solve_stepped(
     rounding, so it certifies the composed float value.  The first step's
     bound is tail_bound over that step, bit for bit.
 
-    The local expansions of each block of consecutive steps, and their
-    bounds, run as one stack (_local_propagators), bit for bit what
-    recenter, compute_coefficients, value_at and tail_bound's majorant give
-    step by step.  Overflow shows as inf in the values and bounds (never a
-    NaN bound), or, at the first step whose shifted family or series is not
-    finite, as the ValueError "the series overflows on the step from t = t0",
-    never as a numpy warning.
+    The local expansions of each block of consecutive steps run as one stack
+    (_local_propagators), bit for bit what recenter, compute_coefficients and
+    value_at give step by step; the block keeps its values, their products
+    and each step's norms.  After the last block one _local_bound call
+    bounds every step of the solve and the recurrence runs once.  The powers
+    of the step starts (_powers) and the norms of the unshifted family are
+    computed once per solve.  Overflow shows as inf in the values and bounds
+    (never a NaN bound), or, at the first step whose shifted family or
+    series is not finite, as the ValueError "the series overflows on the
+    step from t = t0", never as a numpy warning.
 
     The grid is _step_ends(t_final, step): no float sliver at its end, and
     at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
     """
     ends = _step_ends(t_final, step)
     dim = coeffs.dim
-    out = [SolveStep(0.0, _frozen(np.eye(dim)), 0.0)]
-    if ends and order < 1:
+    origin = SolveStep(0.0, _frozen(np.eye(dim)), 0.0)
+    if not ends:
+        return [origin]
+    if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     starts = [0.0, *ends[:-1]]
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
+    powers = _powers(starts, coeffs.degree)
     per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
     left = coeffs.orientation is Orientation.LEFT
-    g_dim = _gamma(dim)
-    current, err, norm_prev = None, 0.0, 0.0
+    blocks, family_norms, norms_loc, norms = [], [], [], []
+    current = None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(ends), per_block):
-            values, bounds = _local_propagators(
-                coeffs, starts[i : i + per_block], hs[i : i + per_block], order
+            block = slice(i, i + per_block)
+            values, step_norms = _local_propagators(
+                coeffs, starts[block], powers[block], hs[block], order
             )
             composed = np.empty_like(values)
             for r_loc, value in zip(values, composed):
@@ -644,40 +672,58 @@ def solve_stepped(
                     np.matmul(current, r_loc, out=value)
                 current = value
             composed.setflags(write=False)
-            norms_loc = _norm_bounds(values, coeffs.orientation).tolist()
-            norms = _norm_bounds(composed, coeffs.orientation).tolist()
-            for s, bound_loc in enumerate(bounds):
-                if i + s == 0:
-                    err = bound_loc
-                else:
-                    err = bound_loc * (norm_prev + err) + norms_loc[s] * (err + g_dim * norm_prev)
-                    # Six roundings; a NaN norm or inf * 0 means an overflow.
-                    err = math.inf if math.isnan(err) else _up(err, 6)
-                norm_prev = norms[s]
-                out.append(SolveStep(ends[i + s], composed[s], err))
-    return out
+            blocks.append(composed)
+            family_norms.append(step_norms)
+            norms_loc += _norm_bounds(values, coeffs.orientation).tolist()
+            norms += _norm_bounds(composed, coeffs.orientation).tolist()
+    unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
+    bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
+    g_dim, six = _gamma(dim), _up(1.0, 6)  # _up(x, 6) is x * six
+    err = bounds[0]
+    errs = [err]
+    for bound_loc, norm_loc, norm_prev in zip(bounds[1:], norms_loc[1:], norms):
+        err = bound_loc * (norm_prev + err) + norm_loc * (err + g_dim * norm_prev)
+        # Six roundings; a NaN norm or inf * 0 means an overflow.
+        err = math.inf if math.isnan(err) else err * six
+        errs.append(err)
+    products = (value for composed in blocks for value in composed)
+    return [origin, *map(SolveStep, ends, products, errs)]
 
 
 def _local_propagators(
-    coeffs: MatrixPolyCoefficients, starts: list[float], hs: list[float], order: int
-) -> tuple[np.ndarray, list[float]]:
-    """Local propagators and their bounds on the steps [t0, t0 + h], stacked over steps.
+    coeffs: MatrixPolyCoefficients, starts: list[float], powers: np.ndarray, hs: list[float],
+    order: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local propagators on the steps [t0, t0 + h], stacked over steps, and their family norms.
 
-    Returns the (S, d, d) values of the order-N local series at h and the S
-    bounds of one _local_bound call, each with its own shift's rounding.
-    The first step whose shifted family (an overflowed power of t0 included)
-    or series is not finite is refused by _refuse_overflow.
+    powers is the steps' rows of the solve's _powers table.  Returns the
+    C-contiguous (S, d, d) values of the order-N local series at h and the
+    (S, p+1) norm bounds of each step's shifted family, the rows of the
+    solve's one _local_bound call.  The first step whose shifted family (an
+    overflowed power of t0 included) or series is not finite is refused by
+    _refuse_overflow.
+
+    An autonomous family, every A_j with j >= 1 zero (degree 0 included),
+    shifts to the same bits at every origin whose shift is finite: t0 >= 0,
+    so each A_j (j >= 1) adds zeros of its own entries' signs, which leave
+    the sums unchanged.  Its block is expanded once, from the first step's
+    shift, and that series serves every step; a step whose shift is not
+    finite is refused as before.
     """
     dim = coeffs.dim
-    shifted = _shift(coeffs.stack, starts)
-    start = np.broadcast_to(np.eye(dim), (len(starts), dim, dim))
-    terms = _expand(shifted, coeffs.orientation, start, order)
+    shifted = _shift(coeffs.stack, powers)
+    if coeffs.stack[1:].any():
+        start = np.broadcast_to(np.eye(dim), (len(starts), dim, dim))
+        terms = _expand(shifted, coeffs.orientation, start, order)
+    else:
+        terms = _expand(shifted[:, :1], coeffs.orientation, np.eye(dim)[None], order)
+        # A copy, not a broadcast view: Horner's values, and so the order
+        # in which their norms are summed, keep the stacked path's layout.
+        terms = np.repeat(terms, len(starts), axis=1)
     finite = np.isfinite(shifted).all(axis=(0, 2, 3)) & np.isfinite(terms).all(axis=(0, 2, 3))
     _refuse_overflow(finite.tolist(), starts)
     values = _horner(terms, np.array(hs)[:, None, None])
-    unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
-    norms = _norm_bounds(shifted, coeffs.orientation).T
-    return values, _local_bound(norms, unshifted, starts, dim, order, hs)
+    return values, _norm_bounds(shifted, coeffs.orientation).T
 
 
 def counterexample_coefficients() -> MatrixPolyCoefficients:

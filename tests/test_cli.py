@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from evoseries import cli
-from evoseries.cli import build_parser, main
+from evoseries.bdp import BirthDeathSpec, solve_bdp
+from evoseries.cli import _load_poly, build_parser, main
+from evoseries.engine import solve_stepped
 from evoseries.shift_algebra import POWER_GUARD
 
 EXAMPLE_MAT = """\
@@ -481,6 +483,60 @@ def test_counterexample_empty_times_single_error_line(capsys, times):
     code, out, err = run_cli(capsys, "counterexample", "--times", times)
     assert code == 1 and out == ""
     assert err == f"error: --times: no time given in {times!r}\n"
+
+
+@pytest.mark.parametrize(("times", "field"), [("1,,2", 2), (",1", 1), ("0.5,1,,", None), ("1,2,,3,", 3)])
+def test_counterexample_refuses_an_empty_time_field(capsys, times, field):
+    code, out, err = run_cli(capsys, "counterexample", "--times", times, "--order", "10")
+    if field is None:
+        # Trailing commas still end the list: the output is that of --times 0.5,1.
+        assert (code, out, err) == run_cli(capsys, "counterexample", "--times", "0.5,1", "--order", "10")
+        assert code == 0
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: --times: field {field} of {times!r} is empty\n"
+
+
+def per_row_csv(header: str, table: np.ndarray, digits: int) -> str:
+    """The certified CSV formatted one cell at a time, as _fmt formats a float."""
+    rows = [",".join(f"{float(x):.{digits}g}" for x in row) for row in table.tolist()]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("digits", [1, 12, 17])
+@pytest.mark.parametrize("header", ["t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound", "t,p_1,p_2,p_3,leakage,tail_bound"])
+def test_certified_table_is_one_format_call_with_the_per_cell_text(capsys, header, digits):
+    rng = np.random.default_rng(digits)
+    table = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-320, 300, (7, 6))
+    table[1, 1:3] = -0.0, 0.0
+    table[2, 2], table[3, 3] = math.inf, -math.inf
+    table[4, 1] = math.nan
+    table[5:, -1] = math.inf  # the certificate is lost from the sixth time on
+    table[:, 0] = [0.0, 0.125, 0.25, 1 / 3, 0.5, 1e-7, 123456789.0]
+    cli._emit_certified(header, table, digits, None)
+    out, err = capsys.readouterr()
+    assert out == per_row_csv(header, table, digits)
+    assert err == f"warning: certificate lost from t = {1e-7:.{digits}g}\n"
+
+
+@pytest.mark.parametrize("digits", ["1", "17"])
+def test_solve_and_bdp_csv_bytes_equal_per_cell_formatting(capsys, tmp_path, digits):
+    coeff_file = tmp_path / "a.mat"
+    coeff_file.write_text("300 1\n0 -0.5\n\n0 0\n-1 0\n")  # the certificate is lost at t = 3
+    code, out, err = run_cli(
+        capsys, "solve", "--coeffs", str(coeff_file), "--t", "4", "--step", "1", "--order", "30",
+        "--digits", digits,
+    )
+    path = solve_stepped(_load_poly(str(coeff_file), "left"), 4.0, 1.0, 30)
+    table = np.array([[s.t, *s.value.ravel(), s.tail_bound] for s in path])
+    assert code == 0 and out == per_row_csv("t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound", table, int(digits))
+    assert np.isinf(table[-1]).any() and err.startswith("warning: certificate lost")
+    code, out, _ = run_cli(capsys, "bdp", "--states", "4", "--steps", "3", "--digits", digits)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=4)
+    traj, _ = solve_bdp(spec, 1.0, 3, 30)
+    columns = (traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
+    header = "t,p_1,p_2,p_3,p_4,leakage,tail_bound"
+    assert code == 0 and out == per_row_csv(header, np.column_stack(columns), int(digits))
 
 
 def test_output_is_deterministic(capsys):

@@ -728,6 +728,7 @@ def test_solve_stepped_equals_per_step_loop(
 
 
 M = np.array([[1.0, 2.0], [3.0, 4.0]])
+A_AUTONOMOUS = np.random.default_rng(4).standard_normal((8, 8))
 
 
 @pytest.mark.parametrize(
@@ -738,6 +739,11 @@ M = np.array([[1.0, 2.0], [3.0, 4.0]])
         (np.random.default_rng(2).standard_normal((3, 2, 2)), 2.0, 0.001, 20),
         # d = 40: one step a block
         (np.random.default_rng(3).standard_normal((2, 40, 40)) / 40, 0.3, 0.05, 40),
+        # autonomous families, one expansion a block: 101 steps in 4 blocks of
+        # 33, the last step partial; degree 0, and degree 2 whose A_1 holds
+        # zeros of both signs and whose A_2 is zero
+        (A_AUTONOMOUS[None], 1.005, 0.01, 30),
+        (np.stack([A_AUTONOMOUS, -0.0 * A_AUTONOMOUS, np.zeros((8, 8))]), 1.005, 0.01, 30),
         # refusals: the series at the first step, the shift at the second
         ((1e200 * M,), 1.0, 2.0, 5),
         ((M, 1e150 * M), 10.0, 1.0, 5),
@@ -804,7 +810,7 @@ def test_stacked_local_bound_rows_equal_one_row_calls(kinds, seed, dim, degree, 
             assert 0.0 < bound < math.inf
 
 
-def test_solve_stepped_makes_one_bound_call_per_block(monkeypatch):
+def test_solve_stepped_makes_one_bound_call(monkeypatch):
     rows = []
 
     def counting(norms, *args):
@@ -815,6 +821,29 @@ def test_solve_stepped_makes_one_bound_call_per_block(monkeypatch):
     monkeypatch.setattr(engine, "_local_bound", counting)
     mats = np.random.default_rng(1).standard_normal((2, 8, 8))
     path = solve_stepped(MatrixPolyCoefficients(mats), 1.92, 0.01, 30)
-    # 8x8 at order 30 takes 33 steps a block: 192 steps are 6 blocks.
+    # 8x8 at order 30 takes 33 steps a block: 192 steps are 6 blocks, bounded
+    # by one call with one row of norms a step.
     assert len(path) == 193
-    assert rows == [33] * 5 + [27]
+    assert rows == [192]
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_solve_stepped_expands_an_autonomous_block_once(monkeypatch, orientation, autonomous):
+    starts = []
+
+    def counting(mats, orientation, start, order):
+        starts.append(len(start))
+        return expand(mats, orientation, start, order)
+
+    expand = engine._expand
+    monkeypatch.setattr(engine, "_expand", counting)
+    mats = np.zeros((3, 8, 8))
+    mats[0] = np.random.default_rng(5).standard_normal((8, 8))
+    mats[2] = 0.0 if autonomous else 1e-3
+    path = solve_stepped(MatrixPolyCoefficients(mats, orientation), 1.005, 0.01, 30)
+    # 101 steps, the last one partial, in blocks of 33.
+    assert len(path) == 102
+    assert starts == ([1] * 4 if autonomous else [33, 33, 33, 2])
+    # One series serves the block, and its values keep the stacked layout.
+    assert all(s.value.flags.c_contiguous for s in path)
