@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ import numpy as np
 from .combinatorics import (
     EXPLICIT_TERM_BUDGET,
     TermBudgetError,
+    _bounded_count,
     max_total_index,
-    term_count,
 )
 from .scalar import scalar_coefficients
 
@@ -245,85 +246,125 @@ def compute_coefficients_explicit(
     RIGHT orientation.  Shares no code path with the recursion, which is the
     point: the two must agree to float accuracy.
 
-    The words of one q grow a letter at a time in evaluation order (m for
-    LEFT, m reversed for RIGHT; see _word_levels): each distinct prefix
-    product is formed once, by one batched matmul of its parent prefix and
-    its last letter, associating left to right as a word-by-word loop does.
-    Each word's weight is 1 / den for its exact integer denominator, the
-    correctly rounded float(pi(m)).  The weighted products are added one by
-    one onto the running total, q ascending and m lexicographic within q,
-    by np.add.accumulate, which sums sequentially (np.sum may sum pairwise
-    and change the last bits).  No partial sum is shared between words, and
-    only the current q's prefix products are held.
+    The words of a run of consecutive q grow together, a letter at a time in
+    evaluation order (m for LEFT, m reversed for RIGHT; see _word_levels):
+    each distinct prefix product is formed once, by one batched matmul of
+    its parent prefix and its last letter, associating left to right as a
+    word-by-word loop does.  A word is complete at the level of its length
+    n - q; its product goes straight into the run's row for it.  Each word's
+    weight is 1 / den for its exact integer denominator, the correctly
+    rounded float(pi(m)).  The weighted products are added one by one onto
+    the running total, q ascending and m lexicographic within q, by one
+    np.add.accumulate a run, which sums sequentially (np.sum may sum
+    pairwise and change the last bits).  No partial sum is shared between
+    words.  A degree-0 family has the one word A_0^n, weighted the same way:
+    (1 / n!) * A_0^n.  Past n = 170 the weight 1 / n! is subnormal or 0,
+    which would give a wrong 0, or NaN where A_0^n overflows, so such an
+    order is refused.
 
-    Peak memory is set by the largest q: its word count times d^2 doubles,
-    in several such arrays at once.  A RIGHT call with p = 1 and d = 4 raised
-    peak RSS by 75 MB at n = 27 and by 190 MB at n = 29 (832 040 words).
-    Refuses to run when the number of products exceeds EXPLICIT_TERM_BUDGET,
-    which bounds that count only, not the memory.
+    A run grows while its words times d^2 fit in _BLOCK_DOUBLES; a q with
+    more words than that is a run of its own.  So no run holds more than the
+    larger of that budget and one q's prefix tree: peak memory is set by the
+    largest q, its word count times d^2 doubles in about three arrays at
+    once.  A call with p = 1 and d = 4 raised peak RSS by 63-66 MB at n = 27
+    and by 161-172 MB at n = 29 (832 040 words), either orientation.  Refuses
+    to run when the number of products exceeds EXPLICIT_TERM_BUDGET, which
+    bounds that count only, not the memory.
     """
     if n < 1:
         raise ValueError(f"coefficient order must be >= 1, got {n}")
     mats = coeffs.stack
     p = coeffs.degree
     if p == 0:
-        return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
-    count = term_count(n, p)
-    if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET)
+        weight = 1 / math.factorial(n)
+        if weight < sys.float_info.min:
+            raise ValueError(
+                f"explicit coefficient of order {n} of a degree-0 family needs the weight "
+                f"1/{n}!, below the normal float range; the highest such order is 170"
+            )
+        return weight * np.linalg.matrix_power(mats[0], n)
+    counts = [_bounded_count(n - q, q, p) for q in range(max_total_index(n, p) + 1)]
+    if sum(counts) > EXPLICIT_TERM_BUDGET:
+        raise TermBudgetError(sum(counts), EXPLICIT_TERM_BUDGET)
     left = coeffs.orientation is Orientation.LEFT
     total = np.zeros((coeffs.dim, coeffs.dim))
-    for q in range(max_total_index(n, p) + 1):
-        products = None
-        for parent, letter, den in _word_levels(n, q, p, left):
-            products = mats[letter] if products is None else products[parent] @ mats[letter]
-        # Row 0 is the running total, so row i of the accumulation is that
-        # total plus the first i weighted products, added in order.
-        terms = np.empty((len(products) + 1, *total.shape))
+    most = _BLOCK_DOUBLES // total.size
+    lo = 0
+    while lo < len(counts):
+        hi = lo + 1
+        while hi < len(counts) and sum(counts[lo : hi + 1]) <= most:
+            hi += 1
+        # Row 0 is the running total, then the words of q = lo, lo + 1, ...:
+        # row i of the accumulation is that total plus the first i weighted
+        # products, added in order.
+        ends = np.cumsum([1, *counts[lo:hi]]).tolist()
+        terms = np.empty((ends[-1], *total.shape))
         terms[0] = total
-        np.multiply((1 / den).astype(float)[:, None, None], products, out=terms[1:])
-        # a copy, so that the stack of this q is freed
+        products = None
+        levels = _word_levels(n, lo, hi - 1, p, left)
+        for k, (more, (parent, letter, den)) in enumerate(levels, start=1):
+            if len(den):
+                q = n - k
+                rows = terms[ends[q - lo] : ends[q - lo + 1]]
+                _extend(mats, products, parent, letter, out=rows)
+                rows *= (1 / den).astype(float)[:, None, None]
+            products = _extend(mats, products, *more)
+        # a copy, so that the stack of this run is freed
         total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+        lo = hi
     return total
 
 
-def _word_levels(n: int, q: int, p: int, left: bool):
-    """The evaluation-order words of the restricted (n, q, p) set, one level at a time.
+def _extend(mats, products, parent, letter, out=None):
+    """Each prefix's product times its last letter; the letters alone at the first level."""
+    if products is None:
+        return np.take(mats, letter, axis=0, out=out)
+    return np.matmul(products[parent], mats[letter], out=out)
 
-    Yields, for k = 1..n-q, the k-letter prefixes of those words as flat
-    arrays: each prefix's parent (its index among the (k-1)-letter prefixes),
-    its last letter, and the exact integer product of its weight factors
-    (an object array of Python ints).  The last level's denominators are
-    those of pi_coefficient.  A word's factors, for m of length L:
 
-    - LEFT (the word is m): letter j contributes the suffix sum of m from j
-      plus L - j + 1, that is (q - prefix sum before j) + (L - j + 1);
-    - RIGHT (the word is m reversed): the k-th letter contributes the sum
-      of the first k letters plus k.
+def _word_levels(n: int, lo: int, hi: int, p: int, left: bool):
+    """The evaluation-order words of the restricted (n, q, p) sets, lo <= q <= hi, as one tree.
 
-    The last level comes in m's lexicographic order.  LEFT orders each level
+    Yields, for k = 1..n-lo, the k-letter prefixes of those words in two
+    groups of flat arrays: the open ones, (parent, letter), and the complete
+    words of length k, whose q is n - k, as (parent, letter, den).  A parent
+    is an index among the open (k-1)-letter prefixes; den is the exact
+    integer product of the word's weight factors (an object array of Python
+    ints), the denominator of pi_coefficient.
+
+    A prefix's composition sum s is the sum of (letter + 1) over its letters,
+    so a word is complete at s = n, and a letter's weight factor depends on
+    its prefix alone: n - s before the letter for LEFT (the word is m; this
+    is the suffix sum of m from that letter plus the letters left), s after
+    it for RIGHT (the word is m reversed).  A prefix is kept only while some
+    completion of total length n - hi .. n - lo exists: each further letter
+    adds 1 to p + 1 to s.  Complete words are not extended.
+
+    Each q's words come in m's lexicographic order.  LEFT orders each level
     by (parent, letter), which is lexicographic in the word; RIGHT by
     (letter, parent), which compares words from their last letter back, and
     so m from its first letter on.
     """
-    length = n - q
-    sums = np.zeros(1, dtype=np.int64)
+    shortest, longest = n - hi, n - lo
+    rests = np.full(1, n)  # n - s of each open prefix
     den = np.ones(1, dtype=object)
-    for k in range(1, length + 1):
-        grid = np.arange(len(sums) * (p + 1))
+    for k in range(1, longest + 1):
+        grid = np.arange(len(rests) * (p + 1))
         if left:
             parent, letter = np.divmod(grid, p + 1)
         else:
-            letter, parent = np.divmod(grid, len(sums))
-        before = sums[parent]
-        after = before + letter
-        # the other length - k letters must still make up q - after
-        keep = (after <= q) & (q - after <= p * (length - k))
-        parent, letter, before, after = parent[keep], letter[keep], before[keep], after[keep]
-        factor = q - before + (length - k + 1) if left else after + k
-        den = den[parent] * factor
-        sums = after
-        yield parent, letter, den
+            letter, parent = np.divmod(grid, len(rests))
+        before = rests[parent]
+        rest = before - letter - 1
+        # the rest of s must be made up by 0 .. longest - k more letters,
+        # and by at least shortest - k of them
+        keep = (rest >= max(0, shortest - k)) & (rest <= (p + 1) * (longest - k))
+        parent, letter, before, rest = parent[keep], letter[keep], before[keep], rest[keep]
+        den = den[parent] * (before if left else n - rest)
+        done = rest == 0
+        more = ~done
+        yield (parent[more], letter[more]), (parent[done], letter[done], den[done])
+        rests, den = rest[more], den[more]
 
 
 def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
@@ -640,14 +681,15 @@ def solve_stepped(
 
     The grid is _step_ends(t_final, step): no float sliver at its end, and
     at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
+    An order below 1 is refused first, for the lone t = 0 point too.
     """
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
     ends = _step_ends(t_final, step)
     dim = coeffs.dim
     origin = SolveStep(0.0, _frozen(np.eye(dim)), 0.0)
     if not ends:
         return [origin]
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
     starts = [0.0, *ends[:-1]]
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
     powers = _powers(starts, coeffs.degree)

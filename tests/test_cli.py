@@ -178,6 +178,16 @@ def test_solve_overflowing_series_is_one_error_line(tmp_path):
     assert proc.stderr == "error: the series overflows on the step from t = 0.0\n"
 
 
+@pytest.mark.parametrize("t, order", [("0", "-5"), ("0", "0"), ("1", "0")])
+def test_solve_refuses_an_order_below_one_at_every_time(tmp_path, t, order):
+    # The lone t = 0 point is refused too, not printed as a table.
+    path = tmp_path / "example.mat"
+    path.write_text(EXAMPLE_MAT)
+    proc = run_subprocess("solve", "--coeffs", str(path), "--t", t, "--order", order)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: series order must be >= 1, got {order}\n"
+
+
 def test_solve_overflowing_shift_is_one_error_line(tmp_path):
     # Recentered at the second step's start 1e119, the cubic term needs
     # t0^3 = 1e357, past the float range: the step is refused, not an OverflowError.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -211,7 +212,7 @@ def explicit_per_word(coeffs, n):
     mats = list(coeffs.stack)
     p = coeffs.degree
     if p == 0:
-        return np.linalg.matrix_power(mats[0], n) / math.factorial(n)
+        return (1 / math.factorial(n)) * np.linalg.matrix_power(mats[0], n)
     left = coeffs.orientation is Orientation.LEFT
     total = np.zeros((coeffs.dim, coeffs.dim))
     for q in range(max_total_index(n, p) + 1):
@@ -232,6 +233,11 @@ def _family(rng, dim, degree, integer, orientation):
     return MatrixPolyCoefficients(mats, orientation)
 
 
+# Budgets of engine._BLOCK_DOUBLES: one q a run, runs of several q beside
+# q too large for one, and the default, where every oracle stratum is one run.
+RUN_BUDGETS = (1, 2**12, engine._BLOCK_DOUBLES)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(1, 6),
@@ -248,40 +254,90 @@ def test_explicit_equals_per_word_loop_bit_for_bit(seed, dim, degree, n, left, i
     rng = np.random.default_rng(seed)
     for d in (dim, 1):
         coeffs = _family(rng, d, degree, integer, orientation)
-        got = compute_coefficients_explicit(coeffs, n)
-        assert got.tobytes() == explicit_per_word(coeffs, n).tobytes()
+        want = explicit_per_word(coeffs, n).tobytes()
+        for budget in RUN_BUDGETS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_BLOCK_DOUBLES", budget)
+                assert compute_coefficients_explicit(coeffs, n).tobytes() == want
 
 
+@pytest.mark.parametrize("budget", RUN_BUDGETS)
 @pytest.mark.parametrize("orientation", list(Orientation))
-def test_explicit_equals_per_word_loop_on_largest_oracle_stratum(orientation):
+def test_explicit_equals_per_word_loop_on_largest_oracle_stratum(
+    monkeypatch, orientation, budget
+):
     # (p, d, n) = (1, 4, 17): 2584 words, the largest explicit oracle check.
     coeffs = _family(np.random.default_rng(17), 4, 1, False, orientation)
+    monkeypatch.setattr(engine, "_BLOCK_DOUBLES", budget)
     got = compute_coefficients_explicit(coeffs, 17)
     assert got.tobytes() == explicit_per_word(coeffs, 17).tobytes()
 
 
-def _level_words(n, q, p, left):
-    # Each last-level prefix's letters, read back through the parent arrays.
-    levels = list(engine._word_levels(n, q, p, left))
-    index = np.arange(len(levels[-1][0]))
-    letters = []
-    for parent, letter, _ in reversed(levels):
-        letters.append(letter[index])
-        index = parent[index]
-    words = np.column_stack(letters[::-1]).tolist()
-    return [tuple(w) for w in words], levels[-1][2]
+def _run_words(n, lo, hi, p, left):
+    # Each q's complete words, letters read back through the open parents,
+    # with their denominators: {q: (words, dens)}.
+    levels = list(engine._word_levels(n, lo, hi, p, left))
+    found = {}
+    for k, (_, (parent, letter, den)) in enumerate(levels, start=1):
+        if not len(letter):
+            continue
+        letters, index = [letter], parent
+        for (open_parent, open_letter), _ in reversed(levels[: k - 1]):
+            letters.append(open_letter[index])
+            index = open_parent[index]
+        words = np.column_stack(letters[::-1]).tolist()
+        found[n - k] = ([tuple(w) for w in words], list(den))
+    return found
 
 
 @pytest.mark.parametrize("left", [True, False])
 def test_word_levels_reach_the_index_set_in_order_with_its_weights(left):
     for n in range(1, 15):
         for p in range(1, 4):
-            for q in range(max_total_index(n, p) + 1):
-                words, dens = _level_words(n, q, p, left)
-                ms = [w if left else w[::-1] for w in words]
-                assert ms == list(enumerate_restricted_index_set(n, q, p))
-                for m, den in zip(ms, dens):
-                    assert Fraction(1, den) == pi_coefficient(m)
+            top = max_total_index(n, p)
+            sets = {q: list(enumerate_restricted_index_set(n, q, p)) for q in range(top + 1)}
+            for lo in range(top + 1):
+                for hi in range(lo, top + 1):
+                    found = _run_words(n, lo, hi, p, left)
+                    assert sorted(found) == list(range(lo, hi + 1))
+                    for q, (words, dens) in found.items():
+                        ms = [w if left else w[::-1] for w in words]
+                        assert ms == sets[q]
+                        for m, den in zip(ms, dens):
+                            assert Fraction(1, den) == pi_coefficient(m)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_explicit_peak_memory_near_the_oracle_sizes(orientation):
+    # (p, d, n) = (1, 4, 22): 28 657 words, about 1.8 MB a word-by-d^2 array.
+    coeffs = _family(np.random.default_rng(22), 4, 1, False, orientation)
+    compute_coefficients_explicit(coeffs, 3)
+    tracemalloc.start()
+    try:
+        compute_coefficients_explicit(coeffs, 22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_explicit_degree_zero_up_to_the_float_range_of_one_over_n_factorial(orientation):
+    # 1 / 170! is the last normal float weight; [[10.0]] keeps 10^n / n! far
+    # from both ends of the float range, where a 0 weight would show.
+    families = [
+        _family(np.random.default_rng(170), 3, 0, False, orientation),
+        MatrixPolyCoefficients(np.array([[[10.0]]]), orientation),
+    ]
+    for coeffs in families:
+        want = compute_coefficients(coeffs, 170).terms[170]
+        got = compute_coefficients_explicit(coeffs, 170)
+        assert got.tobytes() == explicit_per_word(coeffs, 170).tobytes()
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        for n in (171, 200, 400):
+            # past it the weight is subnormal or 0: refused, not a wrong 0 or NaN
+            with pytest.raises(ValueError, match=f"order {n} of a degree-0 family"):
+                compute_coefficients_explicit(coeffs, n)
 
 
 def test_explicit_never_calls_the_recursion(monkeypatch):
@@ -634,6 +690,8 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
             return math.inf
         return math.nextafter(total - partial, math.inf)
 
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
     out = [(0.0, np.eye(coeffs.dim), 0.0)]
     t_prev = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -651,8 +709,6 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
             if not np.isfinite(shifted).all():
                 raise refusal
             local = MatrixPolyCoefficients(shifted, coeffs.orientation)
-            if order < 1:
-                raise ValueError(f"series order must be >= 1, got {order}")
             terms = [np.eye(coeffs.dim)]
             for n in range(1, order + 1):
                 acc = np.zeros((coeffs.dim, coeffs.dim))
