@@ -42,10 +42,10 @@ def main() -> None:
     print(f"iterated-integral route, worst degree gap through n=10: {worst:.2e}")
 
     # step out to t=1 where a single expansion would need a much higher order
-    steps = solve_stepped(coeffs, 1.0, 0.125, ORDER)
-    print(f"\nstepped to t=1 in {len(steps) - 1} steps;"
-          f" accumulated error bound {steps[-1].tail_bound:.3e}")
-    print(steps[-1].value)
+    traj = solve_stepped(coeffs, 1.0, 0.125, ORDER)
+    print(f"\nstepped to t=1 in {len(traj.times) - 1} steps;"
+          f" accumulated error bound {traj.tail_bounds[-1]:.3e}")
+    print(traj.values[-1])
 
 
 if __name__ == "__main__":

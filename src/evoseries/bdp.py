@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "Boundary",
     "BirthDeathSpec",
     "DistributionTrajectory",
-    "StochasticityRow",
     "StochasticityReport",
     "generator_family",
     "solve_bdp",
@@ -89,6 +89,7 @@ class BirthDeathSpec:
             raise ValueError("constant rate parts must be > 0")
         if self.lam[1] < 0 or self.mu[1] < 0:
             raise ValueError("linear rate parts must be >= 0")
+        object.__setattr__(self, "states", operator.index(self.states))  # 5.5 is a TypeError
         if self.states < 3:
             raise ValueError(f"need at least 3 states, got {self.states}")
         object.__setattr__(self, "boundary", Boundary(self.boundary))
@@ -247,6 +248,7 @@ def solve_bdp(
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
+    steps = operator.index(steps)  # 2.5 steps is a TypeError, not a 3-step grid
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     if order < 1:
@@ -305,44 +307,26 @@ def solve_bdp(
 
 
 @dataclass(frozen=True)
-class StochasticityRow:
-    t: float
-    leakage: float
-    min_entry: float
-    negative: bool
-
-
-@dataclass(frozen=True)
 class StochasticityReport:
-    """Per-time mass defect and entry signs for a trajectory.
+    """Mass defect and entry signs over a trajectory.
 
-    negative flags a row with an entry below minus its tail bound: every
-    exact entry is >= 0, so such an entry contradicts the certificate.
-    Negative values within the bound are expected float and truncation noise.
+    max_leakage is the largest leakage and worst_entry the smallest entry of
+    any row.  any_negative flags a row with an entry below minus its tail
+    bound: every exact entry is >= 0, so such an entry contradicts the
+    certificate.  Negative values within the bound are expected float and
+    truncation noise.
     """
 
-    rows: tuple[StochasticityRow, ...]
-
-    @property
-    def max_leakage(self) -> float:
-        return max(row.leakage for row in self.rows)
-
-    @property
-    def worst_entry(self) -> float:
-        return min(row.min_entry for row in self.rows)
-
-    @property
-    def any_negative(self) -> bool:
-        return any(row.negative for row in self.rows)
+    max_leakage: float
+    worst_entry: float
+    any_negative: bool
 
 
 def stochasticity_report(traj: DistributionTrajectory) -> StochasticityReport:
     """Summarize mass conservation and positivity over a trajectory."""
-    rows = []
-    columns = zip(
-        traj.times.tolist(), traj.distributions, traj.leakage.tolist(), traj.tail_bounds.tolist()
+    min_entries = traj.distributions.min(axis=1)
+    return StochasticityReport(
+        max_leakage=float(traj.leakage.max()),
+        worst_entry=float(min_entries.min()),
+        any_negative=bool((min_entries < -traj.tail_bounds).any()),
     )
-    for t, dist, leakage, bound in columns:
-        min_entry = float(dist.min())
-        rows.append(StochasticityRow(t, leakage, min_entry, negative=min_entry < -bound))
-    return StochasticityReport(rows=tuple(rows))

@@ -167,11 +167,11 @@ def cmd_solve(args) -> int:
     coeffs = _load_poly(args.coeffs, args.orientation)
     header = "t," + ",".join(_entry_headers(coeffs.dim)) + ",tail_bound"
     step = max(args.t, 1.0) if args.step is None else args.step
-    path = solve_stepped(coeffs, args.t, step, args.order)
+    traj = solve_stepped(coeffs, args.t, step, args.order)
+    values = traj.values.reshape(len(traj.times), -1)
+    table = np.column_stack((traj.times, values, traj.tail_bounds))
     if args.step is None:  # one step, or the lone t = 0 point: print its end only
-        path = path[-1:]
-    values = np.reshape([s.value for s in path], (len(path), -1))
-    table = np.column_stack(([s.t for s in path], values, [s.tail_bound for s in path]))
+        table = table[-1:]
     _emit_certified(header, table, args.digits, args.out)
     return 0
 

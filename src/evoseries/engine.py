@@ -34,7 +34,7 @@ __all__ = [
     "MatrixPolynomial",
     "MatrixPolyCoefficients",
     "MatrixSeries",
-    "SolveStep",
+    "Trajectory",
     "ResidualComparison",
     "operator_norm",
     "compute_coefficients",
@@ -176,11 +176,8 @@ def _norms(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
 class MatrixSeries(MatrixPolynomial):
     """Terms R_0 = I, R_1, ..., R_N of the series solution."""
 
-    orientation: Orientation
-
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "orientation", Orientation(self.orientation))
         if not np.array_equal(self.stack[0], np.eye(self.dim)):
             raise ValueError("order-0 term must be exactly the identity")
 
@@ -203,7 +200,7 @@ def compute_coefficients(
         raise ValueError(f"series order must be >= 1, got {order}")
     stack = _expand(coeffs.stack, coeffs.orientation, np.eye(coeffs.dim), order)
     stack.setflags(write=False)
-    return MatrixSeries(stack, coeffs.orientation)
+    return MatrixSeries(stack)
 
 
 def _expand(
@@ -236,6 +233,7 @@ def _expand(
     return stack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_coefficients_explicit(
     coeffs: MatrixPolyCoefficients, n: int
 ) -> np.ndarray:
@@ -260,7 +258,9 @@ def compute_coefficients_explicit(
     words.  A degree-0 family has the one word A_0^n, weighted the same way:
     (1 / n!) * A_0^n.  Past n = 170 the weight 1 / n! is subnormal or 0,
     which would give a wrong 0, or NaN where A_0^n overflows, so such an
-    order is refused.
+    order is refused.  A word's product is formed before it is weighted, so
+    it can overflow where R_n is finite: a result that is not finite is
+    refused, with no numpy warning.
 
     A run grows while its words times d^2 fit in _BLOCK_DOUBLES; a q with
     more words than that is a run of its own.  So no run holds more than the
@@ -282,12 +282,13 @@ def compute_coefficients_explicit(
                 f"explicit coefficient of order {n} of a degree-0 family needs the weight "
                 f"1/{n}!, below the normal float range; the highest such order is 170"
             )
-        return weight * np.linalg.matrix_power(mats[0], n)
-    counts = [_bounded_count(n - q, q, p) for q in range(max_total_index(n, p) + 1)]
-    if sum(counts) > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(sum(counts), EXPLICIT_TERM_BUDGET)
+        total, counts = weight * np.linalg.matrix_power(mats[0], n), []
+    else:
+        counts = [_bounded_count(n - q, q, p) for q in range(max_total_index(n, p) + 1)]
+        if sum(counts) > EXPLICIT_TERM_BUDGET:
+            raise TermBudgetError(sum(counts), EXPLICIT_TERM_BUDGET)
+        total = np.zeros((coeffs.dim, coeffs.dim))
     left = coeffs.orientation is Orientation.LEFT
-    total = np.zeros((coeffs.dim, coeffs.dim))
     most = _BLOCK_DOUBLES // total.size
     lo = 0
     while lo < len(counts):
@@ -312,6 +313,8 @@ def compute_coefficients_explicit(
         # a copy, so that the stack of this run is freed
         total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
         lo = hi
+    if not np.isfinite(total).all():
+        raise ValueError(f"explicit coefficient of order {n}: a word product left the float range")
     return total
 
 
@@ -378,7 +381,8 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
     norms = _norm_bounds(coeffs.stack, coeffs.orientation)
-    return _local_bound(norms[None], norms.tolist(), [0.0], coeffs.dim, order, [t])[0]
+    powers = _powers([0.0], coeffs.degree)
+    return _local_bound(norms[None], norms.tolist(), powers, coeffs.dim, order, [t])[0]
 
 
 def _gamma(n: int) -> float:
@@ -400,14 +404,13 @@ def _norm_bounds(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
     return _up(_norms(mats, orientation), mats.shape[-1])
 
 
-def _shift_rounding(norms: list[float], starts) -> np.ndarray:
-    """Bounds rho[s, j] on ||A~_j - A_j(t0)||, the rounding of _shift to t0 = starts[s].
+def _shift_rounding(norms: list[float], powers: np.ndarray) -> np.ndarray:
+    """Bounds rho[s, j] on ||A~_j - A_j(t0)||, the rounding of _shift to an origin t0.
 
-    norms[k] >= ||A_k||.  starts may be the origins' _powers table, which a
-    solve makes once for all its steps; its one _local_bound call passes
-    them all here in one call.  A term comb(k, j) t0^(k-j) A_k of
-    A~_j takes at most p + 4 roundings (the power within an ulp, two
-    products, p - j sums), so entrywise |A~_j - A_j(t0)| <= gamma_(p+4)
+    norms[k] >= ||A_k|| and row s of the _powers table powers is that of
+    the origin t0.  A term comb(k, j) t0^(k-j) A_k of A~_j takes at most
+    p + 4 roundings (the power within an ulp, two products, p - j sums), so
+    entrywise |A~_j - A_j(t0)| <= gamma_(p+4)
     sum_k comb(k, j) |t0|^(k-j) |A_k|.  That sum is the _shift of the norms,
     as 1 x 1 matrices, by the table's absolute values, the powers of |t0|
     (Python takes a negative float's integer power as that of its absolute
@@ -416,7 +419,7 @@ def _shift_rounding(norms: list[float], starts) -> np.ndarray:
     for A~_p, the shift adds zeros to one exact term: rho = 0.
     """
     p = len(norms) - 1
-    weights = np.abs(_powers(starts, p))
+    weights = np.abs(powers)
     sums = _shift(np.array(norms)[:, None, None], weights)[:, :, 0, 0].T
     rho = _up(_gamma(p + 4) * sums, p + 5)
     rho[:, p] = 0.0
@@ -434,12 +437,13 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _local_bound(
-    norms: np.ndarray, unshifted: list[float], starts, dim: int, order: int, hs: list[float],
+    norms: np.ndarray, unshifted: list[float], powers: np.ndarray, dim: int, order: int,
+    hs: list[float],
 ) -> list[float]:
     """Bounds on ||S - R(h)||, one per row: the computed local series S against the exact R.
 
     Row s of the (S, p+1) array norms bounds the step [t0, t0 + h] with
-    t0 = starts[s] and h = hs[s]; starts may be the origins' _powers table.
+    h = hs[s] and t0 the origin of row s of the _powers table powers.
     S is the order-N series of A~_0..A~_p, the float _shift to t0 of a
     family whose coefficient norms are at most unshifted, summed by Horner
     at h, and norms[s, j] >= ||A~_j||; R solves
@@ -478,7 +482,7 @@ def _local_bound(
     slack = 1.0 + _gamma(dim * (p + 1) + 2)
     h = np.array(hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        primed = _up(norms * slack + _shift_rounding(unshifted, starts), 3)
+        primed = _up(norms * slack + _shift_rounding(unshifted, powers), 3)
         exponent, power = np.zeros(len(h)), h
         for j, aj in enumerate(primed.T):
             # A zero coefficient adds nothing, even where h^(j+1) overflows.
@@ -567,7 +571,7 @@ def recenter(coeffs: MatrixPolyCoefficients, t0: float) -> MatrixPolyCoefficient
     powers of t0.  An origin whose shifted family overflows raises the
     constructor's ValueError.
     """
-    shifted = _shift(coeffs.stack, [t0])[:, 0]
+    shifted = _shift(coeffs.stack, _powers([t0], coeffs.degree))[:, 0]
     shifted.setflags(write=False)
     return MatrixPolyCoefficients(shifted, coeffs.orientation)
 
@@ -577,12 +581,9 @@ def _powers(origins, p: int) -> np.ndarray:
 
     The powers are Python floats, not numpy powers or ints, so each origin
     gets the bits of its own powers; an origin whose power overflows gets a
-    row of inf and no numpy warning.  A table (a 2-D array) is returned as
-    it is: a solve makes one for all its steps, and _shift and
-    _shift_rounding read its rows.
+    row of inf and no numpy warning.  A solve makes one table for all its
+    steps, and _shift and _shift_rounding read its rows.
     """
-    if isinstance(origins, np.ndarray) and origins.ndim == 2:
-        return origins
     powers = []
     for t0 in origins:
         try:
@@ -593,13 +594,13 @@ def _powers(origins, p: int) -> np.ndarray:
     return np.array(powers)
 
 
-def _shift(mats: np.ndarray, origins) -> np.ndarray:
+def _shift(mats: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """The binomial shift of the stack A_0..A_p to the S origins t_s, as (p+1, S, d, d).
 
     Entry [j, s] is the degree-j coefficient of u -> A(t_s + u): the sum
     over k >= j, in increasing k, of the double comb(k, j) t_s^(k-j) times
-    A_k, the power read from _powers(origins, p).  A solve passes its
-    one table of powers, sliced to the origins at hand.  An origin whose
+    A_k, the power read from row s of the _powers table powers.  A solve
+    passes its one table, sliced to the origins at hand.  An origin whose
     power overflows has a row of inf powers, so its shift is not finite,
     with no numpy warning.
     The sums run entrywise, so each A_k may be any 2-D array: the (3, n)
@@ -607,12 +608,11 @@ def _shift(mats: np.ndarray, origins) -> np.ndarray:
     (n, n) form at every entry they share.
     """
     p = len(mats) - 1
-    weights = _powers(origins, p)
-    shifted = np.zeros((p + 1, len(weights), *mats.shape[1:]))
+    shifted = np.zeros((p + 1, len(powers), *mats.shape[1:]))
     with np.errstate(over="ignore", invalid="ignore"):
         for j, acc in enumerate(shifted):
             for k in range(j, p + 1):
-                acc += (math.comb(k, j) * weights[:, k - j])[:, None, None] * mats[k]
+                acc += (math.comb(k, j) * powers[:, k - j])[:, None, None] * mats[k]
     return shifted
 
 
@@ -624,12 +624,17 @@ def _refuse_overflow(finite: list[bool], starts: list[float]) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class SolveStep:
-    """One grid point of a stepped solve: time, propagator, accumulated bound."""
+class Trajectory:
+    """A stepped solve, one row per grid time, as read-only arrays.
 
-    t: float
-    value: np.ndarray
-    tail_bound: float
+    times is the (S+1,) grid, values[i] the (d, d) propagator R(times[i])
+    and tail_bounds[i] the certified bound on its error, in the
+    orientation's norm.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    tail_bounds: np.ndarray
 
 
 def _step_ends(t_final: float, step: float) -> list[float]:
@@ -656,7 +661,7 @@ def _step_ends(t_final: float, step: float) -> list[float]:
 
 def solve_stepped(
     coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int
-) -> list[SolveStep]:
+) -> Trajectory:
     """R(t) on the grid {0, step, 2 step, ..., t_final}, one local expansion per step.
 
     Each step recenters the coefficients at the left endpoint, expands to the
@@ -670,8 +675,8 @@ def solve_stepped(
 
     The local expansions of each block of consecutive steps run as one stack
     (_local_propagators), bit for bit what recenter, compute_coefficients and
-    value_at give step by step; the block keeps its values, their products
-    and each step's norms.  After the last block one _local_bound call
+    value_at give step by step, and are composed in place into the one
+    (S+1, d, d) stack of values.  After the last block one _local_bound call
     bounds every step of the solve and the recurrence runs once.  The powers
     of the step starts (_powers) and the norms of the unshifted family are
     computed once per solve.  Overflow shows as inf in the values and bounds
@@ -687,49 +692,45 @@ def solve_stepped(
         raise ValueError(f"series order must be >= 1, got {order}")
     ends = _step_ends(t_final, step)
     dim = coeffs.dim
-    origin = SolveStep(0.0, _frozen(np.eye(dim)), 0.0)
     if not ends:
-        return [origin]
+        return Trajectory(_frozen([0.0]), _frozen([np.eye(dim)]), _frozen([0.0]))
     starts = [0.0, *ends[:-1]]
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
     powers = _powers(starts, coeffs.degree)
     per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
     left = coeffs.orientation is Orientation.LEFT
-    blocks, family_norms, norms_loc, norms = [], [], [], []
-    current = None
+    values = np.empty((len(ends) + 1, dim, dim))
+    values[0] = np.eye(dim)
+    family_norms, norms_loc = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(ends), per_block):
             block = slice(i, i + per_block)
-            values, step_norms = _local_propagators(
+            r_locs, step_norms = _local_propagators(
                 coeffs, starts[block], powers[block], hs[block], order
             )
-            composed = np.empty_like(values)
-            for r_loc, value in zip(values, composed):
-                if current is None:
+            for k, r_loc in enumerate(r_locs, start=i):
+                if k == 0:
                     # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
-                    value[...] = r_loc
+                    values[1] = r_loc
                 elif left:
-                    np.matmul(r_loc, current, out=value)
+                    np.matmul(r_loc, values[k], out=values[k + 1])
                 else:
-                    np.matmul(current, r_loc, out=value)
-                current = value
-            composed.setflags(write=False)
-            blocks.append(composed)
+                    np.matmul(values[k], r_loc, out=values[k + 1])
             family_norms.append(step_norms)
-            norms_loc += _norm_bounds(values, coeffs.orientation).tolist()
-            norms += _norm_bounds(composed, coeffs.orientation).tolist()
+            norms_loc += _norm_bounds(r_locs, coeffs.orientation).tolist()
+        norms = _norm_bounds(values[1:-1], coeffs.orientation).tolist()
     unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
     bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
     g_dim, six = _gamma(dim), _up(1.0, 6)  # _up(x, 6) is x * six
     err = bounds[0]
-    errs = [err]
+    errs = [0.0, err]
     for bound_loc, norm_loc, norm_prev in zip(bounds[1:], norms_loc[1:], norms):
         err = bound_loc * (norm_prev + err) + norm_loc * (err + g_dim * norm_prev)
         # Six roundings; a NaN norm or inf * 0 means an overflow.
         err = math.inf if math.isnan(err) else err * six
         errs.append(err)
-    products = (value for composed in blocks for value in composed)
-    return [origin, *map(SolveStep, ends, products, errs)]
+    values.setflags(write=False)
+    return Trajectory(_frozen([0.0, *ends]), values, _frozen(errs))
 
 
 def _local_propagators(

@@ -31,6 +31,7 @@ from evoseries.engine import (
     _horner,
     _local_bound,
     _norm_bounds,
+    _powers,
     _refuse_overflow,
     _shift,
     _step_ends,
@@ -112,7 +113,8 @@ def reference_solve(spec, t_final, steps, order, initial=None) -> DistributionTr
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = _shift(family, times[:-1])
+        powers = _powers(times[:-1], len(family) - 1)
+        shifted = _shift(family, powers)
         forward = _transposed(shifted)
         masses = []
         dists = [p]
@@ -125,7 +127,7 @@ def reference_solve(spec, t_final, steps, order, initial=None) -> DistributionTr
         dists = np.vstack(dists)
         leakage = np.abs(1.0 - dists.sum(axis=1))
         norms = _diagonal_norm_bounds(shifted)
-    local_bounds = _local_bound(norms, unshifted, times[:-1], 3, order, hs)
+    local_bounds = _local_bound(norms, unshifted, powers, 3, order, hs)
     bounds = [0.0]
     for mass, local_bound in zip(masses, local_bounds):
         bounds.append(_up(bounds[-1] + mass * local_bound, 2) if mass else bounds[-1])
@@ -140,6 +142,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=2)
     BirthDeathSpec(lam=(1.0, 0.0), mu=(1.0, 0.0), states=3)  # autonomous is fine
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=5.5)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=np.int64(5))
+    assert type(spec.states) is int and spec.states == 5
 
 
 @pytest.mark.parametrize("field", ["lam", "mu"])
@@ -211,6 +217,11 @@ def test_solve_inputs_checked():
         solve_bdp(spec, 1.0, 0, 10)
     with pytest.raises(ValueError):
         solve_bdp(spec, 1.0, 5, 10, initial=np.ones(4))
+    # 2.5 steps would run a 3-step grid, not steps + 1 points.
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        solve_bdp(spec, 1.0, 2.5, 10)
+    traj, _ = solve_bdp(spec, 1.0, np.int64(2), 10)
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("order", [0, -1])
@@ -251,7 +262,7 @@ def test_zero_initial_row_has_zero_bound():
     # local bound is inf, but a zero row stays exactly zero.
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10)
     traj, _ = solve_bdp(spec, 60.0, 1, 5, initial=np.zeros(10))
-    assert math.isinf(solve_stepped(generator_family(spec), 60.0, 60.0, 5)[-1].tail_bound)
+    assert math.isinf(solve_stepped(generator_family(spec), 60.0, 60.0, 5).tail_bounds[-1])
     assert not traj.distributions.any() and not traj.tail_bounds.any()
 
 
@@ -303,7 +314,7 @@ def test_leaky_chain_bound_can_exceed_propagator_bound_and_still_holds():
     )
     traj, _ = solve_bdp(spec, 1.0, 2, 11)
     coeffs = generator_family(spec)
-    full = [s.tail_bound for s in solve_stepped(coeffs, 1.0, 0.5, 11)]
+    full = solve_stepped(coeffs, 1.0, 0.5, 11).tail_bounds
     assert traj.tail_bounds[-1] > full[-1]
     a0, a1 = coeffs.stack
     sol = solve_ivp(
@@ -358,10 +369,10 @@ def test_row_solve_within_bound_of_propagator_and_references(
     traj, _ = solve_bdp(spec, t_final, steps, order, initial=p0)
     coeffs = generator_family(spec)
     path = solve_stepped(coeffs, t_final, t_final / steps, order)
-    assert np.array_equal(traj.times, [s.t for s in path])  # one shared grid
-    full = mass * np.array([s.tail_bound for s in path])
+    assert np.array_equal(traj.times, path.times)  # one shared grid
+    full = mass * path.tail_bounds
     slack = 1e-12 * mass
-    propagated = np.vstack([p0 @ s.value for s in path])
+    propagated = np.vstack([p0 @ value for value in path.values])
     gap = np.abs(traj.distributions - propagated).sum(axis=1)
     assert np.all(gap <= traj.tail_bounds + full + slack)
     a0, a1 = generator_family(spec).stack
@@ -496,7 +507,7 @@ def test_stencil_expansion_matches_the_dense_recursion(
     lam, mu, boundary, states, t0, order, seed
 ):
     spec = BirthDeathSpec(lam=lam, mu=mu, states=states, boundary=boundary)
-    family = _shift(_diagonals(spec.lam, spec.mu, spec), [t0])[:, 0]
+    family = _shift(_diagonals(spec.lam, spec.mu, spec), _powers([t0], 1))[:, 0]
     dense = recenter(generator_family(spec), t0).stack
     assert np.array_equal(_dense(family), dense)  # one shift, entry for entry
     start = np.random.default_rng(seed).standard_normal(states)
@@ -606,9 +617,9 @@ def test_solve_bdp_shifts_one_block_of_steps_at_a_time(
     # every step's start; a 3000-state block holds 3.
     calls = []
 
-    def counting(mats, times):
-        calls.append(len(times))
-        return shift(mats, times)
+    def counting(mats, powers):
+        calls.append(len(powers))
+        return shift(mats, powers)
 
     shift = bdp._shift
     monkeypatch.setattr(bdp, "_shift", counting)

@@ -21,6 +21,7 @@ from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
     _norm_bounds,
+    _powers,
     _shift_rounding,
     recenter,
     solve_stepped,
@@ -116,15 +117,15 @@ def test_stepped_solve_error_within_bound(
     norms = [float(np.abs(m).sum(axis=0 if left else 1).max()) for m in mats]
     mats *= growth / sum(n * t_final ** (j + 1) / (j + 1) for j, n in enumerate(norms))
     orientation = Orientation.LEFT if left else Orientation.RIGHT
-    path = solve_stepped(MatrixPolyCoefficients(mats, orientation), t_final, step, order)
+    traj = solve_stepped(MatrixPolyCoefficients(mats, orientation), t_final, step, order)
     with mpmath.workdps(DIGITS):
         reference = mp_stepped(
-            [mp_array(m) for m in mats], left, mp_array(np.eye(dim)), [s.t for s in path]
+            [mp_array(m) for m in mats], left, mp_array(np.eye(dim)), traj.times.tolist()
         )
-        for s, exact in zip(path, reference):
-            gap = abs(mp_array(s.value) - exact)
+        for t, value, bound, exact in zip(traj.times, traj.values, traj.tail_bounds, reference):
+            gap = abs(mp_array(value) - exact)
             error = max(gap.sum(axis=0 if left else 1))
-            assert math.isfinite(s.tail_bound) and error <= s.tail_bound, (s.t, error)
+            assert math.isfinite(bound) and error <= bound, (t, error)
 
 
 @given(
@@ -165,13 +166,14 @@ def test_bound_covers_rounding_where_the_majorant_is_exact():
             norms = mats.sum(axis=1).max(axis=1)
             mass = sum(n * (steps * step) ** (j + 1) / (j + 1) for j, n in enumerate(norms))
             mats *= rng.uniform(0.1, 1.0) / mass
-            path = solve_stepped(MatrixPolyCoefficients(mats), steps * step, step, 25)
+            traj = solve_stepped(MatrixPolyCoefficients(mats), steps * step, step, 25)
             reference = mp_stepped(
-                [mp_array(m) for m in mats], True, mp_array(np.eye(dim)), [s.t for s in path]
+                [mp_array(m) for m in mats], True, mp_array(np.eye(dim)), traj.times.tolist()
             )
-            for s, exact in zip(path, reference):
-                error = max(abs(mp_array(s.value) - exact).sum(axis=0))
-                assert error <= s.tail_bound, (mats.tolist(), s.t, error, s.tail_bound)
+            rows = zip(traj.times, traj.values, traj.tail_bounds, reference)
+            for t, value, bound, exact in rows:
+                error = max(abs(mp_array(value) - exact).sum(axis=0))
+                assert error <= bound, (mats.tolist(), t, error, bound)
 
 
 @given(
@@ -189,8 +191,9 @@ def test_shift_rounding_bounds_the_float_shift(seed, dim, degree, left, log_t0):
     t0 = 10.0**log_t0
     shifted = recenter(coeffs, t0).stack
     norms = _norm_bounds(coeffs.stack, orientation).tolist()
-    assert _shift_rounding(norms, [0.0]).tolist() == [[0.0] * (degree + 1)]  # the shift to 0 is exact
-    [rho] = _shift_rounding(norms, [t0]).tolist()
+    at_zero = _shift_rounding(norms, _powers([0.0], degree))
+    assert at_zero.tolist() == [[0.0] * (degree + 1)]  # the shift to 0 is exact
+    [rho] = _shift_rounding(norms, _powers([t0], degree)).tolist()
     with mpmath.workdps(DIGITS):
         exact = [mp_array(m) for m in mats]
         for j, rho_j in enumerate(rho):

@@ -537,8 +537,9 @@ def test_solve_and_bdp_csv_bytes_equal_per_cell_formatting(capsys, tmp_path, dig
         capsys, "solve", "--coeffs", str(coeff_file), "--t", "4", "--step", "1", "--order", "30",
         "--digits", digits,
     )
-    path = solve_stepped(_load_poly(str(coeff_file), "left"), 4.0, 1.0, 30)
-    table = np.array([[s.t, *s.value.ravel(), s.tail_bound] for s in path])
+    traj = solve_stepped(_load_poly(str(coeff_file), "left"), 4.0, 1.0, 30)
+    rows = zip(traj.times, traj.values, traj.tail_bounds)
+    table = np.array([[t, *value.ravel(), bound] for t, value, bound in rows])
     assert code == 0 and out == per_row_csv("t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound", table, int(digits))
     assert np.isinf(table[-1]).any() and err.startswith("warning: certificate lost")
     code, out, _ = run_cli(capsys, "bdp", "--states", "4", "--steps", "3", "--digits", digits)

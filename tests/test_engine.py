@@ -18,6 +18,7 @@ from evoseries.combinatorics import (
 from evoseries.engine import (
     MAX_STEPS,
     _local_bound,
+    _powers,
     _step_ends,
     MatrixPolyCoefficients,
     MatrixSeries,
@@ -89,11 +90,8 @@ def test_orientation_given_as_a_string_is_the_enum_member(example_pair):
     assert np.array_equal(
         compute_coefficients(by_name, 6).stack, compute_coefficients(by_member, 6).stack
     )
-    assert MatrixSeries((np.eye(2),), "right").orientation is Orientation.RIGHT
     with pytest.raises(ValueError, match="sideways"):
         MatrixPolyCoefficients(example_pair, "sideways")
-    with pytest.raises(ValueError, match="sideways"):
-        MatrixSeries((np.eye(2),), "sideways")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -103,7 +101,7 @@ def test_coefficients_reject_non_finite(bad):
     with pytest.raises(ValueError, match=r"t\^2 has a non-finite entry"):
         MatrixPolyCoefficients((np.eye(2), np.eye(2), mat))
     with pytest.raises(ValueError, match=r"t\^1 has a non-finite entry"):
-        MatrixSeries((np.eye(2), mat), Orientation.LEFT)
+        MatrixSeries((np.eye(2), mat))
 
 
 def test_value_at(example_left, example_pair):
@@ -175,7 +173,7 @@ def test_scalar_embedding_orientation_free():
 
 def test_series_identity_term_enforced():
     with pytest.raises(ValueError):
-        MatrixSeries((np.zeros((2, 2)),), Orientation.LEFT)
+        MatrixSeries((np.zeros((2, 2)),))
 
 
 def test_explicit_low_orders(example_left, example_pair):
@@ -197,6 +195,16 @@ def test_explicit_matches_recursion_random():
                 explicit = compute_coefficients_explicit(coeffs, n)
                 scale = max(1.0, np.abs(series.terms[n]).max())
                 assert np.abs(explicit - series.terms[n]).max() <= 1e-10 * scale
+
+
+def test_explicit_word_product_overflow_is_refused():
+    # A_0 A_1 ... of 1e12 entries overflows before its weight 1/den brings it
+    # back in range; the recursion, which divides at each order, stays finite.
+    for mats in ([[[1e12]]], [[[1e12]], [[1e12]]]):
+        coeffs = MatrixPolyCoefficients(mats)
+        assert np.isfinite(compute_coefficients(coeffs, 27).terms[27]).all()
+        with pytest.raises(ValueError, match="order 27: a word product left the float range"):
+            compute_coefficients_explicit(coeffs, 27)
 
 
 def test_explicit_budget_guard(example_left):
@@ -519,10 +527,18 @@ def test_solve_stepped_grid_and_errors(example_left):
         solve_stepped(example_left, 1.0, 0.0, 5)
     with pytest.raises(ValueError):
         solve_stepped(example_left, math.inf, 0.1, 5)
-    path = solve_stepped(example_left, 1.0, 0.3, 10)
-    assert [round(s.t, 12) for s in path] == [0.0, 0.3, 0.6, 0.9, 1.0]
-    assert np.array_equal(path[0].value, np.eye(3))
-    assert path[0].tail_bound == 0.0
+    traj = solve_stepped(example_left, 1.0, 0.3, 10)
+    assert [round(t, 12) for t in traj.times.tolist()] == [0.0, 0.3, 0.6, 0.9, 1.0]
+    assert traj.values.shape == (5, 3, 3) and traj.tail_bounds.shape == (5,)
+    assert np.array_equal(traj.values[0], np.eye(3))
+    assert traj.tail_bounds[0] == 0.0
+    # The lone t = 0 point: one row, R(0) = I exactly, bound 0.
+    lone = solve_stepped(example_left, 0.0, 0.5, 10)
+    assert lone.times.tolist() == [0.0] and lone.tail_bounds.tolist() == [0.0]
+    assert lone.values.shape == (1, 3, 3) and np.array_equal(lone.values[0], np.eye(3))
+    for column in (*vars(traj).values(), *vars(lone).values()):
+        with pytest.raises(ValueError):
+            column[-1] = 5.0  # read-only
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -539,7 +555,7 @@ def test_solve_stepped_grid_has_no_sliver(t_final):
     # must still have exactly steps + 1 points ending at T.
     coeffs = MatrixPolyCoefficients((np.zeros((1, 1)),))
     for steps in range(1, 61):
-        times = [s.t for s in solve_stepped(coeffs, t_final, t_final / steps, 1)]
+        times = solve_stepped(coeffs, t_final, t_final / steps, 1).times.tolist()
         assert len(times) == steps + 1 and times[-1] == t_final, steps
         assert min(np.diff(times)) > 0.5 * t_final / steps, steps
 
@@ -552,11 +568,11 @@ def test_solve_stepped_refuses_step_count_over_cap(example_left):
 
 def test_solve_stepped_single_step_equals_direct(example_left):
     # final time below the step size collapses to one local expansion
-    path = solve_stepped(example_left, 0.2, 0.5, 15)
+    traj = solve_stepped(example_left, 0.2, 0.5, 15)
     direct = compute_coefficients(example_left, 15).value_at(0.2)
-    assert len(path) == 2
-    assert np.array_equal(path[1].value, direct)
-    assert path[1].tail_bound == tail_bound(example_left, 15, 0.2)
+    assert len(traj.times) == 2
+    assert np.array_equal(traj.values[1], direct)
+    assert traj.tail_bounds[1] == tail_bound(example_left, 15, 0.2)
 
 
 def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
@@ -564,10 +580,10 @@ def test_solve_stepped_overflowed_step_is_inf_not_nan(example_left):
     # majorant's integral too, so the bound is inf; composing with R(0) = I
     # must not turn inf * 0 into NaN
     with np.errstate(over="ignore"):
-        last = solve_stepped(example_left, 1e8, 1e8, 40)[-1]
+        traj = solve_stepped(example_left, 1e8, 1e8, 40)
         direct = compute_coefficients(example_left, 40).value_at(1e8)
-    assert last.tail_bound == math.inf
-    assert np.array_equal(last.value, direct)
+    assert traj.tail_bounds[-1] == math.inf
+    assert np.array_equal(traj.values[-1], direct)
 
 
 def test_solve_stepped_overflowed_composition_is_inf_not_nan():
@@ -575,9 +591,9 @@ def test_solve_stepped_overflowed_composition_is_inf_not_nan():
     # turns inf * 0 and inf - inf into NaN entries, and the bound stays inf.
     coeffs = MatrixPolyCoefficients((1e200 * np.array([[1.0, -1.0], [1.0, 1.0]]),))
     with np.errstate(over="ignore", invalid="ignore"):
-        path = solve_stepped(coeffs, 4.0, 1.0, 1)
-    assert np.isnan(path[-1].value).any()
-    assert [s.tail_bound for s in path] == [0.0, math.inf, math.inf, math.inf, math.inf]
+        traj = solve_stepped(coeffs, 4.0, 1.0, 1)
+    assert np.isnan(traj.values[-1]).any()
+    assert traj.tail_bounds.tolist() == [0.0, math.inf, math.inf, math.inf, math.inf]
 
 
 def test_overflowed_evaluation_warns_nothing(example_left):
@@ -605,31 +621,31 @@ def test_tail_bound_certifies_a_tiny_linear_part():
 
 def test_solve_stepped_scalar_accuracy():
     coeffs = MatrixPolyCoefficients((np.array([[1.0]]), np.array([[1.0]])),)
-    path = solve_stepped(coeffs, 2.0, 0.25, 20)
+    traj = solve_stepped(coeffs, 2.0, 0.25, 20)
     truth = math.exp(2.0 + 2.0)
-    assert path[-1].value[0, 0] == pytest.approx(truth, rel=1e-8)
-    assert abs(path[-1].value[0, 0] - truth) <= path[-1].tail_bound + 1e-12
+    assert traj.values[-1, 0, 0] == pytest.approx(truth, rel=1e-8)
+    assert abs(traj.values[-1, 0, 0] - truth) <= traj.tail_bounds[-1] + 1e-12
 
 
 def test_solve_stepped_matches_integrator(example_left):
-    path = solve_stepped(example_left, 1.0, 0.125, 20)
+    traj = solve_stepped(example_left, 1.0, 0.125, 20)
     oracle = integrate_oracle(example_left, 1.0)
-    gap = np.abs(path[-1].value - oracle).max()
+    gap = np.abs(traj.values[-1] - oracle).max()
     assert gap < 1e-9
-    assert gap <= path[-1].tail_bound
+    assert gap <= traj.tail_bounds[-1]
 
 
 def test_solve_stepped_halving_consistency(example_left):
     coarse = solve_stepped(example_left, 1.0, 0.25, 20)
     fine = solve_stepped(example_left, 1.0, 0.125, 20)
-    gap = np.abs(coarse[-1].value - fine[-1].value).max()
-    assert gap <= coarse[-1].tail_bound + fine[-1].tail_bound + 1e-12
+    gap = np.abs(coarse.values[-1] - fine.values[-1]).max()
+    assert gap <= coarse.tail_bounds[-1] + fine.tail_bounds[-1] + 1e-12
 
 
 def test_solve_stepped_right_orientation(example_right):
-    path = solve_stepped(example_right, 0.8, 0.1, 20)
+    traj = solve_stepped(example_right, 0.8, 0.1, 20)
     oracle = integrate_oracle(example_right, 0.8)
-    assert np.abs(path[-1].value - oracle).max() < 1e-9
+    assert np.abs(traj.values[-1] - oracle).max() < 1e-9
 
 
 def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int):
@@ -747,15 +763,17 @@ def assert_solve_matches_reference(coeffs, t_final, step, order):
             solve_stepped(coeffs, t_final, step, order)
         assert str(info.value) == str(exc)
         return
-    path = solve_stepped(coeffs, t_final, step, order)
-    assert [s.t for s in path] == [t for t, _, _ in expected]
+    traj = solve_stepped(coeffs, t_final, step, order)
+    assert traj.times.tolist() == [t for t, _, _ in expected]
     # An overflowed value can have NaN entries, but its bound is inf, never NaN.
-    bounds = [s.tail_bound for s in path]
+    bounds = traj.tail_bounds.tolist()
     assert not np.isnan(bounds).any()
     assert bounds == [bound for _, _, bound in expected]
-    for s, (_, value, _) in zip(path, expected):
+    assert len(traj.values) == len(expected)
+    for value, (_, expected_value, _) in zip(traj.values, expected):
         # Bit for bit: signed zeros and the bits of any overflow-made NaN too.
-        assert s.value.shape == value.shape and s.value.tobytes() == value.tobytes()
+        assert value.shape == expected_value.shape
+        assert value.tobytes() == expected_value.tobytes()
 
 
 @given(
@@ -851,9 +869,9 @@ def test_stacked_local_bound_rows_equal_one_row_calls(kinds, seed, dim, degree, 
         rows.append(norms)
         starts.append(t0)
         hs.append(h)
-    stacked = _local_bound(np.array(rows), unshifted, starts, dim, order, hs)
+    stacked = _local_bound(np.array(rows), unshifted, _powers(starts, degree), dim, order, hs)
     singles = [
-        _local_bound(row[None], unshifted, [t0], dim, order, [h])[0]
+        _local_bound(row[None], unshifted, _powers([t0], degree), dim, order, [h])[0]
         for row, t0, h in zip(rows, starts, hs)
     ]
     assert float_bits(stacked) == float_bits(singles)
@@ -876,10 +894,10 @@ def test_solve_stepped_makes_one_bound_call(monkeypatch):
     bound = engine._local_bound
     monkeypatch.setattr(engine, "_local_bound", counting)
     mats = np.random.default_rng(1).standard_normal((2, 8, 8))
-    path = solve_stepped(MatrixPolyCoefficients(mats), 1.92, 0.01, 30)
+    traj = solve_stepped(MatrixPolyCoefficients(mats), 1.92, 0.01, 30)
     # 8x8 at order 30 takes 33 steps a block: 192 steps are 6 blocks, bounded
     # by one call with one row of norms a step.
-    assert len(path) == 193
+    assert len(traj.times) == 193
     assert rows == [192]
 
 
@@ -887,19 +905,27 @@ def test_solve_stepped_makes_one_bound_call(monkeypatch):
 @pytest.mark.parametrize("autonomous", [True, False])
 def test_solve_stepped_expands_an_autonomous_block_once(monkeypatch, orientation, autonomous):
     starts = []
+    layouts = []
 
     def counting(mats, orientation, start, order):
         starts.append(len(start))
         return expand(mats, orientation, start, order)
 
+    def recording(*args):
+        values, norms = propagators(*args)
+        layouts.append(values.flags.c_contiguous)
+        return values, norms
+
     expand = engine._expand
+    propagators = engine._local_propagators
     monkeypatch.setattr(engine, "_expand", counting)
+    monkeypatch.setattr(engine, "_local_propagators", recording)
     mats = np.zeros((3, 8, 8))
     mats[0] = np.random.default_rng(5).standard_normal((8, 8))
     mats[2] = 0.0 if autonomous else 1e-3
-    path = solve_stepped(MatrixPolyCoefficients(mats, orientation), 1.005, 0.01, 30)
+    traj = solve_stepped(MatrixPolyCoefficients(mats, orientation), 1.005, 0.01, 30)
     # 101 steps, the last one partial, in blocks of 33.
-    assert len(path) == 102
+    assert len(traj.times) == 102
     assert starts == ([1] * 4 if autonomous else [33, 33, 33, 2])
     # One series serves the block, and its values keep the stacked layout.
-    assert all(s.value.flags.c_contiguous for s in path)
+    assert layouts == [True] * 4
