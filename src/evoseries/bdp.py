@@ -265,7 +265,6 @@ def solve_bdp(
             raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
-    unshifted = _diagonal_norm_bounds(family).tolist()
     times = [0.0, *_step_ends(t_final, t_final / steps)]
     starts = times[:-1]
     hs = [t_next - t_prev for t_prev, t_next in zip(starts, times[1:])]
@@ -273,10 +272,11 @@ def solve_bdp(
     stencil = _Stencil(len(family) - 1, n, order)
     # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
     per_block = max(1, _BLOCK_DOUBLES // (6 * n))
-    # Overflow, of the shifted family or of a series, shows as a refused
+    # Overflow, of the family's norms, its shift or a series, shows as a refused
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        unshifted = _diagonal_norm_bounds(family).tolist()
         masses, step_norms = [], []
         dists = [p]
         for k, (t_prev, h) in enumerate(zip(starts, hs)):

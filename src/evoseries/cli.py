@@ -116,7 +116,7 @@ def cmd_coeffs(args) -> int:
     else:
         indices = enumerate_restricted_index_set(n, q, p)
         what, cap = f"coeffs({n}, {q}, {p})", p
-    _refuse_over_budget(what, n, q, cap)  # counted before a tuple is built
+    _refuse_over_budget(what, n - q, q, cap)  # counted before a tuple is built
     rows = [["index", "pi", "running_sum"]]
     running = Fraction(0)
     for m in indices:

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # Most terms an enumeration visits: the explicit formula's weighted products,
-# or the tuples of a weight sum.
+# or the tuples or exponent vectors of a weight sum.
 EXPLICIT_TERM_BUDGET = 1_000_000
 
 
@@ -82,11 +82,13 @@ def _check_restricted(n: int, q: int, p: int) -> None:
         )
 
 
-def _refuse_over_budget(what: str, n: int, q: int, cap: int) -> None:
-    # Counts the (n, q) tuples with entries at most cap, without enumerating them.
-    count = _bounded_count(n - q, q, cap)
+def _refuse_over_budget(
+    what: str, length: int, total: int, cap: int, terms: str = "index tuples"
+) -> None:
+    # Counts the tuples in {0..cap}^length that sum to total, without enumerating them.
+    count = _bounded_count(length, total, cap)
     if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "index tuples")
+        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, terms)
 
 
 def _compositions(total: int, length: int, cap: int) -> Iterator[MultiIndex]:
@@ -163,18 +165,33 @@ def pi_coefficient(m: MultiIndex) -> Fraction:
 def pi_sum(n: int, q: int, p: int) -> Fraction:
     """Sum of the weights pi(m) over the restricted (n, q, p) index set, exactly.
 
-    Summed as integer numerators over n!: each weight is 1 / den(m), and
-    den(m) divides n!.  Its factors, read right to left, are m_last + 1, ...,
-    n; each exceeds the one before by the next entry plus one, so they are
-    distinct integers in [1, n].  The sum is sum(n! // den(m)) / n!.
+    Summed as an integer over n!, by a recursion on suffixes instead of a
+    visit to every tuple.  A tuple's weight is 1 / den(m), and den(m) is the
+    product of its suffix factors: the leading one is sum(m) + len(m), and
+    the rest is den of the tuple without its first entry.  So with f_k(s)
+    the sum of (s + k)! / den over the length-k suffixes of sum s, entries
+    at most p, f_0 = [1, 0, 0, ...] and
 
-    Refuses with TermBudgetError, before enumerating, a set of more than
-    EXPLICIT_TERM_BUDGET tuples.
+        f_k(s) = sum_{e <= min(p, s)} perm(s + k - 1, e) f_(k-1)(s - e),
+
+    where e is the first entry and (s + k - 1)! / (s - e + k - 1)! the
+    integer perm(s + k - 1, e).  The sum is f_(n-q)(q) / n!: O((n - q) q p)
+    integer operations.
+
+    Refuses with TermBudgetError, before any work, a set of more than
+    EXPLICIT_TERM_BUDGET tuples.  The recursion does not need that budget;
+    it is kept so that the CLI's pisum refuses the same sizes with the same
+    line as the tuple-by-tuple sum did.
     """
-    indices = enumerate_restricted_index_set(n, q, p)
-    _refuse_over_budget(f"pi_sum({n}, {q}, {p})", n, q, p)
-    factorial = math.factorial(n)
-    return Fraction(sum(factorial // _pi_denominator(m) for m in indices), factorial)
+    _check_restricted(n, q, p)
+    _refuse_over_budget(f"pi_sum({n}, {q}, {p})", n - q, q, p)
+    sums = [1] + [0] * q
+    for k in range(1, n - q + 1):
+        sums = [
+            sum(math.perm(s + k - 1, e) * sums[s - e] for e in range(min(p, s) + 1))
+            for s in range(q + 1)
+        ]
+    return Fraction(sums[q], math.factorial(n))
 
 
 def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
@@ -191,11 +208,17 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     length j (Cauchy's formula), since sum_j j k_j = n.  The two sums give
     sum_j (j - 1) k_j = q, so k_j = 0 for j > q + 1: only the first
     min(p, q) + 1 counts are enumerated.
+
+    Refuses with TermBudgetError, before enumerating, more than
+    EXPLICIT_TERM_BUDGET exponent vectors to visit.
     """
     _check_restricted(n, q, p)
+    width = min(p, q) + 1
+    what = f"multinomial_pi_sum({n}, {q}, {p})"
+    _refuse_over_budget(what, width, n - q, n - q, "exponent vectors")
     factorial = math.factorial(n)
     numerator = 0
-    for k in _compositions(n - q, min(p, q) + 1, n - q):
+    for k in _compositions(n - q, width, n - q):
         if sum(j * kj for j, kj in enumerate(k, start=1)) != n:
             continue
         denominator = 1

@@ -308,7 +308,7 @@ def compute_coefficients_explicit(
                 q = n - k
                 rows = terms[ends[q - lo] : ends[q - lo + 1]]
                 _extend(mats, products, parent, letter, out=rows)
-                rows *= (1 / den).astype(float)[:, None, None]
+                rows *= (1 / den).astype(float, copy=False)[:, None, None]
             products = _extend(mats, products, *more)
         # a copy, so that the stack of this run is freed
         total = np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
@@ -332,8 +332,12 @@ def _word_levels(n: int, lo: int, hi: int, p: int, left: bool):
     groups of flat arrays: the open ones, (parent, letter), and the complete
     words of length k, whose q is n - k, as (parent, letter, den).  A parent
     is an index among the open (k-1)-letter prefixes; den is the exact
-    integer product of the word's weight factors (an object array of Python
-    ints), the denominator of pi_coefficient.
+    integer product of the word's weight factors, the denominator of
+    pi_coefficient.  Those factors are distinct integers in [1, n], so every
+    partial product is at most n!: while n! <= 2**53 den is a float64 array,
+    every product an exact float integer, and 1 / den the correctly rounded
+    quotient Python's int division gives; past that it is an object array of
+    Python ints.
 
     A prefix's composition sum s is the sum of (letter + 1) over its letters,
     so a word is complete at s = n, and a letter's weight factor depends on
@@ -350,7 +354,7 @@ def _word_levels(n: int, lo: int, hi: int, p: int, left: bool):
     """
     shortest, longest = n - hi, n - lo
     rests = np.full(1, n)  # n - s of each open prefix
-    den = np.ones(1, dtype=object)
+    den = np.ones(1, dtype=float if math.factorial(n) <= 2**53 else object)
     for k in range(1, longest + 1):
         grid = np.arange(len(rests) * (p + 1))
         if left:
@@ -380,7 +384,9 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
         raise ValueError(f"series order must be >= 1, got {order}")
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    norms = _norm_bounds(coeffs.stack, coeffs.orientation)
+    # A norm that overflows is inf, and so is the bound: no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _norm_bounds(coeffs.stack, coeffs.orientation)
     powers = _powers([0.0], coeffs.degree)
     return _local_bound(norms[None], norms.tolist(), powers, coeffs.dim, order, [t])[0]
 
@@ -719,7 +725,7 @@ def solve_stepped(
             family_norms.append(step_norms)
             norms_loc += _norm_bounds(r_locs, coeffs.orientation).tolist()
         norms = _norm_bounds(values[1:-1], coeffs.orientation).tolist()
-    unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
+        unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
     bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
     g_dim, six = _gamma(dim), _up(1.0, 6)  # _up(x, 6) is x * six
     err = bounds[0]

@@ -95,11 +95,10 @@ def pb_equivalence_report(coeffs: MatrixPolyCoefficients, order: int) -> list[De
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    poly = pb_partial_sum(coeffs, order, max_degree=order)
-    series = compute_coefficients(coeffs, order)
-    rows = []
-    for k in range(order + 1):
-        gap = float(np.abs(poly.coefficient(k) - series.terms[k]).max())
-        scale = max(1.0, float(np.abs(series.terms[k]).max()))
-        rows.append(DegreeGap(k, gap, gap / scale))
-    return rows
+    poly = pb_partial_sum(coeffs, order, max_degree=order).stack
+    series = compute_coefficients(coeffs, order).stack
+    padded = np.zeros_like(series)
+    padded[: len(poly)] = poly
+    gaps = np.abs(padded - series).max(axis=(1, 2)).tolist()
+    scales = np.maximum(1.0, np.abs(series).max(axis=(1, 2))).tolist()
+    return [DegreeGap(k, gap, gap / scale) for k, (gap, scale) in enumerate(zip(gaps, scales))]

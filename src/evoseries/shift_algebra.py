@@ -46,15 +46,23 @@ POWER_GUARD = 32
 
 
 def _as_terms(items) -> tuple:
-    cleaned = {}
+    """Canonical terms of (key, coefficient) pairs: keys summed, zero sums dropped, sorted.
+
+    int and Fraction coefficients are summed in their own types; any other
+    is made a Fraction first, so a float adds exactly.  Each surviving sum
+    is made a Fraction once, and a Fraction is kept as the object it is.
+    """
+    sums = {}
     for (s, k), coeff in items:
         if s < 0 or k < 0:
             raise ValueError(f"monomial exponents must be >= 0, got S^{s} U^{k}")
-        frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        if frac != 0:
-            key = (s, k)
-            cleaned[key] = cleaned[key] + frac if key in cleaned else frac
-    return tuple(sorted((key, c) for key, c in cleaned.items() if c != 0))
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = Fraction(coeff)
+        key = (s, k)
+        sums[key] = sums[key] + coeff if key in sums else coeff
+    return tuple(
+        sorted((key, c if isinstance(c, Fraction) else Fraction(c)) for key, c in sums.items() if c)
+    )
 
 
 class ShiftPolynomial:
@@ -214,7 +222,7 @@ def _u_power(k: int) -> list:
 def _polynomial(rows: list, denominator: int = 1) -> ShiftPolynomial:
     # The rows as a polynomial, every coefficient divided by denominator.
     return ShiftPolynomial(
-        ((s, k), Fraction(c, denominator))
+        ((s, k), c if denominator == 1 else Fraction(c, denominator))
         for s, row in enumerate(rows)
         for k, c in enumerate(row)
         if c

@@ -178,6 +178,17 @@ def test_solve_overflowing_series_is_one_error_line(tmp_path):
     assert proc.stderr == "error: the series overflows on the step from t = 0.0\n"
 
 
+def test_solve_overflowing_family_norm_only_warns_of_the_lost_certificate(tmp_path):
+    # The row sums of 1e308 entries overflow in the family's norm: the
+    # certificate is lost in one line, with no numpy warning before it.
+    path = tmp_path / "huge.mat"
+    path.write_text("1e308 1e308\n1e308 1e308\n")
+    proc = run_subprocess("solve", "--coeffs", str(path), "--t", "0.5", "--order", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound\n0.5,5e+307,5e+307,5e+307,5e+307,inf\n"
+    assert proc.stderr == "warning: certificate lost from t = 0.5\n"
+
+
 @pytest.mark.parametrize("t, order", [("0", "-5"), ("0", "0"), ("1", "0")])
 def test_solve_refuses_an_order_below_one_at_every_time(tmp_path, t, order):
     # The lone t = 0 point is refused too, not printed as a table.
@@ -440,6 +451,14 @@ def test_bdp_overflowing_series_single_error_line(rate):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: the series overflows on the step from t = ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_bdp_overflowing_family_norm_single_error_line():
+    # The generator's norm overflows before the series does: one error line,
+    # with no numpy warning before it.
+    proc = run_subprocess("bdp", "--lam0", "1e308", "--T", "1", "--steps", "1", "--states", "3")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: the series overflows on the step from t = 0.0\n"
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])

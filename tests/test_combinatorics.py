@@ -281,6 +281,36 @@ def test_pi_sum_refuses_a_set_over_the_budget_before_enumerating(monkeypatch):
     assert "22597760" in str(err.value) and "\n" not in str(err.value)
 
 
+def test_pi_sum_is_a_recursion_not_a_visit_to_every_tuple(monkeypatch):
+    # The (34, 12, 1) set has 646 646 tuples; none is enumerated or weighted.
+    def refuse(*args, **kwargs):
+        raise AssertionError("pi_sum enumerated or weighted a tuple")
+
+    monkeypatch.setattr(combinatorics, "_compositions", refuse)
+    monkeypatch.setattr(combinatorics, "pi_coefficient", refuse)
+    start = time.perf_counter()
+    value = pi_sum(34, 12, 1)
+    assert time.perf_counter() - start < 0.1
+    assert value == Fraction(1, 7119671320903680000)
+
+
+def test_multinomial_sum_refuses_too_many_exponent_vectors_before_enumerating(monkeypatch):
+    # 31 exponent counts summing to 30: C(60, 30) vectors, refused from their count.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated exponent vectors over the budget")
+
+    monkeypatch.setattr(combinatorics, "_compositions", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetError) as err:
+        multinomial_pi_sum(60, 30, 30)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.count == math.comb(60, 30) and err.value.budget == EXPLICIT_TERM_BUDGET
+    assert str(err.value) == (
+        "multinomial_pi_sum(60, 30, 30) needs 118264581564861424 exponent vectors, "
+        "over the budget of 1000000"
+    )
+
+
 def test_engine_reexports_the_one_budget():
     assert engine.TermBudgetError is TermBudgetError
     assert engine.EXPLICIT_TERM_BUDGET == EXPLICIT_TERM_BUDGET == 1_000_000

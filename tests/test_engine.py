@@ -312,7 +312,21 @@ def test_word_levels_reach_the_index_set_in_order_with_its_weights(left):
                         ms = [w if left else w[::-1] for w in words]
                         assert ms == sets[q]
                         for m, den in zip(ms, dens):
-                            assert Fraction(1, den) == pi_coefficient(m)
+                            assert den == int(den)
+                            assert Fraction(1, int(den)) == pi_coefficient(m)
+
+
+@pytest.mark.parametrize("orientation", list(Orientation))
+def test_explicit_weights_on_both_sides_of_the_float_denominator_limit(orientation):
+    # 18! <= 2**53 < 19!: the denominators are floats at n = 18 and Python
+    # ints at n = 19, and both give the per-word loop's bits.
+    left = orientation is Orientation.LEFT
+    for n, dtype in ((18, np.float64), (19, object)):
+        dens = [den for _, (_, _, den) in engine._word_levels(n, 0, max_total_index(n, 1), 1, left)]
+        assert {d.dtype for d in dens} == {np.dtype(dtype)}
+        coeffs = _family(np.random.default_rng(n), 2, 1, False, orientation)
+        got = compute_coefficients_explicit(coeffs, n)
+        assert got.tobytes() == explicit_per_word(coeffs, n).tobytes()
 
 
 @pytest.mark.parametrize("orientation", list(Orientation))
@@ -391,6 +405,12 @@ def test_tail_bound_zero_family():
     truth = math.exp(1.5 * 0.5**2)
     partial = compute_coefficients(nilp, 5).value_at(0.5)[0, 0]
     assert truth - partial <= bound < math.inf
+
+
+def test_tail_bound_of_an_overflowing_family_norm_is_inf_without_a_warning():
+    # The row sums of 1e308 entries overflow; the suite makes a RuntimeWarning an error.
+    huge = MatrixPolyCoefficients((np.full((2, 2), 1e308),))
+    assert tail_bound(huge, 3, 0.5) == math.inf
 
 
 def test_tail_bound_dominates_scalar_truth():

@@ -108,6 +108,17 @@ def test_shift_polynomial_keeps_fraction_coefficients_as_given():
     assert all(type(c) is Fraction for _, c in reduce("UUSSUS").terms)
 
 
+def test_shift_polynomial_sums_floats_exactly_and_drops_cancelling_terms():
+    # 0.1 + 0.2 is summed as the two exact binary fractions, not as floats.
+    poly = ShiftPolynomial([((0, 1), 0.1), ((0, 1), 0.2), ((1, 0), 3), ((1, 0), -3), ((2, 2), 0)])
+    assert poly.terms == (((0, 1), Fraction(0.1) + Fraction(0.2)),)
+    assert poly.coefficient(0, 1) != Fraction(0.1 + 0.2)
+    mixed = ShiftPolynomial([((0, 0), 1), ((0, 0), Fraction(1, 2)), ((3, 1), 2), ((3, 1), -1)])
+    assert mixed.terms == (((0, 0), Fraction(3, 2)), ((3, 1), Fraction(1)))
+    assert all(type(c) is Fraction for _, c in mixed.terms)
+    assert ShiftPolynomial([((0, 0), Fraction(1, 3)), ((0, 0), -Fraction(1, 3))]).is_zero()
+
+
 @given(words)
 @settings(max_examples=100)
 def test_reduce_agrees_with_matrices(word):
