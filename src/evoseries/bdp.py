@@ -8,8 +8,9 @@ so everything runs through the series engine with RIGHT orientation.
 
 The distribution itself is carried from step to step: the recursion
 n p_n = sum_j p_{n-1-j} A_j runs on the row vector, and the tridiagonal
-family is carried as its diagonals, one (p+1, 3, n) array, so a step costs
-O(order n) and a solve forms no n x n array.  The dense family, for
+family is carried as its diagonals, one (p+1, 3, n) array, shifted and
+transposed once a block of steps.  The rows are written into one stack,
+returned read-only, and no n x n array is formed.  The dense family, for
 coefficient-level checks, is generator_family.
 
 Truncating the state space loses probability mass.  The leakage column
@@ -30,12 +31,13 @@ from .engine import (
     MatrixPolyCoefficients,
     Orientation,
     _BLOCK_DOUBLES,
+    _frozen,
+    _grid,
     _horner,
     _local_bound,
     _powers,
     _refuse_overflow,
     _shift,
-    _step_ends,
     _up,
 )
 
@@ -166,37 +168,38 @@ class _Stencil:
     einsum an order over 3-entry windows of the row, each entry a sum of at
     most 3(p+1) products (_local_bound's dim = 3), then a division.  The
     stack holds p zero terms before T_0 and a zero entry at each end of a
-    term.  Write the start into start and family[j, k, i] = A_j[i, i - 1 + k]
-    into family; expand() then returns T_0..T_order as one (order+1, n) view.
+    term.  expand(family, start), family[j, k, i] = A_j[i, i - 1 + k], copies
+    both into its own buffers and returns T_0..T_order as one (order+1, n) view.
     """
 
     def __init__(self, p: int, n: int, order: int):
         stack = np.zeros((order + 1 + p, n + 2))
-        self.family = np.zeros((p + 1, 3, n))
+        self._family = np.zeros((p + 1, 3, n))
         # [r, i, k] = stack[r, i + k]: sliding_window_view's windows, built
         # directly as a strided view in a small fraction of its time.
         row, item = stack.strides
         windows = np.ndarray((len(stack), n, 3), buffer=stack, strides=(row, item, item))
         # Rows m - 1 .. m - 1 + p of the stack hold T_{m-1-p} .. T_{m-1}: A_p .. A_0.
         # A float m divides to the same bits as the int, in less time.
-        self._reversed_family = self.family[::-1]
+        self._reversed_family = self._family[::-1]
         self._orders = [
             (windows[m - 1 : m + p], stack[p + m, 1:-1], float(m)) for m in range(1, order + 1)
         ]
-        self.terms = stack[p:, 1:-1]
-        self.start = self.terms[0]
+        self._terms = stack[p:, 1:-1]
 
-    def expand(self) -> np.ndarray:
+    def expand(self, family: np.ndarray, start: np.ndarray) -> np.ndarray:
+        self._family[...] = family
+        self._terms[0] = start
         family = self._reversed_family
         for windows, term, m in self._orders:
             np.einsum("jik,jki->i", windows, family, out=term)
             term /= m
-        return self.terms
+        return self._terms
 
 
 @dataclass(frozen=True, eq=False)
 class DistributionTrajectory:
-    """Distributions on an even time grid plus bookkeeping columns.
+    """Distributions on an even time grid plus bookkeeping columns, as read-only arrays.
 
     distributions[i] is the row p(times[i]), propagated directly (no
     propagator is formed); leakage[i] = |1 - sum of row|; tail_bounds[i]
@@ -221,13 +224,14 @@ def solve_bdp(
 
     The default initial distribution puts all mass on the first state.  Each
     step recenters the family at its left end, expands the row p~ reached so
-    far to the given order and sums that series at the step length h.  The
-    family runs as its diagonals (_diagonals), shifted to the starts of one
-    block of about engine._BLOCK_DOUBLES // (6 n) steps at a time, and the
-    recursion is one _Stencil on their transpose, reused by every step: a
-    step costs O(order n) time and memory and a solve forms no n x n array.
-    The second value is those diagonals, the read-only (2, 3, n) array of
-    A_0 and A_1; generator_family(spec) is their dense form, with RIGHT
+    far to the given order and sums that series at the step length h, on
+    engine._grid.  An outer loop shifts the diagonals (_diagonals) to the
+    starts of a block of about engine._BLOCK_DOUBLES // (6 n) steps and
+    transposes them once; an inner loop expands each step by one _Stencil
+    and writes its row into one preallocated (S+1, n) stack.  A step costs
+    O(order n) time and memory and a solve forms no n x n array.  The
+    second value is those diagonals, the read-only (2, 3, n) array of A_0
+    and A_1; generator_family(spec) is their dense form, with RIGHT
     orientation, for coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
@@ -265,44 +269,41 @@ def solve_bdp(
             raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("initial distribution has a non-finite entry")
-    times = [0.0, *_step_ends(t_final, t_final / steps)]
+    times, hs = _grid(t_final, t_final / steps)
     starts = times[:-1]
-    hs = [t_next - t_prev for t_prev, t_next in zip(starts, times[1:])]
     powers = _powers(starts, len(family) - 1)
     stencil = _Stencil(len(family) - 1, n, order)
     # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
     per_block = max(1, _BLOCK_DOUBLES // (6 * n))
+    dists = np.empty((len(times), n))
+    dists[0] = p
     # Overflow, of the family's norms, its shift or a series, shows as a refused
     # series or an inf value and bound, so numpy's floating-point warnings
     # would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         unshifted = _diagonal_norm_bounds(family).tolist()
-        masses, step_norms = [], []
-        dists = [p]
-        for k, (t_prev, h) in enumerate(zip(starts, hs)):
-            b = k % per_block
-            if b == 0:
-                # The family recentered at the block's step starts, and its norms there.
-                shifted = _shift(family, powers[k : k + per_block])
-                norms = _diagonal_norm_bounds(shifted)
-            masses.append(_up(float(np.abs(p).sum()), n))
-            step_norms.append(norms[b])
-            stencil.family[...] = _transposed(shifted[:, b])
-            stencil.start[...] = p
-            terms = stencil.expand()
-            # The shift can overflow only in A_0 + t A_1, every entry of which
-            # enters the first term: a non-finite shift shows in the series.
-            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
-            p = _horner(terms, h)
-            dists.append(p)
-        dists = np.vstack(dists)
+        masses, family_norms = [], []
+        for i in range(0, len(hs), per_block):
+            # The family recentered at the block's step starts, its norms there, and its transpose.
+            shifted = _shift(family, powers[i : i + per_block])
+            family_norms.append(_diagonal_norm_bounds(shifted))
+            forward = _transposed(shifted).swapaxes(0, 1)
+            for k, step_family in enumerate(forward, start=i):
+                masses.append(_up(float(np.abs(dists[k]).sum()), n))
+                terms = stencil.expand(step_family, dists[k])
+                # The shift can overflow only in A_0 + t A_1, every entry of which
+                # enters the first term: a non-finite shift shows in the series.
+                _refuse_overflow([np.isfinite(terms).all()], [starts[k]])
+                dists[k + 1] = _horner(terms, hs[k])
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    local_bounds = _local_bound(np.array(step_norms), unshifted, powers, 3, order, hs)
+    local_bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, 3, order, hs)
     bounds = [0.0]
     for mass, local_bound in zip(masses, local_bounds):
         # A zero row stays exactly zero, even where the local bound is inf.
         bounds.append(_up(bounds[-1] + mass * local_bound, 2) if mass else bounds[-1])
-    traj = DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
+    dists.setflags(write=False)
+    leakage.setflags(write=False)
+    traj = DistributionTrajectory(_frozen(times), dists, leakage, _frozen(bounds))
     return traj, family
 
 

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # Most terms an enumeration visits: the explicit formula's weighted products,
-# or the tuples or exponent vectors of a weight sum.
+# the tuples or exponent vectors of a weight sum, or pi_sum's multiply-adds.
 EXPLICIT_TERM_BUDGET = 1_000_000
 
 
@@ -175,16 +175,18 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
         f_k(s) = sum_{e <= min(p, s)} perm(s + k - 1, e) f_(k-1)(s - e),
 
     where e is the first entry and (s + k - 1)! / (s - e + k - 1)! the
-    integer perm(s + k - 1, e).  The sum is f_(n-q)(q) / n!: O((n - q) q p)
-    integer operations.
+    integer perm(s + k - 1, e).  The sum is f_(n-q)(q) / n!: at most
+    (n - q)(q + 1)(min(p, q) + 1) integer multiply-adds.
 
-    Refuses with TermBudgetError, before any work, a set of more than
-    EXPLICIT_TERM_BUDGET tuples.  The recursion does not need that budget;
-    it is kept so that the CLI's pisum refuses the same sizes with the same
-    line as the tuple-by-tuple sum did.
+    Refuses with TermBudgetError, before any work, more than
+    EXPLICIT_TERM_BUDGET of those multiply-adds: the work the recursion
+    does, not the tuples it never visits.
     """
     _check_restricted(n, q, p)
-    _refuse_over_budget(f"pi_sum({n}, {q}, {p})", n - q, q, p)
+    work = (n - q) * (q + 1) * (min(p, q) + 1)
+    if work > EXPLICIT_TERM_BUDGET:
+        what = f"pi_sum({n}, {q}, {p})"
+        raise TermBudgetError(work, EXPLICIT_TERM_BUDGET, what, "integer multiply-adds")
     sums = [1] + [0] * q
     for k in range(1, n - q + 1):
         sums = [

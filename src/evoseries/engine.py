@@ -36,7 +36,6 @@ __all__ = [
     "MatrixSeries",
     "Trajectory",
     "ResidualComparison",
-    "operator_norm",
     "compute_coefficients",
     "compute_coefficients_explicit",
     "tail_bound",
@@ -157,17 +156,12 @@ class MatrixPolyCoefficients(MatrixPolynomial):
         object.__setattr__(self, "orientation", Orientation(self.orientation))
 
 
-def operator_norm(mat: np.ndarray, orientation: Orientation) -> float:
-    """Operator norm on the l1 side matching the orientation.
+def _norms(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
+    """The l1 operator norms of a (..., d, d) stack, as an array of the leading shape.
 
     LEFT acts on column vectors, so the induced norm is the max absolute
     column sum; RIGHT acts on row vectors, max absolute row sum.
     """
-    return float(_norms(np.asarray(mat, dtype=float), orientation))
-
-
-def _norms(mats: np.ndarray, orientation: Orientation) -> np.ndarray:
-    """operator_norm of each matrix of a (..., d, d) stack, as an array of the leading shape."""
     axis = -2 if orientation is Orientation.LEFT else -1
     return np.abs(mats).sum(axis=axis).max(axis=-1, initial=0.0)
 
@@ -209,11 +203,10 @@ def _expand(
     """T_0 = start and n T_n = sum_j A_j T_{n-1-j} (RIGHT: T_{n-1-j} A_j) as one stack.
 
     mats is the stack A_0..A_p.  The recursion is linear, so it runs from
-    any start block: the identity gives the series terms R_n, and a row
-    vector p RIGHT-oriented gives the terms p R_n of the distribution
-    p R(t) without forming any R_n.  A (p+1, S, d, d) family with a
-    (S, d, d) start expands S families at once; each one's products and
-    sums are those of its own expansion, so the bits are too.
+    any start block: the identity gives the series terms R_n.  A
+    (p+1, S, d, d) family with a (S, d, d) start expands S families at
+    once; each one's products and sums are those of its own expansion, so
+    the bits are too.
     """
     left = orientation is Orientation.LEFT
     degree = len(mats) - 1
@@ -536,7 +529,7 @@ def _defect(coeffs: MatrixPolyCoefficients, value_at, t: float, h: float) -> flo
             defect = derivative - at @ value
         else:
             defect = derivative - value @ at
-        norm = operator_norm(defect, coeffs.orientation)
+        norm = float(_norms(defect, coeffs.orientation))
     if not math.isfinite(norm):
         raise ValueError(f"the defect at time {t} overflows")
     return norm
@@ -643,13 +636,15 @@ class Trajectory:
     tail_bounds: np.ndarray
 
 
-def _step_ends(t_final: float, step: float) -> list[float]:
-    """End times of the steps of the grid {0, step, 2 step, ..., t_final}.
+def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
+    """The grid times 0, step, 2 step, ..., t_final of a stepped solve, and its step lengths.
 
     When t_final is a multiple of step up to a few ulps, the grid has
     round(t_final / step) steps and ends exactly at t_final, with no sliver
     step; otherwise a final partial step covers t_final.  A grid of more than
-    MAX_STEPS steps is refused before any work.
+    MAX_STEPS steps is refused before any work.  hs[k] is times[k + 1] -
+    times[k], exact by Sterbenz: after the first step, which starts at 0,
+    each step ends at most twice as late as it starts.
     """
     if not math.isfinite(t_final) or t_final < 0:
         raise ValueError(f"time must be finite and >= 0, got {t_final}")
@@ -662,7 +657,8 @@ def _step_ends(t_final: float, step: float) -> list[float]:
     steps = round(t_final / step)
     if abs(steps * step - t_final) > 4 * math.ulp(t_final):
         steps = math.ceil(t_final / step)
-    return [k * step for k in range(1, steps)] + [t_final] if steps else []
+    times = [0.0] + [k * step for k in range(1, steps)] + [t_final] if steps else [0.0]
+    return times, [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
 
 
 def solve_stepped(
@@ -690,26 +686,25 @@ def solve_stepped(
     series is not finite, as the ValueError "the series overflows on the
     step from t = t0", never as a numpy warning.
 
-    The grid is _step_ends(t_final, step): no float sliver at its end, and
-    at most MAX_STEPS steps, whose lengths t_next - t_prev are exact (Sterbenz).
-    An order below 1 is refused first, for the lone t = 0 point too.
+    The grid is _grid(t_final, step): no float sliver at its end, and at
+    most MAX_STEPS steps.  An order below 1 is refused first, for the lone
+    t = 0 point too.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    ends = _step_ends(t_final, step)
+    times, hs = _grid(t_final, step)
     dim = coeffs.dim
-    if not ends:
-        return Trajectory(_frozen([0.0]), _frozen([np.eye(dim)]), _frozen([0.0]))
-    starts = [0.0, *ends[:-1]]
-    hs = [t_next - t_prev for t_prev, t_next in zip(starts, ends)]
+    if not hs:
+        return Trajectory(_frozen(times), _frozen([np.eye(dim)]), _frozen([0.0]))
+    starts = times[:-1]
     powers = _powers(starts, coeffs.degree)
     per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
     left = coeffs.orientation is Orientation.LEFT
-    values = np.empty((len(ends) + 1, dim, dim))
+    values = np.empty((len(times), dim, dim))
     values[0] = np.eye(dim)
     family_norms, norms_loc = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(ends), per_block):
+        for i in range(0, len(hs), per_block):
             block = slice(i, i + per_block)
             r_locs, step_norms = _local_propagators(
                 coeffs, starts[block], powers[block], hs[block], order
@@ -736,7 +731,7 @@ def solve_stepped(
         err = math.inf if math.isnan(err) else err * six
         errs.append(err)
     values.setflags(write=False)
-    return Trajectory(_frozen([0.0, *ends]), values, _frozen(errs))
+    return Trajectory(_frozen(times), values, _frozen(errs))
 
 
 def _local_propagators(

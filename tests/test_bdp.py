@@ -28,13 +28,13 @@ from evoseries.engine import (
     Orientation,
     _expand,
     _gamma,
+    _grid,
     _horner,
     _local_bound,
     _norm_bounds,
     _powers,
     _refuse_overflow,
     _shift,
-    _step_ends,
     _up,
     compute_coefficients,
     recenter,
@@ -110,8 +110,7 @@ def reference_solve(spec, t_final, steps, order, initial=None) -> DistributionTr
     else:
         p = np.asarray(initial, dtype=float)
     unshifted = _diagonal_norm_bounds(family).tolist()
-    times = [0.0, *_step_ends(t_final, t_final / steps)]
-    hs = [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
+    times, hs = _grid(t_final, t_final / steps)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = _powers(times[:-1], len(family) - 1)
         shifted = _shift(family, powers)
@@ -487,10 +486,7 @@ def stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.n
     diagonals[j, k, i] = A_j[i, i - 1 + k].  A row vector's series,
     n T_n = sum_j T_{n-1-j} A_j, is this one run on _transposed(diagonals).
     """
-    stencil = _Stencil(len(diagonals) - 1, len(start), order)
-    stencil.family[...] = diagonals
-    stencil.start[...] = start
-    return stencil.expand()
+    return _Stencil(len(diagonals) - 1, len(start), order).expand(diagonals, start)
 
 
 @given(
@@ -538,9 +534,12 @@ def test_solve_bdp_steps_touch_no_dense_family(monkeypatch, boundary):
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
     traj, diagonals = solve_bdp(spec, 1.0, 7, 20)
     assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
-    # The second value is the diagonals the solve steps on, read-only.
+    # The second value is the diagonals the solve steps on, read-only, as
+    # are the trajectory's columns.
     assert np.array_equal(diagonals, _diagonals(spec.lam, spec.mu, spec))
-    assert not diagonals.flags.writeable
+    for column in (diagonals, *vars(traj).values()):
+        with pytest.raises(ValueError):
+            column[-1] = 5.0
     monkeypatch.undo()
     # generator_family is their dense form.
     assert np.array_equal(_dense(diagonals), generator_family(spec).stack)
@@ -634,8 +633,9 @@ def test_solve_bdp_shifts_one_block_of_steps_at_a_time(
 
 def test_a_long_grid_holds_the_shifted_family_one_block_at_a_time():
     # 201 grid times of a 10^4-state family shifted at once, and their norms'
-    # temporary, took 232 MB; a block of one step keeps the peak near the
-    # 32 MB of distributions the solve returns and stacks.
+    # temporary, took 232 MB, and a list of rows stacked at the end 36 MB; a
+    # block of one step and rows written into one stack keep the peak near
+    # the 16 MB of distributions the solve returns.
     spec = BirthDeathSpec(
         lam=(1.0, 0.5), mu=(1.0, 0.5), states=10_000, boundary=Boundary.REFLECT_NONE
     )
@@ -646,4 +646,4 @@ def test_a_long_grid_holds_the_shifted_family_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert np.isfinite(traj.tail_bounds).all() and traj.tail_bounds[-1] > 0.0
-    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
+    assert peak < 30e6, f"peak {peak / 1e6:.0f} MB"

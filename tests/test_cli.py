@@ -37,14 +37,23 @@ def test_pisum_golden_line(capsys):
 
 
 def test_pisum_over_the_budget_single_error_line(capsys):
-    # 22 597 760 tuples: refused from their count, well before enumerating any.
+    # One tuple, but 2000 * 2001 * 2 multiply-adds of large integers, which
+    # take seconds: refused from their count, before any of them.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "pisum", "30", "15", "3")
-    assert time.perf_counter() - start < 1.0
+    code, out, err = run_cli(capsys, "pisum", "4000", "2000", "1")
+    assert time.perf_counter() - start < 0.1
     assert code == 1 and out == ""
     assert err == (
-        "error: pi_sum(30, 15, 3) needs 22597760 index tuples, over the budget of 1000000\n"
+        "error: pi_sum(4000, 2000, 1) needs 8004000 integer multiply-adds,"
+        " over the budget of 1000000\n"
     )
+
+
+def test_pisum_of_a_set_of_many_tuples_but_little_work_is_admitted(capsys):
+    # 22 597 760 tuples, which the recursion never visits: 15 * 16 * 4 multiply-adds.
+    code, out, err = run_cli(capsys, "pisum", "30", "15", "3")
+    assert code == 0 and err == ""
+    assert out == "320346251/77129772643123200  320346251/77129772643123200  EQUAL\n"
 
 
 def test_pisum_with_a_degree_above_the_total_index_finishes_at_once():

@@ -273,12 +273,13 @@ def test_pi_sum_refuses_a_set_over_the_budget_before_enumerating(monkeypatch):
         yield
 
     monkeypatch.setattr(combinatorics, "_compositions", refuse)
+    # The budget counts the recursion's multiply-adds, not the one tuple.
     start = time.perf_counter()
     with pytest.raises(TermBudgetError) as err:
-        pi_sum(30, 15, 3)
-    assert time.perf_counter() - start < 1.0
-    assert err.value.count == 22_597_760 and err.value.budget == EXPLICIT_TERM_BUDGET
-    assert "22597760" in str(err.value) and "\n" not in str(err.value)
+        pi_sum(4000, 2000, 1)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.count == 8_004_000 and err.value.budget == EXPLICIT_TERM_BUDGET
+    assert "8004000 integer multiply-adds" in str(err.value) and "\n" not in str(err.value)
 
 
 def test_pi_sum_is_a_recursion_not_a_visit_to_every_tuple(monkeypatch):

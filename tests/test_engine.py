@@ -17,9 +17,10 @@ from evoseries.combinatorics import (
 )
 from evoseries.engine import (
     MAX_STEPS,
+    _grid,
     _local_bound,
+    _norms,
     _powers,
-    _step_ends,
     MatrixPolyCoefficients,
     MatrixSeries,
     Orientation,
@@ -29,7 +30,6 @@ from evoseries.engine import (
     counterexample_coefficients,
     counterexample_report,
     naive_exponential,
-    operator_norm,
     recenter,
     residual,
     solve_stepped,
@@ -112,8 +112,8 @@ def test_value_at(example_left, example_pair):
 
 def test_operator_norm_sides():
     mat = np.array([[1.0, -5.0], [2.0, 0.0]])
-    assert operator_norm(mat, Orientation.LEFT) == 5.0  # max column sum
-    assert operator_norm(mat, Orientation.RIGHT) == 6.0  # max row sum
+    assert _norms(mat, Orientation.LEFT) == 5.0  # max column sum
+    assert _norms(mat, Orientation.RIGHT) == 6.0  # max row sum
 
 
 def test_recursion_matches_worked_example(example_left):
@@ -580,6 +580,20 @@ def test_solve_stepped_grid_has_no_sliver(t_final):
         assert min(np.diff(times)) > 0.5 * t_final / steps, steps
 
 
+def test_grid_ends_at_t_final_with_exact_step_lengths():
+    # 3 * (0.9 / 3) is 0.8999999999999999: a two-decimal T over its step
+    # count, as the bdp_transient pool draws them, leaves a float sliver.
+    assert 3 * (0.9 / 3) != 0.9
+    for t_final, steps in ((0.9, 3), (0.3, 37), (0.7, 35), (1.37, 20), (2.0, 1)):
+        times, hs = _grid(t_final, t_final / steps)
+        assert len(times) == steps + 1 and len(hs) == steps
+        assert times[0] == 0.0 and times[-1] == t_final
+        assert hs == np.diff(times).tolist()
+        for t_prev, t_next, h in zip(times, times[1:], hs):
+            assert Fraction(h) == Fraction(t_next) - Fraction(t_prev)
+    assert _grid(0.0, 0.5) == ([0.0], [])
+
+
 def test_solve_stepped_refuses_step_count_over_cap(example_left):
     for step in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
         with pytest.raises(ValueError, match=str(MAX_STEPS)):
@@ -729,10 +743,9 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     out = [(0.0, np.eye(coeffs.dim), 0.0)]
-    t_prev = 0.0
+    times, hs = _grid(t_final, step)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t_next in enumerate(_step_ends(t_final, step), start=1):
-            h = t_next - t_prev
+        for k, (t_prev, t_next, h) in enumerate(zip(times, times[1:], hs), start=1):
             refusal = ValueError(f"the series overflows on the step from t = {t_prev}")
             shifted = np.zeros_like(coeffs.stack)
             for j, acc in enumerate(shifted):
@@ -771,7 +784,6 @@ def stepped_reference(coeffs: MatrixPolyCoefficients, t_final: float, step: floa
                 err = bound_loc * (norm_prev + err) + norm_loc * (err + gamma(dim) * norm_prev)
                 err = math.inf if math.isnan(err) else up(err, 6)
             out.append((t_next, current, err))
-            t_prev = t_next
     return out
 
 
