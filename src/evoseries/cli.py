@@ -49,13 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digits(text: str) -> int:
-    """The --digits type: a count of significant digits, at least 1."""
+    """The --digits type: a count of significant digits from 1 to 17.
+
+    17 significant digits round-trip a double, so more would print only
+    the binary expansion's noise.
+    """
     try:
         digits = int(text)
     except ValueError:
         digits = 0
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    if not 1 <= digits <= 17:
+        raise argparse.ArgumentTypeError(f"need an integer from 1 to 17, got {text!r}")
     return digits
 
 
@@ -343,7 +347,8 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except Exception as exc:  # contract: one diagnostic line, nonzero exit
-        print(f"error: {exc}", file=sys.stderr)
+        # An exception with no message, such as MemoryError, is named by its type.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

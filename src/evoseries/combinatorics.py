@@ -82,13 +82,11 @@ def _check_restricted(n: int, q: int, p: int) -> None:
         )
 
 
-def _refuse_over_budget(
-    what: str, length: int, total: int, cap: int, terms: str = "index tuples"
-) -> None:
+def _refuse_over_budget(what: str, length: int, total: int, cap: int) -> None:
     # Counts the tuples in {0..cap}^length that sum to total, without enumerating them.
     count = _bounded_count(length, total, cap)
     if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, terms)
+        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "index tuples")
 
 
 def _compositions(total: int, length: int, cap: int) -> Iterator[MultiIndex]:
@@ -175,7 +173,8 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
         f_k(s) = sum_{e <= min(p, s)} perm(s + k - 1, e) f_(k-1)(s - e),
 
     where e is the first entry and (s + k - 1)! / (s - e + k - 1)! the
-    integer perm(s + k - 1, e).  The sum is f_(n-q)(q) / n!: at most
+    integer perm(s + k - 1, e), formed in the inner sum by one more factor
+    each e.  The sum is f_(n-q)(q) / n!: at most
     (n - q)(q + 1)(min(p, q) + 1) integer multiply-adds.
 
     Refuses with TermBudgetError, before any work, more than
@@ -189,10 +188,14 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
         raise TermBudgetError(work, EXPLICIT_TERM_BUDGET, what, "integer multiply-adds")
     sums = [1] + [0] * q
     for k in range(1, n - q + 1):
-        sums = [
-            sum(math.perm(s + k - 1, e) * sums[s - e] for e in range(min(p, s) + 1))
-            for s in range(q + 1)
-        ]
+        row = []
+        for s in range(q + 1):
+            total, perm = 0, 1  # perm(s + k - 1, e), one factor more each e
+            for e in range(min(p, s) + 1):
+                total += perm * sums[s - e]
+                perm *= s + k - 1 - e
+            row.append(total)
+        sums = row
     return Fraction(sums[q], math.factorial(n))
 
 
@@ -208,26 +211,85 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     Summed as integer numerators over n!: n! // (prod_j k_j! j^{k_j}) is an
     integer, the number of permutations of n elements with k_j cycles of
     length j (Cauchy's formula), since sum_j j k_j = n.  The two sums give
-    sum_j (j - 1) k_j = q, so k_j = 0 for j > q + 1: only the first
-    min(p, q) + 1 counts are enumerated.
+    sum_j (j - 1) k_j = q, so (k_2, k_3, ...) lists the parts of a partition
+    of q into parts of at most min(p, q), and k_1 = n - q - sum_(j>=2) k_j.
+    Only the partitions with at most n - q parts, so k_1 >= 0, are visited:
+    no vector is built to be thrown away.
 
-    Refuses with TermBudgetError, before enumerating, more than
-    EXPLICIT_TERM_BUDGET exponent vectors to visit.
+    Refuses with TermBudgetError, before visiting any, more than
+    EXPLICIT_TERM_BUDGET exponent vectors, counted from a Gaussian binomial
+    coefficient; and, first, a count that would itself take more than
+    EXPLICIT_TERM_BUDGET integer additions.
     """
     _check_restricted(n, q, p)
-    width = min(p, q) + 1
+    largest, parts = min(p, q), n - q
     what = f"multinomial_pi_sum({n}, {q}, {p})"
-    _refuse_over_budget(what, width, n - q, n - q, "exponent vectors")
+    work = (q + 1) * min(largest, parts)
+    if work > EXPLICIT_TERM_BUDGET:
+        terms = "integer additions to count its exponent vectors"
+        raise TermBudgetError(work, EXPLICIT_TERM_BUDGET, what, terms)
+    count = _partition_count(q, largest, parts)
+    if count > EXPLICIT_TERM_BUDGET:
+        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "exponent vectors")
     factorial = math.factorial(n)
     numerator = 0
-    for k in _compositions(n - q, width, n - q):
-        if sum(j * kj for j, kj in enumerate(k, start=1)) != n:
-            continue
-        denominator = 1
-        for j, kj in enumerate(k, start=1):
+    for counts in _partitions(q, largest, parts):
+        # The parts largest, ..., 1 are the cycle lengths j = largest + 1, ..., 2.
+        denominator = math.factorial(parts - sum(counts))
+        for j, kj in zip(range(largest + 1, 1, -1), counts):
             denominator *= math.factorial(kj) * j**kj
         numerator += factorial // denominator
     return Fraction(numerator, factorial)
+
+
+def _partitions(total: int, largest: int, parts: int) -> Iterator[MultiIndex]:
+    # The partitions of total into at most parts parts of at most largest, as
+    # counts (c_largest, ..., c_1) of each part size, in lexicographic order,
+    # stepped on one list like _compositions.  With rest left to fill and room
+    # for that many more parts, c_s runs from max(0, rest - (s - 1) room), the
+    # fewest that leave the rest within reach of the smaller sizes, to
+    # min(rest // s, room); so every prefix completes, and c_1 = rest.
+    if total < 0 or total > largest * parts:
+        return
+    if largest == 0:
+        yield ()
+        return
+    count = [0] * largest
+    rest = [total] + [0] * largest  # rest[i], room[i]: left for positions i on
+    room = [parts] + [0] * largest
+    count[0] = max(0, total - (largest - 1) * parts)
+    i = 0
+    while True:
+        for j in range(i, largest):
+            size = largest - j
+            rest[j + 1] = rest[j] - size * count[j]
+            room[j + 1] = room[j] - count[j]
+            if j + 1 < largest:
+                count[j + 1] = max(0, rest[j + 1] - (size - 2) * room[j + 1])
+        yield tuple(count)
+        # Raise the rightmost free count below its most; c_1 is never free.
+        i = largest - 2
+        while i >= 0 and count[i] == min(rest[i] // (largest - i), room[i]):
+            i -= 1
+        if i < 0:
+            return
+        count[i] += 1
+
+
+def _partition_count(total: int, largest: int, parts: int) -> int:
+    # The number of _partitions(total, largest, parts): the x^total coefficient
+    # of the Gaussian binomial [largest + parts, small]_x, that is of
+    # prod_(i<=small) (1 - x^(big+i)) / (1 - x^i) with small and big the two
+    # bounds in order, truncated at x^total.  At most 2 (total + 1) small
+    # integer additions.
+    small, big = sorted((largest, parts))
+    coeffs = [1] + [0] * total
+    for i in range(1, small + 1):
+        for t in range(total, big + i - 1, -1):
+            coeffs[t] -= coeffs[t - big - i]
+        for t in range(i, total + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs[total]
 
 
 def _bounded_count(length: int, total: int, cap: int) -> int:

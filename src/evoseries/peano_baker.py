@@ -28,10 +28,16 @@ __all__ = [
 
 def _family_times(coeffs: MatrixPolyCoefficients, stack: np.ndarray) -> np.ndarray:
     # A(t) P(t) for LEFT, P(t) A(t) for RIGHT; exact convolution of the stacks.
-    left = coeffs.orientation is Orientation.LEFT
+    # The p + 1 products A_j P form in one broadcast matmul, then add into the
+    # shifted slices in j order.
+    family = coeffs.stack[:, np.newaxis]
+    if coeffs.orientation is Orientation.LEFT:
+        products = family @ stack
+    else:
+        products = stack @ family
     out = np.zeros((coeffs.degree + len(stack), coeffs.dim, coeffs.dim))
-    for j, aj in enumerate(coeffs.stack):
-        out[j : j + len(stack)] += aj @ stack if left else stack @ aj
+    for j, product in enumerate(products):
+        out[j : j + len(stack)] += product
     return out
 
 

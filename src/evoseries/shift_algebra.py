@@ -219,22 +219,16 @@ def _u_power(k: int) -> list:
     return [[0] * k + [1]]
 
 
+def _row_terms(rows: list):
+    # The nonzero entries of the rows as ((s, k), c) pairs, in (s, k) order.
+    return (((s, k), c) for s, row in enumerate(rows) for k, c in enumerate(row) if c)
+
+
 def _polynomial(rows: list, denominator: int = 1) -> ShiftPolynomial:
     # The rows as a polynomial, every coefficient divided by denominator.
     return ShiftPolynomial(
-        ((s, k), c if denominator == 1 else Fraction(c, denominator))
-        for s, row in enumerate(rows)
-        for k, c in enumerate(row)
-        if c
+        (key, c if denominator == 1 else Fraction(c, denominator)) for key, c in _row_terms(rows)
     )
-
-
-def _binomial_in_s(power: int, u_prefix: int) -> ShiftPolynomial:
-    # U^{u_prefix} (I - S)^{power} in canonical form.
-    rows = _u_power(u_prefix)
-    for _ in range(power):
-        rows = _combine(1, rows, -1, _times_s(rows))
-    return _polynomial(rows)
 
 
 @dataclass(frozen=True)
@@ -262,17 +256,25 @@ def shift_identities_check(q: int, r: int) -> IdentityReport:
 
     Left sides of absorb and transfer are raw words put through reduce; their
     right sides come from a closed form and from the product kernel, so
-    agreement checks the rewriting and the kernel against each other.
+    agreement checks the rewriting and the kernel against each other.  The
+    right sides stay integer rows: one chain U^r (I - S)^i for i <= q, and
+    U^(r-1) (I - S)^q.  Their nonzero entries, in (s, k) order, are compared
+    with reduce's terms directly, since an int equals a Fraction of the same
+    value, so no Fraction polynomial is built.
     """
     if q < 1 or r < 1:
         raise ValueError(f"need q >= 1 and r >= 1, got q={q}, r={r}")
-    absorb_lhs = reduce("U" * q + "S" * (q + r - 1))
-    absorb_rhs = ShiftPolynomial(
-        {(k + r - 1, 0): (-1) ** k * math.comb(q, k) for k in range(q + 1)}
-    )
-    transfer_lhs = reduce("U" * (q + r) + "S" * q)
-    transfer_rhs = peel_lhs = _binomial_in_s(q, u_prefix=r)
-    peel_rhs = _binomial_in_s(q - 1, u_prefix=r) - _binomial_in_s(q, u_prefix=r - 1)
+    absorb_lhs = reduce("U" * q + "S" * (q + r - 1)).terms
+    absorb_rhs = tuple(((k + r - 1, 0), (-1) ** k * math.comb(q, k)) for k in range(q + 1))
+    transfer_lhs = reduce("U" * (q + r) + "S" * q).terms
+    before = rows = _u_power(r)  # before ends as U^r (I - S)^(q-1), rows as U^r (I - S)^q
+    for _ in range(q):
+        before, rows = rows, _combine(1, rows, -1, _times_s(rows))
+    shorter = _u_power(r - 1)  # U^(r-1) (I - S)^q
+    for _ in range(q):
+        shorter = _combine(1, shorter, -1, _times_s(shorter))
+    transfer_rhs = peel_lhs = tuple(_row_terms(rows))
+    peel_rhs = tuple(_row_terms(_combine(1, before, -1, shorter)))
     return IdentityReport(
         q=q,
         r=r,

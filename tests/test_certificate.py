@@ -10,6 +10,7 @@ it stands.
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from evoseries.bdp import BirthDeathSpec, Boundary, generator_family, solve_bdp
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _gamma,
     _norm_bounds,
     _powers,
     _shift_rounding,
@@ -203,3 +205,37 @@ def test_shift_rounding_bounds_the_float_shift(seed, dim, degree, left, log_t0):
             )
             gap = abs(mp_array(shifted[j]) - shift_j)
             assert max(gap.sum(axis=0 if left else 1)) <= rho_j, (j, rho_j)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    left=st.booleans(),
+    signed=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_float_product_is_within_gamma_d_of_the_exact_one(seed, dim, left, signed):
+    # The composition lemma solve_stepped adds per step: with the orientation's
+    # induced norm, ||fl(R_loc R_prev) - R_loc R_prev|| <= gamma_d ||R_loc|| ||R_prev||,
+    # checked exactly in Fractions of the float entries.
+    rng = np.random.default_rng(seed)
+    r_loc, r_prev = rng.standard_normal((2, dim, dim)) * 10.0 ** rng.uniform(-3, 3, (2, dim, dim))
+    if not signed:
+        r_loc, r_prev = np.abs(r_loc), np.abs(r_prev)
+    product = np.matmul(r_loc, r_prev) if left else np.matmul(r_prev, r_loc)
+    a, b = [[[Fraction(x) for x in row] for row in m.tolist()] for m in (r_loc, r_prev)]
+    if not left:
+        a, b = b, a
+    exact = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+
+    def norm(m):
+        # LEFT acts on columns (max column sum), RIGHT on rows (max row sum).
+        lines = zip(*m) if left else m
+        return max(sum(abs(x) for x in line) for line in lines)
+
+    gap = [
+        [Fraction(x) - e for x, e in zip(row, exact_row)]
+        for row, exact_row in zip(product.tolist(), exact)
+    ]
+    allowance = Fraction(_gamma(dim)) * norm(a) * norm(b)
+    assert norm(gap) <= allowance

@@ -498,7 +498,7 @@ def test_missing_positionals_single_error_line(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize("value", ["0", "-3", "x", "18", "40", "99999999999999999999", "1000000000"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -513,7 +513,17 @@ def test_missing_positionals_single_error_line(capsys):
 def test_digits_below_one_is_a_usage_error_naming_it(capsys, argv, value):
     code, out, err = run_cli(capsys, *argv, "--digits", value)
     assert code == 2 and out == ""
-    assert err == f"error: argument --digits: need an integer >= 1, got {value!r}\n"
+    assert err == f"error: argument --digits: need an integer from 1 to 17, got {value!r}\n"
+
+
+def test_an_exception_without_a_message_is_named_by_its_type(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_scalar", out_of_memory)
+    code, out, err = run_cli(capsys, "scalar", "--a", "1", "--t", "1")
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("times", [",", ""])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -296,20 +297,70 @@ def test_pi_sum_is_a_recursion_not_a_visit_to_every_tuple(monkeypatch):
 
 
 def test_multinomial_sum_refuses_too_many_exponent_vectors_before_enumerating(monkeypatch):
-    # 31 exponent counts summing to 30: C(60, 30) vectors, refused from their count.
+    # Its vectors are the partitions of q into parts of at most min(p, q), with
+    # at most n - q parts: at (60, 30, 30) the 5604 partitions of 30, computed.
+    assert multinomial_pi_sum(60, 30, 30) == pi_sum(60, 30, 30)
+
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated exponent vectors over the budget")
 
+    monkeypatch.setattr(combinatorics, "_partitions", refuse)
     monkeypatch.setattr(combinatorics, "_compositions", refuse)
+    # The 4 087 968 partitions of 70, refused from their count.
     start = time.perf_counter()
     with pytest.raises(TermBudgetError) as err:
-        multinomial_pi_sum(60, 30, 30)
-    assert time.perf_counter() - start < 1.0
-    assert err.value.count == math.comb(60, 30) and err.value.budget == EXPLICIT_TERM_BUDGET
+        multinomial_pi_sum(200, 70, 70)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.count == 4_087_968 and err.value.budget == EXPLICIT_TERM_BUDGET
     assert str(err.value) == (
-        "multinomial_pi_sum(60, 30, 30) needs 118264581564861424 exponent vectors, "
+        "multinomial_pi_sum(200, 70, 70) needs 4087968 exponent vectors, "
         "over the budget of 1000000"
     )
+
+
+def test_multinomial_sum_refuses_a_count_over_the_budget_before_counting(monkeypatch):
+    # 10^5 + 1 coefficients of 10^5 Gaussian-binomial factors would take
+    # minutes to count; the count's own additions are refused first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted exponent vectors over the budget")
+
+    monkeypatch.setattr(combinatorics, "_partition_count", refuse)
+    monkeypatch.setattr(combinatorics, "_partitions", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetError) as err:
+        multinomial_pi_sum(200_000, 100_000, 100_000)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.count == 100_001 * 100_000
+    assert "10000100000 integer additions to count its exponent vectors" in str(err.value)
+
+
+def test_multinomial_sum_admits_every_size_the_composition_count_admitted():
+    # One partition of 1000 has at most one part: the single 1001-cycle.  The
+    # compositions of n - q = 1 into 1001 counts numbered only 1001.
+    assert multinomial_pi_sum(1001, 1000, 1000) == Fraction(1, 1001)
+
+
+def test_partitions_match_a_brute_force_filter_and_their_count():
+    for total in range(13):
+        for largest in range(7):
+            for parts in range(8):
+                ranges = [range(total // (largest - i) + 1) for i in range(largest)]
+                brute = [
+                    c
+                    for c in itertools.product(*ranges)
+                    if sum((largest - i) * x for i, x in enumerate(c)) == total and sum(c) <= parts
+                ]
+                assert list(combinatorics._partitions(total, largest, parts)) == brute
+                assert combinatorics._partition_count(total, largest, parts) == len(brute)
+
+
+def test_weight_sums_match_the_cycle_type_reference_at_every_q_to_order_18():
+    for n in range(1, 19):
+        for p in range(1, 6):
+            for q in range(max_total_index(n, p) + 1):
+                expected = multinomial_pi_sum_reference(n, q, p)
+                assert pi_sum(n, q, p) == expected, (n, q, p)
+                assert multinomial_pi_sum(n, q, p) == expected, (n, q, p)
 
 
 def test_engine_reexports_the_one_budget():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import min_degree, pb_term
+from evoseries import peano_baker
 from evoseries.engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation
 from evoseries.peano_baker import pb_equivalence_report, pb_partial_sum
 
@@ -118,3 +121,36 @@ def test_report_zero_family():
     rows = pb_equivalence_report(zero, 4)
     assert all(r.abs_gap == 0.0 for r in rows)
 
+
+
+def family_times_per_j(coeffs, stack):
+    # One product a coefficient, added into its shifted slice in j order.
+    left = coeffs.orientation is Orientation.LEFT
+    out = np.zeros((coeffs.degree + len(stack), coeffs.dim, coeffs.dim))
+    for j, aj in enumerate(coeffs.stack):
+        out[j : j + len(stack)] += aj @ stack if left else stack @ aj
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    order=st.integers(1, 25),
+    left=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_partial_sum_bytes_equal_the_per_j_products(seed, dim, degree, order, left):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, (degree + 1, 1, 1))
+    mats = rng.standard_normal((degree + 1, dim, dim)) * scales
+    coeffs = MatrixPolyCoefficients(mats, Orientation.LEFT if left else Orientation.RIGHT)
+    sums = [pb_partial_sum(coeffs, order), pb_partial_sum(coeffs, order, max_degree=order)]
+    broadcast = peano_baker._family_times
+    peano_baker._family_times = family_times_per_j
+    try:
+        expected = [pb_partial_sum(coeffs, order), pb_partial_sum(coeffs, order, max_degree=order)]
+    finally:
+        peano_baker._family_times = broadcast
+    for got, want in zip(sums, expected):
+        assert got.stack.shape == want.stack.shape and got.stack.tobytes() == want.stack.tobytes()

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from evoseries.shift_algebra import (
     POWER_GUARD,
     BinomialGroupDecomposition,
+    IdentityReport,
     ShiftPolynomial,
+    _combine,
+    _polynomial,
+    _times_s,
+    _u_power,
     binomial_group,
     letter_matrix,
     power_expand,
@@ -164,6 +169,37 @@ def test_identities_hold():
         for r in range(1, 5):
             report = shift_identities_check(q, r)
             assert report.all_pass, (q, r, report)
+
+
+def _binomial_in_s(power, u_prefix):
+    # U^{u_prefix} (I - S)^{power} as a Fraction polynomial.
+    rows = _u_power(u_prefix)
+    for _ in range(power):
+        rows = _combine(1, rows, -1, _times_s(rows))
+    return _polynomial(rows)
+
+
+def identities_reference(q, r):
+    # The check with every right side built as a ShiftPolynomial.
+    absorb_rhs = ShiftPolynomial(
+        {(k + r - 1, 0): (-1) ** k * math.comb(q, k) for k in range(q + 1)}
+    )
+    transfer_rhs = peel_lhs = _binomial_in_s(q, u_prefix=r)
+    peel_rhs = _binomial_in_s(q - 1, u_prefix=r) - _binomial_in_s(q, u_prefix=r - 1)
+    return IdentityReport(
+        q=q,
+        r=r,
+        absorb=reduce("U" * q + "S" * (q + r - 1)) == absorb_rhs,
+        transfer=reduce("U" * (q + r) + "S" * q) == transfer_rhs,
+        peel=peel_lhs == peel_rhs,
+    )
+
+
+def test_identities_on_integer_rows_match_the_fraction_polynomial_reference():
+    for q in range(1, 9):
+        for r in range(1, 9):
+            report = shift_identities_check(q, r)
+            assert report == identities_reference(q, r) and report.all_pass, (q, r, report)
 
 
 def test_identities_hand_case():
