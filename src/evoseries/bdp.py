@@ -45,11 +45,17 @@ __all__ = [
     "Boundary",
     "BirthDeathSpec",
     "DistributionTrajectory",
+    "MAX_DOUBLES",
     "StochasticityReport",
     "generator_family",
     "solve_bdp",
     "stochasticity_report",
 ]
+
+# Most doubles solve_bdp allocates for its (steps + 1, n) rows and its
+# (order + 1 + p, n + 2) stencil: 1 GiB, far above a 10^5-state, 4-step or a
+# 10^4-state, 200-step solve (under 4 * 10^6 doubles each).
+MAX_DOUBLES = 2**27
 
 
 class Boundary(enum.Enum):
@@ -247,8 +253,10 @@ def solve_bdp(
     bounds are one _local_bound call after the last step, with dim = 3, as
     a tridiagonal product's entry sums 3 products; ||p~||_1 sums n entries.
 
-    The first step whose row series is not finite is refused by
-    _refuse_overflow, with solve_stepped's one message.
+    A solve whose rows and stencil would hold more than MAX_DOUBLES doubles
+    is refused before either is allocated.  The first step whose row series
+    is not finite is refused by _refuse_overflow, with solve_stepped's one
+    message.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -258,6 +266,13 @@ def solve_bdp(
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     n = spec.states
+    # The rows, then the stencil's order + 1 + p rows, with p + 1 = len(spec.lam).
+    doubles = (steps + 1) * n + (order + len(spec.lam)) * (n + 2)
+    if doubles > MAX_DOUBLES:
+        raise ValueError(
+            f"{n} states over {steps} steps need {doubles} doubles of rows and stencil,"
+            f" over the cap of {MAX_DOUBLES}"
+        )
     family = _diagonals(spec.lam, spec.mu, spec)
     family.setflags(write=False)
     if initial is None:

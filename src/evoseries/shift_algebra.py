@@ -10,9 +10,10 @@ polynomials, the delayed contributions.
 
 Words are strings over the letters U and S.  Every result is exact: a
 ShiftPolynomial's coefficients are fractions.Fraction.  Inside, the work is on
-Python ints.  The rewriting reduce runs on str words and carries each branch's
-sign as an int.  Groups, powers and the identity right sides come from one
-product kernel on integer rows: row s holds the Python-int coefficients of
+Python ints.  The rewriting reduce runs in passes over a dict of str words and
+their summed int signs, so each distinct branch word is rewritten once.
+Groups, powers and the identity right sides come from one product kernel on
+integer rows: row s holds the Python-int coefficients of
 S^s U^0, S^s U^1, ..., right-multiplying by U shifts every row one place, and
 right-multiplying by S is an alternating suffix sum within each row plus one
 carry into the next row.  It runs in polynomial time; reduce is the oracle it
@@ -22,7 +23,6 @@ is tested against and never calls.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -148,35 +148,31 @@ def _parse_word(word) -> tuple[str, ...]:
     return letters
 
 
-def reduce(word, rng: random.Random | None = None) -> ShiftPolynomial:
-    """Canonical form of a word over {U, S}.
+def reduce(word) -> ShiftPolynomial:
+    """Canonical form of a word over {U, S}, by rewriting U S to I - S.
 
-    Repeatedly replaces one U S adjacency by I - S (two branch words, the
-    second with flipped sign) until every surviving word has all its shifts in
-    front, then collects the S^s U^k monomials.  Every rewrite removes one U,
-    so the process terminates.  The adjacency picked is the leftmost one
-    unless rng is supplied, in which case rng.choice of the list of all of
-    them, left to right: the normal form is order-independent, and the
-    randomized mode lets tests exercise that.  The branch words are strs and
-    their signs ints, collected into one ShiftPolynomial at the end.
+    pending maps each word still to rewrite to its summed int sign.  A pass
+    rewrites every pending word at its leftmost U S into the word without it
+    and, sign flipped, the word with S in its place; equal branch words merge,
+    zero sums drop, and a word with no U S is collected as S^s U^k.  Each
+    rewrite removes one U, so the passes end.  The normal form does not depend
+    on the order of rewrites, so merging is sound.  Every pending word is
+    S^a U^b z with z a suffix of the input: a word of L letters has O(L^3)
+    distinct pending words and costs about O(L^4) letter operations.
     """
-    pending = [("".join(_parse_word(word)), 1)]
+    pending = {"".join(_parse_word(word)): 1}
     collected: dict[tuple[int, int], int] = {}
     while pending:
-        w, c = pending.pop()
-        i = w.find("US")
-        if i < 0:
-            key = (w.count("S"), w.count("U"))
-            collected[key] = collected.get(key, 0) + c
-            continue
-        if rng is not None:
-            spots = []
-            while i >= 0:
-                spots.append(i)
-                i = w.find("US", i + 2)
-            i = rng.choice(spots)
-        pending.append((w[:i] + w[i + 2 :], c))
-        pending.append((w[:i] + "S" + w[i + 2 :], -c))
+        rewritten: dict[str, int] = {}
+        for w, c in pending.items():
+            i = w.find("US")
+            if i < 0:
+                key = (w.count("S"), w.count("U"))
+                collected[key] = collected.get(key, 0) + c
+                continue
+            for branch, sign in ((w[:i] + w[i + 2 :], c), (w[:i] + "S" + w[i + 2 :], -c)):
+                rewritten[branch] = rewritten.get(branch, 0) + sign
+        pending = {w: c for w, c in rewritten.items() if c}
     return ShiftPolynomial(collected)
 
 

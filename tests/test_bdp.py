@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from evoseries import bdp, engine
 from evoseries.bdp import (
+    MAX_DOUBLES,
     BirthDeathSpec,
     Boundary,
     DistributionTrajectory,
@@ -235,6 +236,23 @@ def test_solve_refuses_an_order_below_one_before_any_work(monkeypatch, order):
     with pytest.raises(ValueError) as stepped:
         solve_stepped(generator_family(spec), 1.0, 0.2, order)
     assert str(birth_death.value) == str(stepped.value) == f"series order must be >= 1, got {order}"
+
+
+def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_bdp allocated")
+
+    monkeypatch.setattr(bdp, "_diagonals", refuse)
+    monkeypatch.setattr(bdp, "_Stencil", refuse)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10**9)
+    # (50 + 1) * 10^9 doubles of rows and (30 + 2) * (10^9 + 2) of stencil.
+    doubles = 51 * 10**9 + 32 * (10**9 + 2)
+    with pytest.raises(ValueError) as refused:
+        solve_bdp(spec, 1.0, 50, 30)
+    assert str(refused.value) == (
+        f"1000000000 states over 50 steps need {doubles} doubles of rows and stencil,"
+        f" over the cap of {MAX_DOUBLES}"
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

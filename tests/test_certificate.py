@@ -17,11 +17,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoseries.bdp import BirthDeathSpec, Boundary, generator_family, solve_bdp
+from evoseries.bdp import BirthDeathSpec, Boundary, _Stencil, generator_family, solve_bdp
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
+    _expand,
     _gamma,
+    _horner,
     _norm_bounds,
     _powers,
     _shift_rounding,
@@ -36,6 +38,16 @@ TINY = mpmath.mpf(10) ** -36
 def mp_array(values) -> np.ndarray:
     """An object array of mpf, each the exact value of its double."""
     return np.vectorize(mpmath.mpf, otypes=[object])(np.asarray(values, dtype=float))
+
+
+def fractions(values) -> np.ndarray:
+    """An object array of Fraction, each the exact value of its double."""
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(values, dtype=float))
+
+
+def operator_norm(m, left: bool):
+    # LEFT acts on columns (max column sum), RIGHT on rows (max row sum).
+    return max(abs(m).sum(axis=0 if left else 1))
 
 
 def mp_stepped(mats, left: bool, start, times) -> list[np.ndarray]:
@@ -223,19 +235,134 @@ def test_a_float_product_is_within_gamma_d_of_the_exact_one(seed, dim, left, sig
     if not signed:
         r_loc, r_prev = np.abs(r_loc), np.abs(r_prev)
     product = np.matmul(r_loc, r_prev) if left else np.matmul(r_prev, r_loc)
-    a, b = [[[Fraction(x) for x in row] for row in m.tolist()] for m in (r_loc, r_prev)]
-    if not left:
-        a, b = b, a
-    exact = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    loc, prev = fractions(r_loc), fractions(r_prev)
+    exact = loc @ prev if left else prev @ loc
+    gap = fractions(product) - exact
+    allowance = Fraction(_gamma(dim)) * operator_norm(loc, left) * operator_norm(prev, left)
+    assert operator_norm(gap, left) <= allowance
 
-    def norm(m):
-        # LEFT acts on columns (max column sum), RIGHT on rows (max row sum).
-        lines = zip(*m) if left else m
-        return max(sum(abs(x) for x in line) for line in lines)
 
-    gap = [
-        [Fraction(x) - e for x, e in zip(row, exact_row)]
-        for row, exact_row in zip(product.tolist(), exact)
-    ]
-    allowance = Fraction(_gamma(dim)) * norm(a) * norm(b)
-    assert norm(gap) <= allowance
+def exact_terms(mats, start, order: int, left: bool) -> list:
+    """T_0 = start and n T_n = sum_j A_j T_{n-1-j} (RIGHT: T_{n-1-j} A_j), in Fractions."""
+    terms = [start]
+    for n in range(1, order + 1):
+        acc = sum(
+            (mats[j] @ terms[n - 1 - j]) if left else (terms[n - 1 - j] @ mats[j])
+            for j in range(min(len(mats) - 1, n - 1) + 1)
+        )
+        terms.append(acc / n)
+    return terms
+
+
+def exact_scalar_series(a, r0, order: int) -> list:
+    """r_0 and n r_n = a_0 r_{n-1} + ... + a_{n-1} r_0, in Fractions."""
+    r = [r0]
+    for n in range(1, order + 1):
+        r.append(sum(a[j] * r[n - 1 - j] for j in range(min(len(a), n))) / n)
+    return r
+
+
+def assert_recursion_lemma(computed, mats, start, dim: int, left: bool, norm, start_norm):
+    # _local_bound's induction: with a_j = ||A_j||, a'_j = a_j (1 + gamma_(dim(p+1)+2))
+    # and r, r' their scalar series from ||T_0||, every computed term T~_n of
+    # the float recursion is within r'_n - r_n of the exact term T_n of the
+    # same float inputs, and ||T~_n|| <= r'_n.
+    order = len(computed) - 1
+    exact = exact_terms(mats, start, order, left)
+    a = [operator_norm(m, left) for m in mats]
+    gamma = Fraction(_gamma(dim * len(mats) + 2))
+    r = exact_scalar_series(a, start_norm, order)
+    r_primed = exact_scalar_series([x * (1 + gamma) for x in a], start_norm, order)
+    for n, (ours, theirs) in enumerate(zip(computed, exact)):
+        ours = fractions(ours)
+        assert norm(ours - theirs) <= r_primed[n] - r[n], n
+        assert norm(ours) <= r_primed[n], n
+
+
+def random_family(rng, degree: int, shape, signed: bool) -> np.ndarray:
+    # Entries of mixed sizes, nonnegative or of both signs.
+    mats = rng.standard_normal((degree + 1, *shape)) * 10.0 ** rng.uniform(-2, 1, (degree + 1, 1, 1))
+    return mats if signed else np.abs(mats)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    left=st.booleans(),
+    order=st.integers(1, 10),
+    signed=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_dense_recursion_terms_within_the_primed_series(seed, dim, degree, left, order, signed):
+    rng = np.random.default_rng(seed)
+    mats = random_family(rng, degree, (dim, dim), signed)
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    computed = _expand(mats, orientation, np.eye(dim), order)
+    assert_recursion_lemma(
+        computed,
+        [fractions(m) for m in mats],
+        fractions(np.eye(dim)),
+        dim,
+        left,
+        lambda m: operator_norm(m, left),
+        Fraction(1),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    states=st.integers(1, 8),
+    degree=st.integers(0, 3),
+    order=st.integers(1, 10),
+    signed=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_stencil_recursion_terms_within_the_primed_series(seed, states, degree, order, signed):
+    # The tridiagonal column recursion of solve_bdp, whose entries sum at most
+    # 3(p+1) products: the lemma with dim = 3, whatever the number of states.
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, degree, (3, states), signed)
+    family[:, 0, 0] = family[:, 2, -1] = 0.0  # family[j, k, i] = A_j[i, i - 1 + k]
+    start = rng.standard_normal(states)
+    computed = _Stencil(degree, states, order).expand(family, start).copy()
+    dense = np.zeros((degree + 1, states, states))
+    for k in range(3):
+        for i in range(states):
+            if 0 <= i - 1 + k < states:
+                dense[:, i, i - 1 + k] = family[:, k, i]
+    assert_recursion_lemma(
+        computed,
+        [fractions(m) for m in dense],
+        fractions(start),
+        3,
+        True,
+        lambda v: abs(v).sum(),
+        abs(fractions(start)).sum(),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    degree=st.integers(0, 3),
+    left=st.booleans(),
+    order=st.integers(1, 20),
+    signed=st.booleans(),
+    log_h=st.floats(-2.0, 0.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_horner_within_gamma_2n_of_the_exact_sum_of_its_terms(
+    seed, dim, degree, left, order, signed, log_h
+):
+    # Horner's rule on the computed terms: ||computed - sum T~_n h^n|| <=
+    # gamma_2N sum ||T~_n|| h^n, with the exact sum of the same float terms.
+    rng = np.random.default_rng(seed)
+    orientation = Orientation.LEFT if left else Orientation.RIGHT
+    terms = _expand(random_family(rng, degree, (dim, dim), signed), orientation, np.eye(dim), order)
+    h = 10.0**log_h
+    powers = [Fraction(h) ** n for n in range(order + 1)]
+    exact = sum(fractions(term) * power for term, power in zip(terms, powers))
+    gap = fractions(_horner(terms, h)) - exact
+    size = sum(operator_norm(fractions(term), left) * power for term, power in zip(terms, powers))
+    assert operator_norm(gap, left) <= Fraction(_gamma(2 * order)) * size

@@ -369,6 +369,21 @@ def test_algebra_reduce_lines(capsys):
     assert out == "1/1 * S^0 U^0\n-1/1 * S^1 U^0\n"
 
 
+def test_algebra_reduce_long_word_in_a_subprocess():
+    # U^40 S^40 = (I - S)^40: one line a power of S, in seconds, not hours.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", "algebra", "reduce", "U" * 40 + "S" * 40],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 41
+    assert lines[40] == "1/1 * S^40 U^0"
+    assert lines[20] == f"{math.comb(40, 20)}/1 * S^20 U^0"
+
+
 def test_algebra_group_lines(capsys):
     code, out, _ = run_cli(capsys, "algebra", "group", "2", "2")
     assert code == 0
@@ -468,6 +483,13 @@ def test_bdp_overflowing_family_norm_single_error_line():
     proc = run_subprocess("bdp", "--lam0", "1e308", "--T", "1", "--steps", "1", "--states", "3")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: the series overflows on the step from t = 0.0\n"
+
+
+def test_bdp_over_the_doubles_cap_single_error_line(capsys):
+    # A billion states would need 8 GB for each row: refused before any array.
+    code, out, err = run_cli(capsys, "bdp", "--states", "1000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: 1000000000 states over ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])

@@ -30,6 +30,21 @@ def test_script_runs(script):
     assert result.returncode == 0, result.stderr
 
 
+def test_second_seed_step_runs_every_property_test_file():
+    # CI draws the hypothesis tests again under a second seed; a file of
+    # property tests left off that step's list would be drawn only once.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: bound and exact-oracle tests at a second seed", 1)[1]
+    command = step.split("run:", 1)[1].splitlines()[0]
+    listed = set(re.findall(r"tests/\S+\.py", command))
+    with_given = {
+        f"tests/{path.name}"
+        for path in (ROOT / "tests").glob("*.py")
+        if re.search(r"^@given\b", path.read_text(), re.M)
+    }
+    assert listed == with_given
+
+
 def test_readme_has_python_blocks():
     assert README_BLOCKS
 
