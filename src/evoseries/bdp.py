@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    MAX_DOUBLES,
     MatrixPolyCoefficients,
     Orientation,
     _BLOCK_DOUBLES,
@@ -40,6 +41,7 @@ from .engine import (
     _shift,
     _up,
 )
+from .scalar import _refuse_long_series
 
 __all__ = [
     "Boundary",
@@ -51,12 +53,6 @@ __all__ = [
     "solve_bdp",
     "stochasticity_report",
 ]
-
-# Most doubles solve_bdp allocates for its (steps + 1, n) rows and its
-# (order + 1 + p, n + 2) stencil: 1 GiB, far above a 10^5-state, 4-step or a
-# 10^4-state, 200-step solve (under 4 * 10^6 doubles each).
-MAX_DOUBLES = 2**27
-
 
 class Boundary(enum.Enum):
     """Treatment of the last retained state.
@@ -253,10 +249,16 @@ def solve_bdp(
     bounds are one _local_bound call after the last step, with dim = 3, as
     a tridiagonal product's entry sums 3 products; ||p~||_1 sums n entries.
 
-    A solve whose rows and stencil would hold more than MAX_DOUBLES doubles
-    is refused before either is allocated.  The first step whose row series
-    is not finite is refused by _refuse_overflow, with solve_stepped's one
-    message.
+    A solve that would hold more than MAX_DOUBLES doubles at its peak is
+    refused before anything is allocated: 1 GiB, far above a 10^5-state,
+    4-step or a 10^4-state, 200-step solve (under 7 * 10^6 doubles each).
+    The count is the rows, the stencil's stack and its copy of a step's
+    family, the family's diagonals, and one block's shift of them, its
+    transpose and the norms' np.abs temporary; a block's arrays are dropped
+    before the next block's are made.  An order past
+    scalar.MAX_SERIES_PRODUCTS stencil products is refused first.  The
+    first step whose row series is not finite is refused by
+    _refuse_overflow, with solve_stepped's one message.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -265,12 +267,22 @@ def solve_bdp(
         raise ValueError(f"need at least one step, got {steps}")
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
+    _refuse_long_series(order, len(spec.lam))
     n = spec.states
-    # The rows, then the stencil's order + 1 + p rows, with p + 1 = len(spec.lam).
-    doubles = (steps + 1) * n + (order + len(spec.lam)) * (n + 2)
+    # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
+    per_block = max(1, _BLOCK_DOUBLES // (6 * n))
+    # The rows and the stencil's order + 1 + p rows, with p + 1 = len(spec.lam);
+    # then 3 (p + 1) n doubles for each of the stencil's family, the family,
+    # and per step of a block its shift, transpose and np.abs temporary.
+    diagonals = 3 * len(spec.lam) * n
+    doubles = (
+        (steps + 1) * n
+        + (order + len(spec.lam)) * (n + 2)
+        + diagonals * (2 + 3 * min(steps, per_block))
+    )
     if doubles > MAX_DOUBLES:
         raise ValueError(
-            f"{n} states over {steps} steps need {doubles} doubles of rows and stencil,"
+            f"{n} states over {steps} steps need {doubles} doubles,"
             f" over the cap of {MAX_DOUBLES}"
         )
     family = _diagonals(spec.lam, spec.mu, spec)
@@ -288,8 +300,6 @@ def solve_bdp(
     starts = times[:-1]
     powers = _powers(starts, len(family) - 1)
     stencil = _Stencil(len(family) - 1, n, order)
-    # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
-    per_block = max(1, _BLOCK_DOUBLES // (6 * n))
     dists = np.empty((len(times), n))
     dists[0] = p
     # Overflow, of the family's norms, its shift or a series, shows as a refused
@@ -310,6 +320,7 @@ def solve_bdp(
                 # enters the first term: a non-finite shift shows in the series.
                 _refuse_overflow([np.isfinite(terms).all()], [starts[k]])
                 dists[k + 1] = _horner(terms, hs[k])
+            del shifted, forward, step_family  # before the next block's are made
         leakage = np.abs(1.0 - dists.sum(axis=1))
     local_bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, 3, order, hs)
     bounds = [0.0]

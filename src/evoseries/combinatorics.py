@@ -190,10 +190,11 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
     for k in range(1, n - q + 1):
         row = []
         for s in range(q + 1):
-            total, perm = 0, 1  # perm(s + k - 1, e), one factor more each e
-            for e in range(min(p, s) + 1):
-                total += perm * sums[s - e]
-                perm *= s + k - 1 - e
+            total, perm, factor = 0, 1, s + k - 1  # perm(s + k - 1, e), one factor more each e
+            for f in sums[s : s - p - 1 if s > p else None : -1]:  # f_(k-1)(s - e), e <= min(p, s)
+                total += perm * f
+                perm *= factor
+                factor -= 1
             row.append(total)
         sums = row
     return Fraction(sums[q], math.factorial(n))

@@ -26,7 +26,7 @@ from .combinatorics import (
     _bounded_count,
     max_total_index,
 )
-from .scalar import scalar_coefficients
+from .scalar import _refuse_long_series, scalar_coefficients
 
 __all__ = [
     "Orientation",
@@ -47,6 +47,9 @@ __all__ = [
     "counterexample_report",
 ]
 
+# Most doubles one array of series terms may hold: 1 GiB.  _expand refuses a
+# larger term stack, and solve_bdp counts its peak against the same cap.
+MAX_DOUBLES = 2**27
 # Largest grid solve_stepped accepts: a million local expansions already take
 # minutes even for 2x2 families, so a larger count is a mistaken step.
 MAX_STEPS = 1_000_000
@@ -206,10 +209,17 @@ def _expand(
     any start block: the identity gives the series terms R_n.  A
     (p+1, S, d, d) family with a (S, d, d) start expands S families at
     once; each one's products and sums are those of its own expansion, so
-    the bits are too.
+    the bits are too.  A stack over MAX_DOUBLES doubles, or an order past
+    MAX_SERIES_PRODUCTS products, is refused before the stack is allocated.
     """
     left = orientation is Orientation.LEFT
     degree = len(mats) - 1
+    doubles = (order + 1) * start.size
+    if doubles > MAX_DOUBLES:
+        raise ValueError(
+            f"series order {order} needs {doubles} doubles of terms, over the cap of {MAX_DOUBLES}"
+        )
+    _refuse_long_series(order, degree + 1)
     # Lists of views: a list lookup costs less than indexing the array.
     mats = list(mats)
     stack = np.zeros((order + 1, *start.shape))

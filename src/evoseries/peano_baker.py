@@ -21,9 +21,13 @@ from .engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation, compu
 
 __all__ = [
     "DegreeGap",
+    "MAX_MATMULS",
     "pb_partial_sum",
     "pb_equivalence_report",
 ]
+
+# Most matrix products pb_partial_sum may form, far above every order in use.
+MAX_MATMULS = 10**6
 
 
 def _family_times(coeffs: MatrixPolyCoefficients, stack: np.ndarray) -> np.ndarray:
@@ -51,8 +55,6 @@ def _integrate(stack: np.ndarray) -> np.ndarray:
 def _terms(coeffs: MatrixPolyCoefficients, max_degree: int | None) -> Iterator[np.ndarray]:
     # U_0, U_1, ... as coefficient stacks; U_n has length n (p + 1) + 1 before
     # the cut at max_degree.
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"degree must be >= 0, got {max_degree}")
     term = np.eye(coeffs.dim)[np.newaxis]
     while True:
         yield term
@@ -70,9 +72,26 @@ def _polynomial(stack: np.ndarray) -> MatrixPolynomial:
 def pb_partial_sum(
     coeffs: MatrixPolyCoefficients, order: int, max_degree: int | None = None
 ) -> MatrixPolynomial:
-    """U_0 + U_1 + ... + U_order as one matrix polynomial, trailing zeros trimmed."""
+    """U_0 + U_1 + ... + U_order as one matrix polynomial, trailing zeros trimmed.
+
+    U_(i+1) multiplies each of the p + 1 coefficients A_j into each of the
+    deg_i + 1 coefficients of U_i, deg_i = min(i (p + 1), max_degree), so the
+    sum forms sum_(i<order) (p + 1)(deg_i + 1) matrix products; more than
+    MAX_MATMULS is refused before any.
+    """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"degree must be >= 0, got {max_degree}")
+    width = coeffs.degree + 1
+    # The first k terms grow by width each; the other order - k stay at max_degree.
+    k = order if max_degree is None else min(order, max_degree // width + 1)
+    degrees = width * k * (k - 1) // 2 + k + (order - k) * ((max_degree or 0) + 1)
+    if width * degrees > MAX_MATMULS:
+        raise ValueError(
+            f"Peano-Baker order {order} needs {width * degrees} matrix products,"
+            f" over the cap of {MAX_MATMULS}"
+        )
     size = order * (coeffs.degree + 1) + 1
     if max_degree is not None:
         size = min(size, max_degree + 1)

@@ -22,7 +22,27 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["scalar_coefficients", "scalar_closed_form"]
+__all__ = ["MAX_SERIES_PRODUCTS", "scalar_coefficients", "scalar_closed_form"]
+
+# Most products one series recursion may form: order * (p + 1) for p + 1
+# coefficients, the multiply-adds of a scalar series, the matrix products of
+# the engine's recursion or the stencil products of solve_bdp's.  Far above
+# every order in use; at the cap a scalar series and its sum take seconds.
+MAX_SERIES_PRODUCTS = 10**6
+
+
+def _refuse_long_series(order: int, width: int) -> None:
+    """Refuse an order whose recursion over width coefficients forms over MAX_SERIES_PRODUCTS.
+
+    Order n sums min(width, n) products, so order * min(width, order)
+    bounds them all.
+    """
+    products = order * min(width, order)
+    if products > MAX_SERIES_PRODUCTS:
+        raise ValueError(
+            f"series order {order} needs {products} products,"
+            f" over the cap of {MAX_SERIES_PRODUCTS}"
+        )
 
 
 def scalar_coefficients(a: Sequence[float], order: int) -> np.ndarray:
@@ -33,12 +53,14 @@ def scalar_coefficients(a: Sequence[float], order: int) -> np.ndarray:
     elementwise in the same order, so each element is bit for bit the float
     call on its own coefficients.  Returns the (order+1, *shape) float array
     of the r_n.  Overflow gives inf, and infs of both signs nan, without a
-    floating-point warning.
+    floating-point warning.  An order past MAX_SERIES_PRODUCTS multiply-adds
+    is refused before any.
     """
     if len(a) == 0:
         raise ValueError("need at least the constant coefficient a_0")
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
+    _refuse_long_series(order, len(a))
     r = [1.0]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order + 1):

@@ -17,7 +17,15 @@ integer rows: row s holds the Python-int coefficients of
 S^s U^0, S^s U^1, ..., right-multiplying by U shifts every row one place, and
 right-multiplying by S is an alternating suffix sum within each row plus one
 carry into the next row.  It runs in polynomial time; reduce is the oracle it
-is tested against and never calls.
+is tested against and never calls.  The kernel's rows come out in canonical
+order, so its polynomials are built without the constructor's summing.
+
+realize turns a polynomial into its matrix on a truncation.  Each monomial
+S^s U^k is a band of signed binomials there, so realize places every term's
+band once and sums them in term order, in O(T (size + max_shift) + size^2)
+for T terms, with no matrix power; a zero product never changes a float sum
+that starts at +0.0, so the matrix is bit for bit the dense sum of the
+monomials.
 """
 
 from __future__ import annotations
@@ -221,10 +229,12 @@ def _row_terms(rows: list):
 
 
 def _polynomial(rows: list, denominator: int = 1) -> ShiftPolynomial:
-    # The rows as a polynomial, every coefficient divided by denominator.
-    return ShiftPolynomial(
-        (key, c if denominator == 1 else Fraction(c, denominator)) for key, c in _row_terms(rows)
-    )
+    # The rows as a polynomial, every coefficient divided by denominator >= 1.
+    # _row_terms yields distinct keys in (s, k) order and no zeros, so the
+    # terms are canonical as built and skip the constructor's summing.
+    poly = ShiftPolynomial.__new__(ShiftPolynomial)
+    poly._terms = tuple((key, Fraction(c, denominator)) for key, c in _row_terms(rows))
+    return poly
 
 
 @dataclass(frozen=True)
@@ -368,6 +378,21 @@ def letter_matrix(letter: str, size: int) -> np.ndarray:
     raise ValueError(f"unknown letter {letter!r}")
 
 
+def _signed_binomials(k: int) -> np.ndarray:
+    """table[n, j] = (-1)^(n-j) C(n, j), the entries of U^n on its diagonal j, for n, j <= k.
+
+    U = -I + S_r, so row n is row n - 1 moved one place right minus row n - 1,
+    the one rounding that the matrix product U^(n-1) U makes at each entry;
+    below 2^53 every entry is an exact integer.
+    """
+    table = np.zeros((k + 1, k + 1))
+    table[0, 0] = 1.0
+    for n in range(1, k + 1):
+        table[n, 1:] = table[n - 1, :-1]
+        table[n] -= table[n - 1]
+    return table
+
+
 def realize(poly: ShiftPolynomial, size: int) -> np.ndarray:
     """Matrix of the polynomial on the size x size truncation.
 
@@ -377,21 +402,40 @@ def realize(poly: ShiftPolynomial, size: int) -> np.ndarray:
     first size - L rows and columns.  Requires size > max_shift + max_power
     so at least one row survives.
 
-    The powers U^0 .. U^max_power are formed once by repeated products, and
-    S^s U^k is U^k moved down s rows.  Their entries are signed binomial
-    coefficients, exact in floating point while they stay below 2^53, and
-    float(c) S^s U^k is added in term order.
+    U^k is upper triangular and Toeplitz, so the truncation of S^s U^k is a
+    band: its entry (r, c), r >= s, is (-1)^(k-j) C(k, j) with j = c - r + s
+    when 0 <= j <= k, and 0 otherwise.  With m the largest shift, every term
+    therefore lands on one row of a band indexed by the offset c - r + m:
+    term t is float(c_t) times its signed binomials (_signed_binomials) at
+    offsets m - s_t .. m - s_t + k_t.  One running sum down the terms, in
+    term order, holds in its row t the sum of the first t terms; the terms
+    are sorted by shift, so row r of the matrix sees a prefix of them, those
+    with s_t <= r, and reads that prefix's row at the offsets of its
+    columns.  A negative offset, left of every band, reads a last column
+    that no term reaches.  This costs O(T (size + m) + size^2) for T terms
+    and forms no matrix power.
+
+    The result is bit for bit the sum of float(c) S^s U^k over the terms in
+    order, each monomial a dense product: the nonzero products are the
+    same, added in the same order, and the others are +0 or -0, which leave
+    a running sum that starts at +0.0 unchanged (x + 0 = x, +0 + -0 = +0,
+    and an exact cancellation gives +0).
     """
-    if size <= poly.max_shift + poly.max_power:
-        raise ValueError(
-            f"size {size} too small for monomials up to "
-            f"S^{poly.max_shift} U^{poly.max_power}"
-        )
-    u = letter_matrix("U", size)
-    powers = [np.eye(size)]
-    for _ in range(poly.max_power):
-        powers.append(powers[-1] @ u)
-    out = np.zeros((size, size))
-    for (sh, kp), coeff in poly.terms:
-        out[sh:] += float(coeff) * powers[kp][: size - sh]
-    return out
+    m, kmax = poly.max_shift, poly.max_power
+    if size <= m + kmax:
+        raise ValueError(f"size {size} too small for monomials up to S^{m} U^{kmax}")
+    terms = poly.terms
+    keys = np.array([key for key, _ in terms], dtype=np.intp).reshape(len(terms), 2)
+    shifts, powers = keys.T
+    # float(c) is this division, called through numbers.Rational.
+    values = np.array([c.numerator / c.denominator for _, c in terms])
+    band = np.zeros((len(terms) + 1, m + size + 1))
+    offsets = (m - shifts)[:, None] + np.arange(kmax + 1)
+    products = values[:, None] * _signed_binomials(kmax)[powers]
+    band[np.arange(1, len(terms) + 1)[:, None], offsets] = products
+    sums = np.add.accumulate(band, axis=0)
+    prefix = np.searchsorted(shifts, np.arange(m + 1), side="right")  # terms with s_t <= r
+    r = np.arange(size)
+    columns = np.add.outer(m - r, r)
+    np.maximum(columns, -1, out=columns)
+    return sums[prefix[np.minimum(r, m)][:, None], columns]

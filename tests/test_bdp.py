@@ -245,14 +245,35 @@ def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypat
     monkeypatch.setattr(bdp, "_diagonals", refuse)
     monkeypatch.setattr(bdp, "_Stencil", refuse)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10**9)
-    # (50 + 1) * 10^9 doubles of rows and (30 + 2) * (10^9 + 2) of stencil.
-    doubles = 51 * 10**9 + 32 * (10**9 + 2)
+    # (50 + 1) * 10^9 doubles of rows, (30 + 2) * (10^9 + 2) of stencil, and
+    # five arrays of 6 * 10^9 diagonals, a block being one step.
+    doubles = 51 * 10**9 + 32 * (10**9 + 2) + 5 * 6 * 10**9
     with pytest.raises(ValueError) as refused:
         solve_bdp(spec, 1.0, 50, 30)
     assert str(refused.value) == (
-        f"1000000000 states over 50 steps need {doubles} doubles of rows and stencil,"
+        f"1000000000 states over 50 steps need {doubles} doubles,"
         f" over the cap of {MAX_DOUBLES}"
     )
+
+
+@pytest.mark.parametrize(("states", "steps"), [(10**5, 1), (10**5, 4), (4 * 10**5, 1)])
+def test_counted_doubles_cover_the_solve_peak(monkeypatch, states, steps):
+    # The count that the cap refuses is the solve's real peak, within 10%.
+    spec = BirthDeathSpec(
+        lam=(1.0, 0.5), mu=(1.0, 0.5), states=states, boundary=Boundary.REFLECT_NONE
+    )
+    with monkeypatch.context() as patched:
+        patched.setattr(bdp, "MAX_DOUBLES", 0)
+        with pytest.raises(ValueError) as refused:
+            solve_bdp(spec, 1.0, steps, 30)
+    counted = int(str(refused.value).split(" need ")[1].split()[0])
+    tracemalloc.start()
+    try:
+        solve_bdp(spec, 1.0, steps, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * counted, (peak / 8, counted)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -30,6 +30,7 @@ from evoseries.engine import (
     recenter,
     solve_stepped,
 )
+from evoseries.scalar import scalar_coefficients
 
 DIGITS = 40
 TINY = mpmath.mpf(10) ** -36
@@ -366,3 +367,24 @@ def test_horner_within_gamma_2n_of_the_exact_sum_of_its_terms(
     gap = fractions(_horner(terms, h)) - exact
     size = sum(operator_norm(fractions(term), left) * power for term, power in zip(terms, powers))
     assert operator_norm(gap, left) <= Fraction(_gamma(2 * order)) * size
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    degree=st.integers(0, 3),
+    order=st.integers(1, 30),
+    log_h=st.floats(-3.0, 0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_partial_sum_shrunk_by_its_rounding_is_below_the_exact_one(seed, degree, order, log_h):
+    # _local_bound's partial sum: the float sum_(n<=N) r_n h^n of the scalar
+    # series of the norms a, times 1 - gamma_(N(p+4)+2), is at most the exact
+    # sum from the same float a and h, so the bound subtracts no more than it may.
+    rng = np.random.default_rng(seed)
+    norms = rng.uniform(0.0, 1.0, (1, degree + 1)) * 10.0 ** rng.uniform(-2, 1, (1, degree + 1))
+    h = np.array([10.0**log_h])
+    partial = _horner(scalar_coefficients(norms.T, order), h)
+    partial = partial * (1.0 - _gamma(order * (degree + 4) + 2))
+    r = exact_scalar_series([Fraction(x) for x in norms[0].tolist()], Fraction(1), order)
+    exact = sum(r_n * Fraction(h[0]) ** n for n, r_n in enumerate(r))
+    assert Fraction(partial[0]) <= exact

@@ -661,3 +661,47 @@ def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):
         )
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["scalar", "--a", "1,1", "--t", "0.5", "--order", "100000000"],
+            "error: series order 100000000 needs 200000000 products, over the cap of 1000000\n",
+        ),
+        (
+            ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "100000000"],
+            "error: series order 100000000 needs 900000009 doubles of terms,"
+            " over the cap of 134217728\n",
+        ),
+        (
+            ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "10000000"],
+            "error: series order 10000000 needs 20000000 products, over the cap of 1000000\n",
+        ),
+        (
+            ["compare-pb", "--coeffs", "A.mat", "--order", "100000"],
+            "error: Peano-Baker order 100000 needs 15000100000 matrix products,"
+            " over the cap of 1000000\n",
+        ),
+        (
+            ["counterexample", "--order", "10000000"],
+            "error: series order 10000000 needs 20000000 products, over the cap of 1000000\n",
+        ),
+        (
+            ["bdp", "--order", "1000000"],
+            "error: series order 1000000 needs 2000000 products, over the cap of 1000000\n",
+        ),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else "",
+)
+def test_huge_orders_are_counted_and_refused_in_one_line(tmp_path, argv, want):
+    # Each route counts its own work before it starts; a subprocess with a
+    # timeout, so an order that is not counted fails the test instead of hanging it.
+    path = tmp_path / "A.mat"
+    path.write_text(EXAMPLE_MAT)
+    argv = [str(path) if arg == "A.mat" else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)

@@ -154,3 +154,24 @@ def test_partial_sum_bytes_equal_the_per_j_products(seed, dim, degree, order, le
         peano_baker._family_times = broadcast
     for got, want in zip(sums, expected):
         assert got.stack.shape == want.stack.shape and got.stack.tobytes() == want.stack.tobytes()
+
+
+@given(st.integers(0, 3), st.integers(0, 40), st.one_of(st.none(), st.integers(0, 60)))
+@settings(max_examples=100, deadline=None)
+def test_partial_sum_counts_its_matrix_products_before_any(p, order, max_degree):
+    # The count that the cap refuses, against the products the loop forms:
+    # U_(i+1) multiplies every A_j into every coefficient of U_i.
+    degree, products = 0, 0
+    for _ in range(order):
+        products += (p + 1) * (degree + 1)
+        degree = degree + p + 1 if max_degree is None else min(degree + p + 1, max_degree)
+    coeffs = MatrixPolyCoefficients(np.ones((p + 1, 2, 2)))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(peano_baker, "MAX_MATMULS", products - 1)
+        with pytest.raises(ValueError) as refused:
+            pb_partial_sum(coeffs, order, max_degree)
+        patched.setattr(peano_baker, "MAX_MATMULS", products)
+        pb_partial_sum(coeffs, order, max_degree)  # at the cap itself, admitted
+    assert str(refused.value) == (
+        f"Peano-Baker order {order} needs {products} matrix products, over the cap of {products - 1}"
+    )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evoseries.engine import _horner
-from evoseries.scalar import scalar_closed_form, scalar_coefficients
+from evoseries.scalar import MAX_SERIES_PRODUCTS, scalar_closed_form, scalar_coefficients
 
 small_float = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
@@ -73,6 +73,18 @@ def test_series_starts_at_one():
         scalar_coefficients((), 3)
     with pytest.raises(ValueError):
         scalar_coefficients((1.0,), 0)
+
+
+def test_series_counts_its_multiply_adds_before_any():
+    # Order n sums min(len(a), n) products: a list longer than the order
+    # costs no more than one of order coefficients.
+    assert len(scalar_coefficients([1.0] * 5000, 200)) == 201
+    with pytest.raises(ValueError) as refused:
+        scalar_coefficients((1.0, 0.5), MAX_SERIES_PRODUCTS // 2 + 1)
+    assert str(refused.value) == (
+        f"series order {MAX_SERIES_PRODUCTS // 2 + 1} needs {MAX_SERIES_PRODUCTS + 2} products,"
+        f" over the cap of {MAX_SERIES_PRODUCTS}"
+    )
 
 
 def test_recursion_first_orders():

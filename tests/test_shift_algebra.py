@@ -401,13 +401,47 @@ def test_realize_bytes_equal_matrix_power_definition(extra):
 
 @given(
     st.dictionaries(
-        st.tuples(st.integers(0, 8), st.integers(0, 12)), rationals, max_size=12
+        st.tuples(st.integers(0, 16), st.integers(0, POWER_GUARD)), rationals, max_size=12
     ),
     st.integers(0, 6),
 )
 @settings(max_examples=60, deadline=None)
 def test_realize_bytes_equal_matrix_power_definition_random(terms, extra):
     assert_realize_matches_reference(ShiftPolynomial(terms), extra)
+
+
+def test_realize_large_truncation_in_a_subprocess():
+    # The band sum forms no size x size power: the 33 dense powers of U
+    # would hold about a gigabyte at this size.
+    proc = run_python(
+        "import resource\n"
+        "from evoseries.shift_algebra import power_expand, realize\n"
+        "poly = power_expand(32, '3/7', '5/2')\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "out = realize(poly, 2000)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(out.shape, (after - before) / 1024)"
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    shape, grown_mb = proc.stdout.rsplit(" ", 1)
+    assert shape == "(2000, 2000)"
+    assert float(grown_mb) < 300, grown_mb
+
+
+@given(
+    st.lists(st.lists(st.integers(-50, 50), max_size=6), min_size=1, max_size=6),
+    st.integers(1, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_kernel_rows_become_the_canonical_polynomial(rows, denominator):
+    # _polynomial builds its terms directly: they must be what the public
+    # constructor makes of the same entries.
+    entries = [
+        ((s, k), Fraction(c, denominator)) for s, row in enumerate(rows) for k, c in enumerate(row)
+    ]
+    got = _polynomial(rows, denominator)
+    assert got.terms == ShiftPolynomial(entries).terms
+    assert all(type(c) is Fraction for _, c in got.terms)
 
 
 def test_realize_small_cases():
