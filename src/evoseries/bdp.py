@@ -7,10 +7,8 @@ convention distributions evolve as p(t) = p(0) R(t) with dR/dt = R(t) A(t),
 so everything runs through the series engine with RIGHT orientation.
 
 The distribution itself is carried from step to step: the recursion
-n p_n = sum_j p_{n-1-j} A_j runs on the row vector, and the tridiagonal
-family is carried as its diagonals, one (p+1, 3, n) array, shifted and
-transposed once a block of steps.  The rows are written into one stack,
-returned read-only, and no n x n array is formed.  The dense family, for
+n p_n = sum_j p_{n-1-j} A_j runs on the row vector and the family on its
+diagonals, so no n x n array is formed.  The dense family, for
 coefficient-level checks, is generator_family.
 
 Truncating the state space loses probability mass.  The leakage column
@@ -31,14 +29,11 @@ from .engine import (
     MAX_DOUBLES,
     MatrixPolyCoefficients,
     Orientation,
-    _BLOCK_DOUBLES,
+    _block_steps,
     _frozen,
     _grid,
     _horner,
-    _local_bound,
-    _powers,
-    _refuse_overflow,
-    _shift,
+    _step_grid,
     _up,
 )
 from .scalar import _refuse_long_series
@@ -224,41 +219,32 @@ def solve_bdp(
 ) -> tuple[DistributionTrajectory, np.ndarray]:
     """Distribution trajectory on an even grid, plus the generator diagonals it steps on.
 
-    The default initial distribution puts all mass on the first state.  Each
-    step recenters the family at its left end, expands the row p~ reached so
-    far to the given order and sums that series at the step length h, on
-    engine._grid.  An outer loop shifts the diagonals (_diagonals) to the
-    starts of a block of about engine._BLOCK_DOUBLES // (6 n) steps and
-    transposes them once; an inner loop expands each step by one _Stencil
-    and writes its row into one preallocated (S+1, n) stack.  A step costs
-    O(order n) time and memory and a solve forms no n x n array.  The
-    second value is those diagonals, the read-only (2, 3, n) array of A_0
-    and A_1; generator_family(spec) is their dense form, with RIGHT
-    orientation, for coefficient-level checks such as R_2 = (A_0^2 + A_1) / 2.
+    The default initial distribution puts all mass on the first state.  The
+    steps run through engine._step_grid on the diagonals (_diagonals), a step
+    of a block holding 6 n doubles of their shift: each block's shift is
+    transposed once, and each step expands the row p~ reached so far by one
+    _Stencil and sums it at the step length into one (S+1, n) stack.  A step
+    costs O(order n) time and memory; no n x n array is formed.  The second
+    value is the read-only (2, 3, n) diagonals of A_0 and A_1, whose dense
+    form, generator_family(spec), serves coefficient-level checks.
 
     The bound grows by ||p~_prev||_1 times the local bound each step.  With
     R_k the exact local propagator, p~_k - p_k = (p~_k - p~_{k-1} R_k) +
     (p~_{k-1} - p_{k-1}) R_k; the first part, rounding included, is at most
-    ||p~_{k-1}||_1 times the engine's _local_bound, and ||x M||_1 <=
-    ||x||_1 ||M|| in the max-row-sum norm.  Every A(t), t >= 0, has
-    nonnegative off-diagonals (BirthDeathSpec keeps the rates nonnegative)
-    and row sums <= 0 under both boundaries, so R_k is substochastic and
-    ||R_k|| <= 1: earlier error is carried unscaled.  Under REFLECT_NONE
-    ||R_k|| can be well below 1, so a tiny chain that leaks much of its mass
-    gets a looser bound than one composed from full propagators.  All local
-    bounds are one _local_bound call after the last step, with dim = 3, as
-    a tridiagonal product's entry sums 3 products; ||p~||_1 sums n entries.
+    ||p~_{k-1}||_1 times the engine's _local_bound (dim = 3: an entry of a
+    tridiagonal product sums 3 products), and ||x M||_1 <= ||x||_1 ||M|| in
+    the max-row-sum norm.  Every A(t), t >= 0, has nonnegative off-diagonals
+    (BirthDeathSpec keeps the rates nonnegative) and row sums <= 0 under both
+    boundaries, so R_k is substochastic and ||R_k|| <= 1: earlier error is
+    carried unscaled.  Under REFLECT_NONE ||R_k|| can be well below 1, so a
+    tiny chain that leaks much of its mass gets a looser bound than one
+    composed from full propagators.
 
-    A solve that would hold more than MAX_DOUBLES doubles at its peak is
-    refused before anything is allocated: 1 GiB, far above a 10^5-state,
-    4-step or a 10^4-state, 200-step solve (under 7 * 10^6 doubles each).
-    The count is the rows, the stencil's stack and its copy of a step's
-    family, the family's diagonals, and one block's shift of them, its
-    transpose and the norms' np.abs temporary; a block's arrays are dropped
-    before the next block's are made.  An order past
-    scalar.MAX_SERIES_PRODUCTS stencil products is refused first.  The
-    first step whose row series is not finite is refused by
-    _refuse_overflow, with solve_stepped's one message.
+    A solve whose peak, counted below, would hold more than MAX_DOUBLES
+    doubles is refused before anything is allocated: 1 GiB, far above a
+    10^5-state, 4-step or a 10^4-state, 200-step solve (under 7 * 10^6
+    doubles each).  An order past scalar.MAX_SERIES_PRODUCTS stencil
+    products is refused first.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
@@ -269,8 +255,6 @@ def solve_bdp(
         raise ValueError(f"series order must be >= 1, got {order}")
     _refuse_long_series(order, len(spec.lam))
     n = spec.states
-    # Steps in a block of the shifted family, which holds 6 n doubles a grid time.
-    per_block = max(1, _BLOCK_DOUBLES // (6 * n))
     # The rows and the stencil's order + 1 + p rows, with p + 1 = len(spec.lam);
     # then 3 (p + 1) n doubles for each of the stencil's family, the family,
     # and per step of a block its shift, transpose and np.abs temporary.
@@ -278,7 +262,7 @@ def solve_bdp(
     doubles = (
         (steps + 1) * n
         + (order + len(spec.lam)) * (n + 2)
-        + diagonals * (2 + 3 * min(steps, per_block))
+        + diagonals * (2 + 3 * min(steps, _block_steps(diagonals)))
     )
     if doubles > MAX_DOUBLES:
         raise ValueError(
@@ -287,50 +271,39 @@ def solve_bdp(
         )
     family = _diagonals(spec.lam, spec.mu, spec)
     family.setflags(write=False)
-    if initial is None:
-        p = np.zeros(n)
-        p[0] = 1.0
-    else:
-        p = np.asarray(initial, dtype=float)
-        if p.shape != (n,):
-            raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("initial distribution has a non-finite entry")
+    p = np.eye(1, n)[0] if initial is None else np.asarray(initial, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("initial distribution has a non-finite entry")
     times, hs = _grid(t_final, t_final / steps)
-    starts = times[:-1]
-    powers = _powers(starts, len(family) - 1)
     stencil = _Stencil(len(family) - 1, n, order)
     dists = np.empty((len(times), n))
     dists[0] = p
-    # Overflow, of the family's norms, its shift or a series, shows as a refused
-    # series or an inf value and bound, so numpy's floating-point warnings
-    # would only repeat it.
+    masses = []
+
+    def advance(i, shifted, block_hs):
+        finite = []
+        forward = _transposed(shifted).swapaxes(0, 1)
+        for k, (step_family, h) in enumerate(zip(forward, block_hs), start=i):
+            masses.append(_up(float(np.abs(dists[k]).sum()), n))
+            terms = stencil.expand(step_family, dists[k])
+            # The shift can overflow only in A_0 + t A_1, every entry of which
+            # enters the first term: a non-finite shift shows in the series.
+            finite.append(bool(np.isfinite(terms).all()))
+            dists[k + 1] = _horner(terms, h)
+        return finite
+
+    bounds_loc = _step_grid(family, _diagonal_norm_bounds, 3, times, hs, order, diagonals, advance)
     with np.errstate(over="ignore", invalid="ignore"):
-        unshifted = _diagonal_norm_bounds(family).tolist()
-        masses, family_norms = [], []
-        for i in range(0, len(hs), per_block):
-            # The family recentered at the block's step starts, its norms there, and its transpose.
-            shifted = _shift(family, powers[i : i + per_block])
-            family_norms.append(_diagonal_norm_bounds(shifted))
-            forward = _transposed(shifted).swapaxes(0, 1)
-            for k, step_family in enumerate(forward, start=i):
-                masses.append(_up(float(np.abs(dists[k]).sum()), n))
-                terms = stencil.expand(step_family, dists[k])
-                # The shift can overflow only in A_0 + t A_1, every entry of which
-                # enters the first term: a non-finite shift shows in the series.
-                _refuse_overflow([np.isfinite(terms).all()], [starts[k]])
-                dists[k + 1] = _horner(terms, hs[k])
-            del shifted, forward, step_family  # before the next block's are made
         leakage = np.abs(1.0 - dists.sum(axis=1))
-    local_bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, 3, order, hs)
     bounds = [0.0]
-    for mass, local_bound in zip(masses, local_bounds):
+    for mass, bound_loc in zip(masses, bounds_loc):
         # A zero row stays exactly zero, even where the local bound is inf.
-        bounds.append(_up(bounds[-1] + mass * local_bound, 2) if mass else bounds[-1])
+        bounds.append(_up(bounds[-1] + mass * bound_loc, 2) if mass else bounds[-1])
     dists.setflags(write=False)
     leakage.setflags(write=False)
-    traj = DistributionTrajectory(_frozen(times), dists, leakage, _frozen(bounds))
-    return traj, family
+    return DistributionTrajectory(_frozen(times), dists, leakage, _frozen(bounds)), family
 
 
 @dataclass(frozen=True)

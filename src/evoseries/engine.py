@@ -53,10 +53,9 @@ MAX_DOUBLES = 2**27
 # Largest grid solve_stepped accepts: a million local expansions already take
 # minutes even for 2x2 families, so a larger count is a mistaken step.
 MAX_STEPS = 1_000_000
-# Most doubles in the series terms of one block of solve_stepped, stacked
-# over its steps: (order + 1) * steps * d * d.  Enough steps to spread
-# numpy's per-call cost over many, few enough that a long grid of large
-# matrices does not raise the peak memory.
+# Most doubles one block of steps of a stepped solve holds (_block_steps).
+# Enough steps to spread numpy's per-call cost over many, few enough that a
+# long grid of large matrices does not raise the peak memory.
 _BLOCK_DOUBLES = 2**16
 # Unit roundoff of a double: a rounded operation has relative error at most _U.
 _U = 2.0**-53
@@ -445,6 +444,31 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _primed_norms(norms: np.ndarray, unshifted, powers: np.ndarray, dim: int) -> np.ndarray:
+    """a'_j = a_j (1 + gamma_(dim(p+1)+2)) + rho_j, rounded up, for the (S, p+1) norms a.
+
+    rho is the _shift_rounding of unshifted at the origins of the _powers
+    table powers.  dim is the most products in one entry of a term times one
+    coefficient: d for dense d x d matrices, 3 for tridiagonal ones.  An entry
+    of a recursion term sums at most dim(p+1) products, within gamma_(dim(p+1))
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+    3.1); the slack also covers the division by n, and _up(., 3) a'_j itself.
+    """
+    slack = 1.0 + _gamma(dim * norms.shape[1] + 2)
+    return _up(norms * slack + _shift_rounding(unshifted, powers), 3)
+
+
+def _shrunk_partial_sum(norms: np.ndarray, order: int, h: np.ndarray) -> np.ndarray:
+    """sum_(n<=N) r_n h^n of the scalar series r of each row of norms, shrunk below its value.
+
+    The float sum is within K = N(p + 4) roundings (p + 2 an order in r, 2N
+    in Horner) of the exact sum of the same floats; 1 - gamma_(K+2) also
+    covers this product.
+    """
+    partial = _horner(scalar_coefficients(norms.T, order), h)
+    return partial * (1.0 - _gamma(order * (norms.shape[1] + 3) + 2))
+
+
 def _local_bound(
     norms: np.ndarray, unshifted: list[float], powers: np.ndarray, dim: int, order: int,
     hs: list[float],
@@ -452,46 +476,36 @@ def _local_bound(
     """Bounds on ||S - R(h)||, one per row: the computed local series S against the exact R.
 
     Row s of the (S, p+1) array norms bounds the step [t0, t0 + h] with
-    h = hs[s] and t0 the origin of row s of the _powers table powers.
-    S is the order-N series of A~_0..A~_p, the float _shift to t0 of a
-    family whose coefficient norms are at most unshifted, summed by Horner
-    at h, and norms[s, j] >= ||A~_j||; R solves
-    the family shifted exactly.  dim is the most products in one entry of a
-    term times one coefficient: d for dense d x d matrices, 3 for
-    tridiagonal ones of any size.  A sum of k products errs by at most
-    gamma_k (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., section 3.1).  With a_j = norms[s, j], rho from _shift_rounding and
-    a'_j = a_j (1 + gamma_(dim(p+1)+2)) + rho_j, the scalar series r of a and
-    r' of a' (scalar_coefficients) give, by induction on the recursion, whose
-    entries are sums of at most dim(p+1) products over n, ||T~_n|| <= r'_n,
-    ||T_n|| <= r'_n and ||T~_n - T_n|| <= r'_n - r_n for the computed and
-    exact terms.  Horner adds at most gamma_2N sum ||T~_n|| h^n (Higham,
-    section 5.1).
-    The r'_n h^n are positive and sum to exp(integral_0^h a'), so the tail,
-    all rounding and the shift's together give
+    h = hs[s] and t0 the origin of row s of the _powers table powers.  S is
+    the order-N series of A~_0..A~_p, the float _shift to t0 of a family
+    whose coefficient norms are at most unshifted, summed by Horner at h,
+    and norms[s, j] >= ||A~_j||; R solves the family shifted exactly.  With
+    a_j = norms[s, j] and a' from _primed_norms, the scalar series r of a
+    and r' of a' (scalar_coefficients) give, by induction on the recursion,
+    ||T~_n|| <= r'_n, ||T_n|| <= r'_n and ||T~_n - T_n|| <= r'_n - r_n for
+    the computed and exact terms.  Horner adds at most
+    gamma_2N sum ||T~_n|| h^n (Higham, section 5.1).  The r'_n h^n are
+    positive and sum to exp(integral_0^h a'), so the tail, all rounding and
+    the shift's together give
 
         ||S - R(h)|| <= (1 + gamma_(2N+1)) exp(integral_0^h a') - sum_(n<=N) r_n h^n,
 
-    each side rounded outward.  Finite for every h; inf only where the
-    exponential or a term of r overflows.  A zero family's series is exactly
-    I, with bound 0.  Underflow is left out: a nonzero bound is at least
-    gamma_(2N+1), far above the absolute error of a subnormal result.
+    each side rounded outward, the partial sum by _shrunk_partial_sum.
+    Finite for every h; inf only where the exponential or a term of r
+    overflows.  A zero family's series is exactly I, with bound 0.
+    Underflow is left out: a nonzero bound is at least gamma_(2N+1), far
+    above the absolute error of a subnormal result.
 
-    The rows are stacked: every float operation runs elementwise on arrays
-    with a step axis (scalar_coefficients on the (p+1, S) transpose, _horner
-    on its (N+1, S) terms), in the order a single row's would, so each row's
-    bound is bit for bit the one a one-row call gives.  Only exp runs per row, as
-    math.exp: numpy's vectorised exp is not promised within the one ulp
-    that the rounding model assumes.  At order 30 a call costs about
-    0.15 ms however few rows it has, several times one row in plain Python,
-    so a solve passes all its steps in one call: solve_stepped and solve_bdp
-    each make one call after their last step.
+    The rows are stacked, each float operation in the order a one-row call
+    runs it, so each row's bound has that call's bits.  Only exp runs per
+    row, as math.exp: numpy's vectorised exp is not promised within the one
+    ulp the rounding model assumes.  A call costs about 0.15 ms at order 30
+    however few rows it has, so _step_grid makes one call a solve.
     """
     p = norms.shape[1] - 1
-    slack = 1.0 + _gamma(dim * (p + 1) + 2)
     h = np.array(hs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        primed = _up(norms * slack + _shift_rounding(unshifted, powers), 3)
+        primed = _primed_norms(norms, unshifted, powers, dim)
         exponent, power = np.zeros(len(h)), h
         for j, aj in enumerate(primed.T):
             # A zero coefficient adds nothing, even where h^(j+1) overflows.
@@ -500,10 +514,7 @@ def _local_bound(
         growth = [_exp_or_inf(x) for x in _up(exponent, p + 3).tolist()]
         growth = _up(np.array(growth), 2)  # exp is within an ulp
         total = _up(growth * (1.0 + _gamma(2 * order + 1)), 2)
-        # The partial sum is within K = N(p + 4) roundings (p + 2 an order in r,
-        # 2N in Horner) of its value; 1 - gamma_(K+2) also covers this product.
-        partial = _horner(scalar_coefficients(norms.T, order), h)
-        partial = partial * (1.0 - _gamma(order * (p + 4) + 2))
+        partial = _shrunk_partial_sum(norms, order, h)
         # An overflow, in the exponential or in r, loses the row's bound.
         finite = (partial <= total) & (total < math.inf)
         bounds = np.where(finite, np.nextafter(total - partial, math.inf), math.inf)
@@ -553,10 +564,12 @@ def naive_exponential(
     This is the would-be closed form obtained by exponentiating the
     antiderivative of A.  It solves the evolution equation only when the
     coefficient family commutes; it exists here as a diagnostic for how wrong
-    that shortcut is, not as a solver.
+    that shortcut is, not as a solver.  More terms than
+    scalar.MAX_SERIES_PRODUCTS, one matrix product each, are refused first.
     """
     if terms < 1:
         raise ValueError(f"need at least 1 Taylor term, got {terms}")
+    _refuse_long_series(terms, 1)
     dim = coeffs.dim
     b = np.zeros((dim, dim))
     for j, mat in enumerate(coeffs.stack):
@@ -671,71 +684,93 @@ def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
     return times, [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
 
 
+def _block_steps(step_doubles: int) -> int:
+    """Steps in one block of a stepped solve, each step holding step_doubles doubles."""
+    return max(1, _BLOCK_DOUBLES // max(1, step_doubles))
+
+
+def _step_grid(family, norm_bounds, dim: int, times, hs, order: int, step_doubles: int, advance):
+    """The stepping loop of both certified solvers: the local bound of every step.
+
+    family is A_0..A_p, a dense (p+1, d, d) stack or the (p+1, 3, n)
+    diagonals of tridiagonal matrices; norm_bounds maps it or a shift of it
+    to the (..., p+1) norm rows of _local_bound.  The steps [times[k],
+    times[k] + hs[k]] run in blocks of _block_steps(step_doubles).  One
+    _shift call moves a block to its step starts and one norm_bounds call
+    bounds that shift; advance(i, shifted, block_hs), i the block's first
+    step, runs the steps and returns whether each one's series and shift are
+    finite, and the first that is not is refused by _refuse_overflow.  A
+    block's shift is dropped before the next is made.  The powers of the
+    starts (_powers) and the unshifted norms are formed once, and after the
+    last block one _local_bound call, dim products an entry, bounds every
+    step.  Overflow shows as that refusal or as inf values and bounds: all
+    runs under one np.errstate, so numpy warns of nothing.
+    """
+    starts = times[:-1]
+    powers = _powers(starts, len(family) - 1)
+    per_block = _block_steps(step_doubles)
+    family_norms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        unshifted = norm_bounds(family).tolist()
+        for i in range(0, len(hs), per_block):
+            block = slice(i, i + per_block)
+            shifted = _shift(family, powers[block])
+            family_norms.append(norm_bounds(shifted))
+            _refuse_overflow(advance(i, shifted, hs[block]), starts[block])
+            del shifted  # before the next block's is made
+    return _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
+
+
 def solve_stepped(
     coeffs: MatrixPolyCoefficients, t_final: float, step: float, order: int
 ) -> Trajectory:
     """R(t) on the grid {0, step, 2 step, ..., t_final}, one local expansion per step.
 
-    Each step recenters the coefficients at the left endpoint, expands to the
-    given order, advances by the step with the local series, and composes the
-    propagators by multiplication on the orientation side.  The reported
-    bound carries the local bounds (_local_bound, shift rounding included)
-    through the products, e_new = e_loc (||R_prev|| + e_prev) +
-    ||R_loc|| (e_prev + gamma_d ||R_prev||), the last term the product's own
-    rounding, so it certifies the composed float value.  The first step's
-    bound is tail_bound over that step, bit for bit.
-
-    The local expansions of each block of consecutive steps run as one stack
-    (_local_propagators), bit for bit what recenter, compute_coefficients and
-    value_at give step by step, and are composed in place into the one
-    (S+1, d, d) stack of values.  After the last block one _local_bound call
-    bounds every step of the solve and the recurrence runs once.  The powers
-    of the step starts (_powers) and the norms of the unshifted family are
-    computed once per solve.  Overflow shows as inf in the values and bounds
-    (never a NaN bound), or, at the first step whose shifted family or
-    series is not finite, as the ValueError "the series overflows on the
-    step from t = t0", never as a numpy warning.
-
-    The grid is _grid(t_final, step): no float sliver at its end, and at
-    most MAX_STEPS steps.  An order below 1 is refused first, for the lone
-    t = 0 point too.
+    Each step recenters the coefficients at its start, expands to the given
+    order and sums the local series at the step length; _step_grid runs the
+    steps, a step of a block holding (order + 1) d^2 doubles of series terms,
+    and _local_propagators expands a block as one stack, bit for bit what
+    recenter, compute_coefficients and value_at give step by step.  The
+    propagators are composed on the orientation side, in place into the one
+    (S+1, d, d) stack of values.  The bound carries the local bounds through
+    the products, e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| (e_prev +
+    gamma_d ||R_prev||), the last term the product's own rounding, so it
+    certifies the composed float value.  The first step's bound is
+    tail_bound over that step, bit for bit.  The grid is _grid(t_final, step),
+    with no float sliver at its end; an order below 1 is refused first, for
+    the lone t = 0 point too.
     """
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     times, hs = _grid(t_final, step)
-    dim = coeffs.dim
+    dim, orientation = coeffs.dim, coeffs.orientation
     if not hs:
         return Trajectory(_frozen(times), _frozen([np.eye(dim)]), _frozen([0.0]))
-    starts = times[:-1]
-    powers = _powers(starts, coeffs.degree)
-    per_block = max(1, _BLOCK_DOUBLES // max(1, (order + 1) * dim * dim))
-    left = coeffs.orientation is Orientation.LEFT
+    left = orientation is Orientation.LEFT
     values = np.empty((len(times), dim, dim))
     values[0] = np.eye(dim)
-    family_norms, norms_loc = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(hs), per_block):
-            block = slice(i, i + per_block)
-            r_locs, step_norms = _local_propagators(
-                coeffs, starts[block], powers[block], hs[block], order
-            )
-            for k, r_loc in enumerate(r_locs, start=i):
-                if k == 0:
-                    # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
-                    values[1] = r_loc
-                elif left:
-                    np.matmul(r_loc, values[k], out=values[k + 1])
-                else:
-                    np.matmul(values[k], r_loc, out=values[k + 1])
-            family_norms.append(step_norms)
-            norms_loc += _norm_bounds(r_locs, coeffs.orientation).tolist()
-        norms = _norm_bounds(values[1:-1], coeffs.orientation).tolist()
-        unshifted = _norm_bounds(coeffs.stack, coeffs.orientation).tolist()
-    bounds = _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
+    norms_loc, norms_prev = [], []
+
+    def advance(i, shifted, block_hs):
+        r_locs, finite = _local_propagators(coeffs, shifted, block_hs, order)
+        for k, r_loc in enumerate(r_locs, start=i):
+            # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
+            if k == 0:
+                values[1] = r_loc
+            else:
+                np.matmul(*((r_loc, values[k]) if left else (values[k], r_loc)), out=values[k + 1])
+        norms_loc.extend(_norm_bounds(r_locs, orientation).tolist())
+        norms_prev.extend(_norm_bounds(values[i : i + len(r_locs)], orientation).tolist())
+        return finite
+
+    bounds = _step_grid(
+        coeffs.stack, lambda mats: _norm_bounds(mats, orientation).T, dim, times, hs, order,
+        (order + 1) * dim * dim, advance,
+    )
     g_dim, six = _gamma(dim), _up(1.0, 6)  # _up(x, 6) is x * six
     err = bounds[0]
     errs = [0.0, err]
-    for bound_loc, norm_loc, norm_prev in zip(bounds[1:], norms_loc[1:], norms):
+    for bound_loc, norm_loc, norm_prev in zip(bounds[1:], norms_loc[1:], norms_prev[1:]):
         err = bound_loc * (norm_prev + err) + norm_loc * (err + g_dim * norm_prev)
         # Six roundings; a NaN norm or inf * 0 means an overflow.
         err = math.inf if math.isnan(err) else err * six
@@ -745,39 +780,30 @@ def solve_stepped(
 
 
 def _local_propagators(
-    coeffs: MatrixPolyCoefficients, starts: list[float], powers: np.ndarray, hs: list[float],
-    order: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local propagators on the steps [t0, t0 + h], stacked over steps, and their family norms.
+    coeffs: MatrixPolyCoefficients, shifted: np.ndarray, hs: list[float], order: int
+) -> tuple[np.ndarray, list[bool]]:
+    """Local propagators of a block of steps, stacked, and whether each step is finite.
 
-    powers is the steps' rows of the solve's _powers table.  Returns the
-    C-contiguous (S, d, d) values of the order-N local series at h and the
-    (S, p+1) norm bounds of each step's shifted family, the rows of the
-    solve's one _local_bound call.  The first step whose shifted family (an
-    overflowed power of t0 included) or series is not finite is refused by
-    _refuse_overflow.
-
-    An autonomous family, every A_j with j >= 1 zero (degree 0 included),
-    shifts to the same bits at every origin whose shift is finite: t0 >= 0,
-    so each A_j (j >= 1) adds zeros of its own entries' signs, which leave
-    the sums unchanged.  Its block is expanded once, from the first step's
-    shift, and that series serves every step; a step whose shift is not
-    finite is refused as before.
+    shifted is the (p+1, S, d, d) shift of the family to the steps' starts.
+    Returns the C-contiguous (S, d, d) values of the order-N local series at
+    the step lengths hs, and per step whether its shift (an overflowed power
+    of t0 included) and series are finite.  An autonomous family, every A_j
+    with j >= 1 zero (degree 0 included), shifts to the same bits at every
+    origin whose shift is finite: t0 >= 0, so each A_j (j >= 1) adds zeros of
+    its own entries' signs, which leave the sums unchanged.  Its block is
+    expanded once, from the first step's shift, and that series serves every step.
     """
-    dim = coeffs.dim
-    shifted = _shift(coeffs.stack, powers)
+    dim, steps = coeffs.dim, len(hs)
     if coeffs.stack[1:].any():
-        start = np.broadcast_to(np.eye(dim), (len(starts), dim, dim))
+        start = np.broadcast_to(np.eye(dim), (steps, dim, dim))
         terms = _expand(shifted, coeffs.orientation, start, order)
     else:
         terms = _expand(shifted[:, :1], coeffs.orientation, np.eye(dim)[None], order)
         # A copy, not a broadcast view: Horner's values, and so the order
         # in which their norms are summed, keep the stacked path's layout.
-        terms = np.repeat(terms, len(starts), axis=1)
+        terms = np.repeat(terms, steps, axis=1)
     finite = np.isfinite(shifted).all(axis=(0, 2, 3)) & np.isfinite(terms).all(axis=(0, 2, 3))
-    _refuse_overflow(finite.tolist(), starts)
-    values = _horner(terms, np.array(hs)[:, None, None])
-    return values, _norm_bounds(shifted, coeffs.orientation).T
+    return _horner(terms, np.array(hs)[:, None, None]), finite.tolist()
 
 
 def counterexample_coefficients() -> MatrixPolyCoefficients:

@@ -229,7 +229,7 @@ def test_solve_refuses_an_order_below_one_before_any_work(monkeypatch, order):
     def refuse(*args, **kwargs):
         raise AssertionError("solve_bdp started a step")
 
-    monkeypatch.setattr(bdp, "_shift", refuse)
+    monkeypatch.setattr(engine, "_shift", refuse)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=5)
     with pytest.raises(ValueError) as birth_death:
         solve_bdp(spec, 1.0, 5, order)
@@ -511,12 +511,29 @@ def test_solve_bdp_makes_one_bound_call(monkeypatch, boundary):
         rows.append(len(norms))
         return bound(norms, *args)
 
-    bound = bdp._local_bound
-    monkeypatch.setattr(bdp, "_local_bound", counting)
+    bound = engine._local_bound
+    monkeypatch.setattr(engine, "_local_bound", counting)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12, boundary=boundary)
     solve_bdp(spec, 1.0, 7, 20)
     # One row of norms a step, under either boundary.
     assert rows == [7]
+
+
+def test_each_solver_steps_through_the_one_driver_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return step_grid(*args)
+
+    step_grid = engine._step_grid
+    for module in (engine, bdp):
+        monkeypatch.setattr(module, "_step_grid", counting)
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=12)
+    solve_bdp(spec, 1.0, 7, 20)
+    assert calls == [(2, 3, 12)]
+    solve_stepped(generator_family(spec), 1.0, 0.125, 20)
+    assert calls == [(2, 3, 12), (2, 12, 12)]
 
 
 def stencil_expand(diagonals: np.ndarray, start: np.ndarray, order: int) -> np.ndarray:
@@ -656,11 +673,12 @@ def test_solve_bdp_shifts_one_block_of_steps_at_a_time(
     calls = []
 
     def counting(mats, powers):
-        calls.append(len(powers))
+        if mats.shape[1:] == (3, states):  # not the shift of the norms in _local_bound
+            calls.append(len(powers))
         return shift(mats, powers)
 
-    shift = bdp._shift
-    monkeypatch.setattr(bdp, "_shift", counting)
+    shift = engine._shift
+    monkeypatch.setattr(engine, "_shift", counting)
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(2.0, 0.5), states=states, boundary=boundary)
     initial = np.random.default_rng(states).dirichlet(np.ones(states))
     traj, _ = solve_bdp(spec, 1.5, steps, 30, initial=initial)

@@ -17,7 +17,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoseries.bdp import BirthDeathSpec, Boundary, _Stencil, generator_family, solve_bdp
+from evoseries.bdp import (
+    BirthDeathSpec,
+    Boundary,
+    _diagonal_norm_bounds,
+    _Stencil,
+    generator_family,
+    solve_bdp,
+)
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
@@ -26,11 +33,12 @@ from evoseries.engine import (
     _horner,
     _norm_bounds,
     _powers,
+    _primed_norms,
     _shift_rounding,
+    _shrunk_partial_sum,
     recenter,
     solve_stepped,
 )
-from evoseries.scalar import scalar_coefficients
 
 DIGITS = 40
 TINY = mpmath.mpf(10) ** -36
@@ -263,17 +271,23 @@ def exact_scalar_series(a, r0, order: int) -> list:
     return r
 
 
+def float_above(x: Fraction) -> float:
+    """The least float >= x."""
+    y = float(x)
+    return y if Fraction(y) >= x else math.nextafter(y, math.inf)
+
+
 def assert_recursion_lemma(computed, mats, start, dim: int, left: bool, norm, start_norm):
-    # _local_bound's induction: with a_j = ||A_j||, a'_j = a_j (1 + gamma_(dim(p+1)+2))
-    # and r, r' their scalar series from ||T_0||, every computed term T~_n of
-    # the float recursion is within r'_n - r_n of the exact term T_n of the
-    # same float inputs, and ||T~_n|| <= r'_n.
+    # _local_bound's induction: with floats a_j >= ||A_j||, a' = _primed_norms(a)
+    # (the shift to the origin 0 is exact) and r, r' their scalar series from
+    # ||T_0||, every computed term T~_n of the float recursion is within
+    # r'_n - r_n of the exact term T_n of the same float inputs, and ||T~_n|| <= r'_n.
     order = len(computed) - 1
     exact = exact_terms(mats, start, order, left)
-    a = [operator_norm(m, left) for m in mats]
-    gamma = Fraction(_gamma(dim * len(mats) + 2))
-    r = exact_scalar_series(a, start_norm, order)
-    r_primed = exact_scalar_series([x * (1 + gamma) for x in a], start_norm, order)
+    a = [float_above(operator_norm(m, left)) for m in mats]
+    primed = _primed_norms(np.array([a]), a, _powers([0.0], len(a) - 1), dim)[0]
+    r = exact_scalar_series(fractions(a), start_norm, order)
+    r_primed = exact_scalar_series(fractions(primed), start_norm, order)
     for n, (ours, theirs) in enumerate(zip(computed, exact)):
         ours = fractions(ours)
         assert norm(ours - theirs) <= r_primed[n] - r[n], n
@@ -307,6 +321,58 @@ def test_dense_recursion_terms_within_the_primed_series(seed, dim, degree, left,
         dim,
         left,
         lambda m: operator_norm(m, left),
+        Fraction(1),
+    )
+
+
+def a_sum_that_rounds_up_again_and_again(order: int) -> list[float]:
+    """Coefficients a_0..a_(N-1) of a 1 x 1 family whose order-N term rounds up N/2 times.
+
+    That term sums its N products in the order of j.  The two largest come
+    first: a_k T_m and its twin a_(m-1) T_(k+1), with k = N // 2 and m = N - 1 - k,
+    of degree 2 and scaled so that their sum lies just above a power of two.
+    Each later product a_j T_(N-1-j) is 0.55 of that sum's ulp, so each of
+    those N - 1 - k additions rounds up by 0.45 ulp.  The a_j are set from
+    the float terms of a plain loop, refined a few times.
+    """
+    k = order // 2
+    m = order - 1 - k
+    scale = 1.0
+    for _ in range(2):
+        a = [0.0] * order
+        a[0] = 1.0
+        a[m - 1] += scale
+        a[k] += scale
+        for _ in range(4):
+            t = [1.0]
+            for n in range(1, order):
+                acc = 0.0
+                for j in range(n):
+                    acc += a[j] * t[n - 1 - j]
+                t.append(acc / n)
+            head = 0.0
+            for j in range(k + 1):
+                head += a[j] * t[order - 1 - j]
+            for j in range(k + 1, order):
+                a[j] = 0.55 * math.ulp(head) / t[order - 1 - j]
+        scale = math.sqrt(1.001 * 2.0 ** math.ceil(math.log2(head)) / head)
+    return a
+
+
+def test_a_long_sum_of_products_needs_the_slack_of_the_primed_norms():
+    # The order-100 term's one sum rounds up by about 49 * 0.45 ulps, some
+    # 40 u of its value.  Its products are all of degree 2 or more, so the
+    # _up(., 3) in _primed_norms alone, gamma_10 a power, would allow about
+    # 20 u; the slack gamma_(p+3) of a (p+1)-product sum covers it.
+    mats = np.array(a_sum_that_rounds_up_again_and_again(100))[:, None, None]
+    computed = _expand(mats, Orientation.LEFT, np.eye(1), 100)
+    assert_recursion_lemma(
+        computed,
+        [fractions(m) for m in mats],
+        fractions(np.eye(1)),
+        1,
+        True,
+        lambda m: operator_norm(m, True),
         Fraction(1),
     )
 
@@ -378,13 +444,56 @@ def test_horner_within_gamma_2n_of_the_exact_sum_of_its_terms(
 @settings(max_examples=60, deadline=None)
 def test_partial_sum_shrunk_by_its_rounding_is_below_the_exact_one(seed, degree, order, log_h):
     # _local_bound's partial sum: the float sum_(n<=N) r_n h^n of the scalar
-    # series of the norms a, times 1 - gamma_(N(p+4)+2), is at most the exact
+    # series of the norms a, shrunk by _shrunk_partial_sum, is at most the exact
     # sum from the same float a and h, so the bound subtracts no more than it may.
     rng = np.random.default_rng(seed)
     norms = rng.uniform(0.0, 1.0, (1, degree + 1)) * 10.0 ** rng.uniform(-2, 1, (1, degree + 1))
     h = np.array([10.0**log_h])
-    partial = _horner(scalar_coefficients(norms.T, order), h)
-    partial = partial * (1.0 - _gamma(order * (degree + 4) + 2))
+    partial = _shrunk_partial_sum(norms, order, h)
     r = exact_scalar_series([Fraction(x) for x in norms[0].tolist()], Fraction(1), order)
     exact = sum(r_n * Fraction(h[0]) ** n for n, r_n in enumerate(r))
     assert Fraction(partial[0]) <= exact
+
+
+def sums_that_round_down(rng, shape, axis: int) -> np.ndarray:
+    """Entries of mixed signs whose absolute sums along axis all round down.
+
+    Each line along axis holds one entry x and others that add up to under
+    half an ulp of |x|, so the float sum of the absolute values is |x|,
+    below the exact sum, whatever the order of the additions.
+    """
+    *lead, m = np.moveaxis(np.empty(shape), axis, -1).shape
+    big = rng.standard_normal(lead) * 10.0 ** rng.uniform(-3, 3, lead)
+    out = np.spacing(np.abs(big))[..., None] * rng.uniform(0.05, 0.45, (*lead, m)) / m
+    out *= rng.choice([-1.0, 1.0], out.shape)
+    np.put_along_axis(out, rng.integers(0, m, lead)[..., None], big[..., None], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 8),
+    degree=st.integers(0, 3),
+    states=st.integers(1, 12),
+    rounds_down=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_norm_bounds_cover_the_exact_norms_of_their_floats(seed, dim, degree, states, rounds_down):
+    # The norm helpers round their float sums up: each bound is at least the
+    # exact max absolute column (LEFT) or row (RIGHT, and the 3 diagonals of
+    # a tridiagonal row) sum of the same floats, also where every sum rounds down.
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, axis):
+        if rounds_down:
+            return sums_that_round_down(rng, shape, axis)
+        return random_family(rng, degree, shape[1:], True)
+
+    for left in (True, False):
+        mats = draw((degree + 1, dim, dim), -2 if left else -1)
+        orientation = Orientation.LEFT if left else Orientation.RIGHT
+        for bound, m in zip(_norm_bounds(mats, orientation).tolist(), mats):
+            assert Fraction(bound) >= operator_norm(fractions(m), left)
+    diagonals = draw((degree + 1, 3, states), -2)
+    for bound, m in zip(_diagonal_norm_bounds(diagonals).tolist(), diagonals):
+        assert Fraction(bound) >= abs(fractions(m)).sum(axis=0).max()

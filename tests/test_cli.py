@@ -688,6 +688,11 @@ def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):
             ["counterexample", "--order", "10000000"],
             "error: series order 10000000 needs 20000000 products, over the cap of 1000000\n",
         ),
+        pytest.param(
+            ["counterexample", "--terms", "100000000"],
+            "error: series order 100000000 needs 100000000 products, over the cap of 1000000\n",
+            id="counterexample-terms",
+        ),
         (
             ["bdp", "--order", "1000000"],
             "error: series order 1000000 needs 2000000 products, over the cap of 1000000\n",

@@ -944,9 +944,9 @@ def test_solve_stepped_expands_an_autonomous_block_once(monkeypatch, orientation
         return expand(mats, orientation, start, order)
 
     def recording(*args):
-        values, norms = propagators(*args)
+        values, finite = propagators(*args)
         layouts.append(values.flags.c_contiguous)
-        return values, norms
+        return values, finite
 
     expand = engine._expand
     propagators = engine._local_propagators
