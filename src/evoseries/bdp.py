@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import _refuse
 from .engine import (
     MAX_DOUBLES,
     MatrixPolyCoefficients,
@@ -264,11 +265,7 @@ def solve_bdp(
         + (order + len(spec.lam)) * (n + 2)
         + diagonals * (2 + 3 * min(steps, _block_steps(diagonals)))
     )
-    if doubles > MAX_DOUBLES:
-        raise ValueError(
-            f"{n} states over {steps} steps need {doubles} doubles,"
-            f" over the cap of {MAX_DOUBLES}"
-        )
+    _refuse(f"{n} states over {steps} steps", doubles, "doubles", MAX_DOUBLES)
     family = _diagonals(spec.lam, spec.mu, spec)
     family.setflags(write=False)
     p = np.eye(1, n)[0] if initial is None else np.asarray(initial, dtype=float)

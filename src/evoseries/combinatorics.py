@@ -35,23 +35,27 @@ __all__ = [
 ]
 
 # Most terms an enumeration visits: the explicit formula's weighted products,
-# the tuples or exponent vectors of a weight sum, or pi_sum's multiply-adds.
+# the tuples or exponent vectors of a weight sum, or pi_sum's word multiply-adds.
 EXPLICIT_TERM_BUDGET = 1_000_000
 
 
-class TermBudgetError(RuntimeError):
-    """Raised when an enumeration would visit more than its budget of terms."""
+class TermBudgetError(ValueError):
+    """A count of work over its cap, refused by _refuse before any of the work."""
 
-    def __init__(
-        self,
-        count: int,
-        budget: int,
-        what: str = "explicit expansion",
-        terms: str = "weighted products",
-    ):
+    def __init__(self, message: str, count, cap: int):
+        super().__init__(message)
         self.count = count
-        self.budget = budget
-        super().__init__(f"{what} needs {count} {terms}, over the budget of {budget}")
+        self.cap = cap
+
+
+def _refuse(what: str, count, unit: str, cap: int) -> None:
+    """The one refusal of every cap: a count over cap raises TermBudgetError.
+
+    Its message, "{what} needs {count} {unit}, over the cap of {cap}", is
+    formed only then.  count is an int, or a float such as inf.
+    """
+    if count > cap:
+        raise TermBudgetError(f"{what} needs {count} {unit}, over the cap of {cap}", count, cap)
 
 
 def max_total_index(n: int, p: int) -> int:
@@ -84,9 +88,7 @@ def _check_restricted(n: int, q: int, p: int) -> None:
 
 def _refuse_over_budget(what: str, length: int, total: int, cap: int) -> None:
     # Counts the tuples in {0..cap}^length that sum to total, without enumerating them.
-    count = _bounded_count(length, total, cap)
-    if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "index tuples")
+    _refuse(what, _bounded_count(length, total, cap), "index tuples", EXPLICIT_TERM_BUDGET)
 
 
 def _compositions(total: int, length: int, cap: int) -> Iterator[MultiIndex]:
@@ -177,15 +179,18 @@ def pi_sum(n: int, q: int, p: int) -> Fraction:
     each e.  The sum is f_(n-q)(q) / n!: at most
     (n - q)(q + 1)(min(p, q) + 1) integer multiply-adds.
 
-    Refuses with TermBudgetError, before any work, more than
-    EXPLICIT_TERM_BUDGET of those multiply-adds: the work the recursion
-    does, not the tuples it never visits.
+    No integer the recursion holds exceeds n!: f_k(s) is (s + k)! times
+    pi_sum(s + k, s, p), which is at most 1, as the weights of an order r,
+    over every q, sum to the t^r coefficient of 1 / (1 - t) = exp(-log(1 - t)),
+    the scalar solution for a_j = 1; its partial sums and each
+    perm(s + k - 1, e) are at most (s + k)! too.  As n! <= n^n, each spans
+    at most ceil(n * bitlength(n) / 64) 64-bit words.  More than
+    EXPLICIT_TERM_BUDGET of the multiply-adds times those words are refused
+    before any work.
     """
     _check_restricted(n, q, p)
-    work = (n - q) * (q + 1) * (min(p, q) + 1)
-    if work > EXPLICIT_TERM_BUDGET:
-        what = f"pi_sum({n}, {q}, {p})"
-        raise TermBudgetError(work, EXPLICIT_TERM_BUDGET, what, "integer multiply-adds")
+    work = (n - q) * (q + 1) * (min(p, q) + 1) * ((n * n.bit_length() + 63) // 64)
+    _refuse(f"pi_sum({n}, {q}, {p})", work, "word multiply-adds", EXPLICIT_TERM_BUDGET)
     sums = [1] + [0] * q
     for k in range(1, n - q + 1):
         row = []
@@ -217,21 +222,18 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     Only the partitions with at most n - q parts, so k_1 >= 0, are visited:
     no vector is built to be thrown away.
 
-    Refuses with TermBudgetError, before visiting any, more than
-    EXPLICIT_TERM_BUDGET exponent vectors, counted from a Gaussian binomial
-    coefficient; and, first, a count that would itself take more than
-    EXPLICIT_TERM_BUDGET integer additions.
+    More than EXPLICIT_TERM_BUDGET exponent vectors, counted from a Gaussian
+    binomial coefficient, are refused before any is visited; and, first, a
+    count that would itself take more than EXPLICIT_TERM_BUDGET integer
+    additions.
     """
     _check_restricted(n, q, p)
     largest, parts = min(p, q), n - q
     what = f"multinomial_pi_sum({n}, {q}, {p})"
     work = (q + 1) * min(largest, parts)
-    if work > EXPLICIT_TERM_BUDGET:
-        terms = "integer additions to count its exponent vectors"
-        raise TermBudgetError(work, EXPLICIT_TERM_BUDGET, what, terms)
+    _refuse(what, work, "integer additions to count its exponent vectors", EXPLICIT_TERM_BUDGET)
     count = _partition_count(q, largest, parts)
-    if count > EXPLICIT_TERM_BUDGET:
-        raise TermBudgetError(count, EXPLICIT_TERM_BUDGET, what, "exponent vectors")
+    _refuse(what, count, "exponent vectors", EXPLICIT_TERM_BUDGET)
     factorial = math.factorial(n)
     numerator = 0
     for counts in _partitions(q, largest, parts):

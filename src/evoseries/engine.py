@@ -24,9 +24,10 @@ from .combinatorics import (
     EXPLICIT_TERM_BUDGET,
     TermBudgetError,
     _bounded_count,
+    _refuse,
     max_total_index,
 )
-from .scalar import _refuse_long_series, scalar_coefficients
+from .scalar import MAX_SERIES_PRODUCTS, _refuse_long_series, scalar_coefficients
 
 __all__ = [
     "Orientation",
@@ -213,11 +214,7 @@ def _expand(
     """
     left = orientation is Orientation.LEFT
     degree = len(mats) - 1
-    doubles = (order + 1) * start.size
-    if doubles > MAX_DOUBLES:
-        raise ValueError(
-            f"series order {order} needs {doubles} doubles of terms, over the cap of {MAX_DOUBLES}"
-        )
+    _refuse(f"series order {order}", (order + 1) * start.size, "doubles of terms", MAX_DOUBLES)
     _refuse_long_series(order, degree + 1)
     # Lists of views: a list lookup costs less than indexing the array.
     mats = list(mats)
@@ -287,8 +284,8 @@ def compute_coefficients_explicit(
         total, counts = weight * np.linalg.matrix_power(mats[0], n), []
     else:
         counts = [_bounded_count(n - q, q, p) for q in range(max_total_index(n, p) + 1)]
-        if sum(counts) > EXPLICIT_TERM_BUDGET:
-            raise TermBudgetError(sum(counts), EXPLICIT_TERM_BUDGET)
+        what = f"explicit coefficient of order {n}"
+        _refuse(what, sum(counts), "weighted products", EXPLICIT_TERM_BUDGET)
         total = np.zeros((coeffs.dim, coeffs.dim))
     left = coeffs.orientation is Orientation.LEFT
     most = _BLOCK_DOUBLES // total.size
@@ -569,7 +566,7 @@ def naive_exponential(
     """
     if terms < 1:
         raise ValueError(f"need at least 1 Taylor term, got {terms}")
-    _refuse_long_series(terms, 1)
+    _refuse(f"exp(B(t)) to {terms} Taylor terms", terms, "matrix products", MAX_SERIES_PRODUCTS)
     dim = coeffs.dim
     b = np.zeros((dim, dim))
     for j, mat in enumerate(coeffs.stack):
@@ -673,13 +670,12 @@ def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
         raise ValueError(f"time must be finite and >= 0, got {t_final}")
     if not math.isfinite(step) or step <= 0:
         raise ValueError(f"step must be finite and > 0, got {step}")
-    if t_final / step > MAX_STEPS:
-        raise ValueError(
-            f"final time {t_final} over step {step} needs more than {MAX_STEPS} steps"
-        )
-    steps = round(t_final / step)
+    ratio = t_final / step
+    most = math.ceil(ratio) if ratio < math.inf else ratio  # a subnormal step gives inf
+    _refuse(f"final time {t_final} over step {step}", most, "steps", MAX_STEPS)
+    steps = round(ratio)
     if abs(steps * step - t_final) > 4 * math.ulp(t_final):
-        steps = math.ceil(t_final / step)
+        steps = most
     times = [0.0] + [k * step for k in range(1, steps)] + [t_final] if steps else [0.0]
     return times, [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
 
@@ -843,8 +839,12 @@ def counterexample_report(
 
     The series residual uses the order-N Maclaurin solution; the exponential
     residual applies the same central-difference defect to the truncated
-    exp(B(t)) candidate.
+    exp(B(t)) candidate.  Each time evaluates both three times, so the report
+    forms about 3 len(times) (exp_terms + order) matrix products; more than
+    scalar.MAX_SERIES_PRODUCTS are refused before any.
     """
+    what = f"counterexample with {exp_terms} Taylor terms, order {order} and {len(times)} times"
+    _refuse(what, 3 * len(times) * (exp_terms + order), "matrix products", MAX_SERIES_PRODUCTS)
     coeffs = counterexample_coefficients()
     series = compute_coefficients(coeffs, order)
     rows = []

@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .combinatorics import _refuse
 from .engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation, compute_coefficients
 
 __all__ = [
@@ -87,11 +88,7 @@ def pb_partial_sum(
     # The first k terms grow by width each; the other order - k stay at max_degree.
     k = order if max_degree is None else min(order, max_degree // width + 1)
     degrees = width * k * (k - 1) // 2 + k + (order - k) * ((max_degree or 0) + 1)
-    if width * degrees > MAX_MATMULS:
-        raise ValueError(
-            f"Peano-Baker order {order} needs {width * degrees} matrix products,"
-            f" over the cap of {MAX_MATMULS}"
-        )
+    _refuse(f"Peano-Baker order {order}", width * degrees, "matrix products", MAX_MATMULS)
     size = order * (coeffs.degree + 1) + 1
     if max_degree is not None:
         size = min(size, max_degree + 1)

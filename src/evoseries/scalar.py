@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .combinatorics import _refuse
+
 __all__ = ["MAX_SERIES_PRODUCTS", "scalar_coefficients", "scalar_closed_form"]
 
 # Most products one series recursion may form: order * (p + 1) for p + 1
@@ -37,12 +39,7 @@ def _refuse_long_series(order: int, width: int) -> None:
     Order n sums min(width, n) products, so order * min(width, order)
     bounds them all.
     """
-    products = order * min(width, order)
-    if products > MAX_SERIES_PRODUCTS:
-        raise ValueError(
-            f"series order {order} needs {products} products,"
-            f" over the cap of {MAX_SERIES_PRODUCTS}"
-        )
+    _refuse(f"series order {order}", order * min(width, order), "products", MAX_SERIES_PRODUCTS)
 
 
 def scalar_coefficients(a: Sequence[float], order: int) -> np.ndarray:

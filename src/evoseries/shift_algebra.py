@@ -37,6 +37,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .combinatorics import _refuse
+
 __all__ = [
     "ShiftPolynomial",
     "IdentityReport",
@@ -330,10 +332,7 @@ def binomial_group(m: int, j: int) -> BinomialGroupDecomposition:
     if m < 0 or j < 0 or m + j < 1:
         raise ValueError(f"need m, j >= 0 with m + j >= 1, got m={m}, j={j}")
     k = m + j
-    if k > POWER_GUARD:
-        raise ValueError(
-            f"group order {k} exceeds the expansion guard {POWER_GUARD}"
-        )
+    _refuse(f"binomial_group({m}, {j})", k, "atoms", POWER_GUARD)
     groups = [[]] * (j + 1)  # groups[b] holds G(a, b) as integer rows
     for a in range(m + 1):
         groups[0] = _u_power(a)
@@ -355,10 +354,7 @@ def power_expand(power: int, lam, mu) -> ShiftPolynomial:
     """
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
-    if power > POWER_GUARD:
-        raise ValueError(
-            f"power {power} exceeds the expansion guard {POWER_GUARD}"
-        )
+    _refuse(f"(lam U - mu S U)^{power}", power, "factors", POWER_GUARD)
     lam, mu = Fraction(lam), Fraction(mu)
     scale = math.lcm(lam.denominator, mu.denominator)
     a = lam.numerator * (scale // lam.denominator)

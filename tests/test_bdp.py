@@ -24,6 +24,7 @@ from evoseries.bdp import (
     solve_bdp,
     stochasticity_report,
 )
+from evoseries.combinatorics import TermBudgetError
 from evoseries.engine import (
     MatrixPolyCoefficients,
     Orientation,
@@ -248,10 +249,11 @@ def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypat
     # (50 + 1) * 10^9 doubles of rows, (30 + 2) * (10^9 + 2) of stencil, and
     # five arrays of 6 * 10^9 diagonals, a block being one step.
     doubles = 51 * 10**9 + 32 * (10**9 + 2) + 5 * 6 * 10**9
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises(TermBudgetError) as refused:
         solve_bdp(spec, 1.0, 50, 30)
+    assert (refused.value.count, refused.value.cap) == (doubles, MAX_DOUBLES)
     assert str(refused.value) == (
-        f"1000000000 states over 50 steps need {doubles} doubles,"
+        f"1000000000 states over 50 steps needs {doubles} doubles,"
         f" over the cap of {MAX_DOUBLES}"
     )
 
@@ -264,9 +266,9 @@ def test_counted_doubles_cover_the_solve_peak(monkeypatch, states, steps):
     )
     with monkeypatch.context() as patched:
         patched.setattr(bdp, "MAX_DOUBLES", 0)
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(TermBudgetError) as refused:
             solve_bdp(spec, 1.0, steps, 30)
-    counted = int(str(refused.value).split(" need ")[1].split()[0])
+    counted = refused.value.count
     tracemalloc.start()
     try:
         solve_bdp(spec, 1.0, steps, 30)

@@ -1,8 +1,10 @@
 import math
 import subprocess
 import sys
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,15 +39,15 @@ def test_pisum_golden_line(capsys):
 
 
 def test_pisum_over_the_budget_single_error_line(capsys):
-    # One tuple, but 2000 * 2001 * 2 multiply-adds of large integers, which
-    # take seconds: refused from their count, before any of them.
+    # One tuple, but 2000 * 2001 * 2 multiply-adds of integers of up to 750
+    # words, which take seconds: refused from their count, before any of them.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "pisum", "4000", "2000", "1")
     assert time.perf_counter() - start < 0.1
     assert code == 1 and out == ""
     assert err == (
-        "error: pi_sum(4000, 2000, 1) needs 8004000 integer multiply-adds,"
-        " over the budget of 1000000\n"
+        "error: pi_sum(4000, 2000, 1) needs 6003000000 word multiply-adds,"
+        " over the cap of 1000000\n"
     )
 
 
@@ -85,20 +87,6 @@ def test_coeffs_table_and_full_set(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["index", "pi", "running_sum"]
     assert len(lines) == 4  # three indices in the unrestricted (4, 2) set
-
-
-def test_coeffs_over_the_budget_single_error_line():
-    # C(29, 14) = 77 558 760 tuples: refused from their count, before any row is built.
-    proc = subprocess.run(
-        [sys.executable, "-m", "evoseries", "coeffs", "30", "15"],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == (
-        "error: coeffs(30, 15) needs 77558760 index tuples, over the budget of 1000000\n"
-    )
 
 
 def test_coeffs_rejects_bad_index(capsys):
@@ -408,7 +396,8 @@ def test_algebra_power_lines(capsys):
 def test_algebra_guard_single_error_line(capsys):
     code, _, err = run_cli(capsys, "algebra", "power", str(POWER_GUARD + 1))
     assert code == 1
-    assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
+    k = POWER_GUARD + 1
+    assert err == f"error: (lam U - mu S U)^{k} needs {k} factors, over the cap of {POWER_GUARD}\n"
 
 
 @pytest.mark.parametrize("option", ["--lam", "--mu"])
@@ -663,42 +652,101 @@ def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):
     assert build_parser() is build_parser()
 
 
+# One row for every cap: a command over it and the one line it exits 1 with.
+# README.md's cap table quotes these lines.  A.mat is EXAMPLE_MAT.
+CAP_REFUSALS = [
+    (
+        ["scalar", "--a", "1,1", "--t", "0.5", "--order", "100000000"],
+        "error: series order 100000000 needs 200000000 products, over the cap of 1000000",
+    ),
+    (
+        ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "100000000"],
+        "error: series order 100000000 needs 900000009 doubles of terms,"
+        " over the cap of 134217728",
+    ),
+    (
+        ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "10000000"],
+        "error: series order 10000000 needs 20000000 products, over the cap of 1000000",
+    ),
+    (
+        ["compare-pb", "--coeffs", "A.mat", "--order", "100000"],
+        "error: Peano-Baker order 100000 needs 15000100000 matrix products,"
+        " over the cap of 1000000",
+    ),
+    (
+        ["counterexample", "--order", "10000000"],
+        "error: counterexample with 40 Taylor terms, order 10000000 and 4 times"
+        " needs 120000480 matrix products, over the cap of 1000000",
+    ),
+    pytest.param(
+        ["counterexample", "--terms", "100000000"],
+        "error: counterexample with 100000000 Taylor terms, order 30 and 4 times"
+        " needs 1200000360 matrix products, over the cap of 1000000",
+        id="counterexample-terms",
+    ),
+    (
+        ["bdp", "--order", "1000000"],
+        "error: series order 1000000 needs 2000000 products, over the cap of 1000000",
+    ),
+    pytest.param(
+        ["solve", "--coeffs", "A.mat", "--t", "1", "--step", "1e-7"],
+        "error: final time 1.0 over step 1e-07 needs 10000000 steps, over the cap of 1000000",
+        id="solve-step",
+    ),
+    pytest.param(
+        ["bdp", "--states", "1000000000"],
+        "error: 1000000000 states over 20 steps needs 83000000064 doubles,"
+        " over the cap of 134217728",
+        id="bdp-states",
+    ),
+    pytest.param(
+        ["algebra", "power", "33"],
+        "error: (lam U - mu S U)^33 needs 33 factors, over the cap of 32",
+        id="algebra-power",
+    ),
+    pytest.param(
+        ["algebra", "group", "20", "13"],
+        "error: binomial_group(20, 13) needs 33 atoms, over the cap of 32",
+        id="algebra-group",
+    ),
+    pytest.param(  # C(29, 14) tuples, counted before any row is built
+        ["coeffs", "30", "15"],
+        "error: coeffs(30, 15) needs 77558760 index tuples, over the cap of 1000000",
+        id="coeffs",
+    ),
+    pytest.param(
+        ["pisum", "4000", "2000", "1"],
+        "error: pi_sum(4000, 2000, 1) needs 6003000000 word multiply-adds,"
+        " over the cap of 1000000",
+        id="pisum",
+    ),
+    # Admitted before pi_sum weighed its multiply-adds by the words of its
+    # integers, and then took 0.3-0.9 s; refused now.
+    pytest.param(
+        ["pisum", "250000", "1", "1"],
+        "error: pi_sum(250000, 1, 1) needs 70312718748 word multiply-adds,"
+        " over the cap of 1000000",
+        id="pisum-long-integers",
+    ),
+    pytest.param(
+        ["pisum", "1400", "700", "1"],
+        "error: pi_sum(1400, 700, 1) needs 236517400 word multiply-adds,"
+        " over the cap of 1000000",
+        id="pisum-long-integers-many-steps",
+    ),
+    # Admitted before the report counted its three evaluations a time, and
+    # then ran for seconds.
+    pytest.param(
+        ["counterexample", "--terms", "1000000", "--times", "0.5"],
+        "error: counterexample with 1000000 Taylor terms, order 30 and 1 times"
+        " needs 3000090 matrix products, over the cap of 1000000",
+        id="counterexample-one-time",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, want",
-    [
-        (
-            ["scalar", "--a", "1,1", "--t", "0.5", "--order", "100000000"],
-            "error: series order 100000000 needs 200000000 products, over the cap of 1000000\n",
-        ),
-        (
-            ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "100000000"],
-            "error: series order 100000000 needs 900000009 doubles of terms,"
-            " over the cap of 134217728\n",
-        ),
-        (
-            ["solve", "--coeffs", "A.mat", "--t", "1", "--order", "10000000"],
-            "error: series order 10000000 needs 20000000 products, over the cap of 1000000\n",
-        ),
-        (
-            ["compare-pb", "--coeffs", "A.mat", "--order", "100000"],
-            "error: Peano-Baker order 100000 needs 15000100000 matrix products,"
-            " over the cap of 1000000\n",
-        ),
-        (
-            ["counterexample", "--order", "10000000"],
-            "error: series order 10000000 needs 20000000 products, over the cap of 1000000\n",
-        ),
-        pytest.param(
-            ["counterexample", "--terms", "100000000"],
-            "error: series order 100000000 needs 100000000 products, over the cap of 1000000\n",
-            id="counterexample-terms",
-        ),
-        (
-            ["bdp", "--order", "1000000"],
-            "error: series order 1000000 needs 2000000 products, over the cap of 1000000\n",
-        ),
-    ],
-    ids=lambda value: value[0] if isinstance(value, list) else "",
+    "argv, want", CAP_REFUSALS, ids=lambda value: value[0] if isinstance(value, list) else ""
 )
 def test_huge_orders_are_counted_and_refused_in_one_line(tmp_path, argv, want):
     # Each route counts its own work before it starts; a subprocess with a
@@ -709,4 +757,18 @@ def test_huge_orders_are_counted_and_refused_in_one_line(tmp_path, argv, want):
     proc = subprocess.run(
         [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True, timeout=20
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want + "\n")
+
+
+def test_readme_cap_table_quotes_the_refusals():
+    # Each example of README.md's cap table, `command` -> `error: ...`, is a
+    # row of CAP_REFUSALS, which test_huge_orders_are_counted_and_refused_in_one_line runs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    quoted = re.findall(r"`([a-z-]+ [^`]*)` → `(error: [^`]*)`", readme)
+    table = {}
+    for row in CAP_REFUSALS:
+        argv, want = row.values if hasattr(row, "values") else row
+        table[" ".join(argv)] = want
+    assert len(quoted) >= 10
+    for command, line in quoted:
+        assert table[command] == line, command

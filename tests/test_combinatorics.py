@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from evoseries.combinatorics import (
     TermBudgetError,
     _bounded_count,
     _compositions,
+    _refuse,
     enumerate_index_set,
     enumerate_restricted_index_set,
     max_total_index,
@@ -274,13 +277,40 @@ def test_pi_sum_refuses_a_set_over_the_budget_before_enumerating(monkeypatch):
         yield
 
     monkeypatch.setattr(combinatorics, "_compositions", refuse)
-    # The budget counts the recursion's multiply-adds, not the one tuple.
+    # The budget counts the recursion's multiply-adds, not the one tuple:
+    # 8 004 000 of them, each on integers of up to 4000 * 12 / 64 = 750 words.
     start = time.perf_counter()
     with pytest.raises(TermBudgetError) as err:
         pi_sum(4000, 2000, 1)
     assert time.perf_counter() - start < 0.1
-    assert err.value.count == 8_004_000 and err.value.budget == EXPLICIT_TERM_BUDGET
-    assert "8004000 integer multiply-adds" in str(err.value) and "\n" not in str(err.value)
+    assert err.value.count == 8_004_000 * 750 and err.value.cap == EXPLICIT_TERM_BUDGET
+    assert str(err.value) == (
+        "pi_sum(4000, 2000, 1) needs 6003000000 word multiply-adds, over the cap of 1000000"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, q, p, words", [(250_000, 1, 1, 70_313), (1400, 700, 1, 241)]
+)
+def test_pi_sum_weighs_its_multiply_adds_by_the_words_of_its_integers(n, q, p, words):
+    # Under a million multiply-adds each, but with integers of up to n!, which
+    # took 0.8 s and 0.25 s: refused at once, from a bound that forms none.
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetError) as err:
+        pi_sum(n, q, p)
+    assert time.perf_counter() - start < 0.1
+    multiply_adds = (n - q) * (q + 1) * (min(p, q) + 1)
+    assert multiply_adds <= EXPLICIT_TERM_BUDGET
+    assert err.value.count == multiply_adds * words
+    assert words * 64 >= math.lgamma(n + 1) / math.log(2)  # log2(n!)
+
+
+def test_the_weight_sums_of_an_order_add_up_to_one():
+    # pi_sum's word count rests on this: its integers f_k(s) are (s + k)! times
+    # a weight sum of order s + k, so none exceeds n!.  The weights of order n
+    # sum to the coefficient of t^n in exp(-log(1 - t)) = 1 / (1 - t).
+    for n in range(1, 30):
+        assert sum(pi_sum(n, q, n) for q in range(n)) == 1
 
 
 def test_pi_sum_is_a_recursion_not_a_visit_to_every_tuple(monkeypatch):
@@ -311,10 +341,10 @@ def test_multinomial_sum_refuses_too_many_exponent_vectors_before_enumerating(mo
     with pytest.raises(TermBudgetError) as err:
         multinomial_pi_sum(200, 70, 70)
     assert time.perf_counter() - start < 0.1
-    assert err.value.count == 4_087_968 and err.value.budget == EXPLICIT_TERM_BUDGET
+    assert err.value.count == 4_087_968 and err.value.cap == EXPLICIT_TERM_BUDGET
     assert str(err.value) == (
         "multinomial_pi_sum(200, 70, 70) needs 4087968 exponent vectors, "
-        "over the budget of 1000000"
+        "over the cap of 1000000"
     )
 
 
@@ -397,3 +427,39 @@ def test_term_count_errors():
         term_count(0, 1)
     with pytest.raises(ValueError):
         term_count(3, 0)
+
+
+def test_refuse_raises_one_value_error_naming_the_count_and_the_cap():
+    assert _refuse("x", 5, "units", 5) is None  # at the cap itself, admitted
+    with pytest.raises(ValueError) as err:
+        _refuse("a grid", math.inf, "steps", 5)  # a float count prints as it is
+    assert type(err.value) is TermBudgetError
+    assert (err.value.count, err.value.cap) == (math.inf, 5)
+    assert str(err.value) == "a grid needs inf steps, over the cap of 5"
+
+
+def test_every_cap_is_refused_by_the_one_helper():
+    # The refusal and its wording live in combinatorics._refuse alone: no
+    # other line of the package words a cap or raises the exception itself.
+    package = Path(combinatorics.__file__).parent
+    source = (package / "combinatorics.py").read_text()
+    (helper,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_refuse"
+    ]
+    wordings = [
+        "over the cap of",
+        "over the budget of",
+        "expansion guard",
+        "needs more than",
+        "raise TermBudgetError",
+    ]
+    for path in sorted(package.glob("*.py")):
+        lines = path.read_text().splitlines()
+        if path.name == "combinatorics.py":
+            for number in range(helper.lineno - 1, helper.end_lineno):
+                lines[number] = ""
+        for number, line in enumerate(lines, 1):
+            for wording in wordings:
+                assert wording not in line, f"{path.name}:{number}: {line.strip()}"

@@ -211,7 +211,10 @@ def test_explicit_budget_guard(example_left):
     # p = 1 at n = 30 needs 1,346,269 products, refused before enumerating any
     with pytest.raises(TermBudgetError) as err:
         compute_coefficients_explicit(example_left, 30)
-    assert "1346269" in str(err.value)  # the refusal reports the term count
+    assert str(err.value) == (
+        "explicit coefficient of order 30 needs 1346269 weighted products,"
+        " over the cap of 1000000"
+    )
 
 
 def explicit_per_word(coeffs, n):
@@ -598,6 +601,18 @@ def test_solve_stepped_refuses_step_count_over_cap(example_left):
     for step in (1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)):
         with pytest.raises(ValueError, match=str(MAX_STEPS)):
             solve_stepped(example_left, 1.0, step, 5)
+    # The count is the grid's steps, ceil(t / step): inf for a subnormal step.
+    for step in (1e-300, 1.0 / (MAX_STEPS + 1)):
+        with pytest.raises(TermBudgetError) as err:
+            _grid(1.0, step)
+        assert (err.value.count, err.value.cap) == (math.ceil(1.0 / step), MAX_STEPS)
+    with pytest.raises(TermBudgetError) as err:
+        _grid(1.0, 5e-324)
+    assert err.value.count == math.inf
+    assert str(err.value) == (
+        "final time 1.0 over step 5e-324 needs inf steps, over the cap of 1000000"
+    )
+    assert len(_grid(1.0, 1.0 / MAX_STEPS)[1]) == MAX_STEPS  # at the cap itself, admitted
 
 
 def test_solve_stepped_single_step_equals_direct(example_left):
@@ -636,6 +651,34 @@ def test_overflowed_evaluation_warns_nothing(example_left):
         warnings.simplefilter("error")
         value = series.value_at(1e8)
     assert np.isinf(value).any()
+
+
+def test_counterexample_counts_its_whole_report_before_any_work(monkeypatch):
+    # Three exponentials and three series values each time: about
+    # 3 len(times) (exp_terms + order) matrix products, counted first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report started its work")
+
+    monkeypatch.setattr(engine, "compute_coefficients", refuse)
+    monkeypatch.setattr(engine, "naive_exponential", refuse)
+    with pytest.raises(TermBudgetError) as err:
+        counterexample_report(times=(0.5,), exp_terms=10**6)
+    assert str(err.value) == (
+        "counterexample with 1000000 Taylor terms, order 30 and 1 times"
+        " needs 3000090 matrix products, over the cap of 1000000"
+    )
+    times = (0.1,) * 5000  # the terms of each call are few, the times many
+    with pytest.raises(TermBudgetError) as err:
+        counterexample_report(times=times)
+    assert err.value.count == 3 * 5000 * (40 + 30)
+
+
+def test_naive_exponential_refusal_names_its_terms(example_left):
+    with pytest.raises(TermBudgetError) as err:
+        naive_exponential(example_left, 0.5, 10**6 + 1)
+    assert str(err.value) == (
+        "exp(B(t)) to 1000001 Taylor terms needs 1000001 matrix products, over the cap of 1000000"
+    )
 
 
 def test_naive_exponential_overflowing_time_names_it(example_left):

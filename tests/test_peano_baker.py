@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import min_degree, pb_term
 from evoseries import peano_baker
+from evoseries.combinatorics import TermBudgetError
 from evoseries.engine import MatrixPolyCoefficients, MatrixPolynomial, Orientation
 from evoseries.peano_baker import pb_equivalence_report, pb_partial_sum
 
@@ -168,10 +169,11 @@ def test_partial_sum_counts_its_matrix_products_before_any(p, order, max_degree)
     coeffs = MatrixPolyCoefficients(np.ones((p + 1, 2, 2)))
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(peano_baker, "MAX_MATMULS", products - 1)
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(TermBudgetError) as refused:
             pb_partial_sum(coeffs, order, max_degree)
         patched.setattr(peano_baker, "MAX_MATMULS", products)
         pb_partial_sum(coeffs, order, max_degree)  # at the cap itself, admitted
+    assert (refused.value.count, refused.value.cap) == (products, products - 1)
     assert str(refused.value) == (
         f"Peano-Baker order {order} needs {products} matrix products, over the cap of {products - 1}"
     )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evoseries.combinatorics import TermBudgetError
 from evoseries.engine import _horner
 from evoseries.scalar import MAX_SERIES_PRODUCTS, scalar_closed_form, scalar_coefficients
 
@@ -79,8 +80,9 @@ def test_series_counts_its_multiply_adds_before_any():
     # Order n sums min(len(a), n) products: a list longer than the order
     # costs no more than one of order coefficients.
     assert len(scalar_coefficients([1.0] * 5000, 200)) == 201
-    with pytest.raises(ValueError) as refused:
+    with pytest.raises(TermBudgetError) as refused:
         scalar_coefficients((1.0, 0.5), MAX_SERIES_PRODUCTS // 2 + 1)
+    assert (refused.value.count, refused.value.cap) == (MAX_SERIES_PRODUCTS + 2, MAX_SERIES_PRODUCTS)
     assert str(refused.value) == (
         f"series order {MAX_SERIES_PRODUCTS // 2 + 1} needs {MAX_SERIES_PRODUCTS + 2} products,"
         f" over the cap of {MAX_SERIES_PRODUCTS}"

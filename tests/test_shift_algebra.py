@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evoseries.combinatorics import TermBudgetError
 from evoseries.shift_algebra import (
     POWER_GUARD,
     BinomialGroupDecomposition,
@@ -273,8 +274,9 @@ def test_binomial_group_head_power_cap():
 
 
 def test_binomial_group_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(TermBudgetError) as refused:
         binomial_group(POWER_GUARD - 5, 6)
+    assert str(refused.value) == "binomial_group(27, 6) needs 33 atoms, over the cap of 32"
     with pytest.raises(ValueError):
         binomial_group(0, 0)
 
@@ -346,8 +348,9 @@ def test_power_expand_accepts_what_fraction_accepts(lam, mu):
 
 
 def test_power_expand_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(TermBudgetError) as refused:
         power_expand(POWER_GUARD + 1, 1, 1)
+    assert str(refused.value) == "(lam U - mu S U)^33 needs 33 factors, over the cap of 32"
     with pytest.raises(ValueError):
         power_expand(0, 1, 1)
 
