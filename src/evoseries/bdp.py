@@ -25,25 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _refuse
 from .engine import (
-    MAX_DOUBLES,
     MatrixPolyCoefficients,
     Orientation,
-    _block_steps,
     _frozen,
-    _grid,
     _horner,
+    _plan,
     _step_grid,
     _up,
 )
-from .scalar import _refuse_long_series
 
 __all__ = [
     "Boundary",
     "BirthDeathSpec",
     "DistributionTrajectory",
-    "MAX_DOUBLES",
     "StochasticityReport",
     "generator_family",
     "solve_bdp",
@@ -197,18 +192,22 @@ class _Stencil:
 
 @dataclass(frozen=True, eq=False)
 class DistributionTrajectory:
-    """Distributions on an even time grid plus bookkeeping columns, as read-only arrays.
+    """Distributions on an even time grid plus their bounds, as read-only arrays.
 
     distributions[i] is the row p(times[i]), propagated directly (no
-    propagator is formed); leakage[i] = |1 - sum of row|; tail_bounds[i]
-    bounds the l1 distance of that row from the exact distribution.  The
-    bound scales with ||p(0)||_1: doubling the initial row doubles it.
+    propagator is formed); tail_bounds[i] bounds the l1 distance of that row
+    from the exact distribution, and scales with ||p(0)||_1.  leakage[i] =
+    |1 - sum of row| is formed on each read, with no numpy warning.
     """
 
     times: np.ndarray
     distributions: np.ndarray
-    leakage: np.ndarray
     tail_bounds: np.ndarray
+
+    @property
+    def leakage(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(1.0 - self.distributions.sum(axis=1))
 
 
 def solve_bdp(
@@ -221,10 +220,9 @@ def solve_bdp(
     """Distribution trajectory on an even grid, plus the generator diagonals it steps on.
 
     The default initial distribution puts all mass on the first state.  The
-    steps run through engine._step_grid on the diagonals (_diagonals), a step
-    of a block holding 6 n doubles of their shift: each block's shift is
-    transposed once, and each step expands the row p~ reached so far by one
-    _Stencil and sums it at the step length into one (S+1, n) stack.  A step
+    steps run through engine._step_grid on the diagonals (_diagonals): each
+    block's shift is transposed once, and each step expands the row p~
+    reached so far by one _Stencil and sums it at the step length.  A step
     costs O(order n) time and memory; no n x n array is formed.  The second
     value is the read-only (2, 3, n) diagonals of A_0 and A_1, whose dense
     form, generator_family(spec), serves coefficient-level checks.
@@ -241,31 +239,18 @@ def solve_bdp(
     tiny chain that leaks much of its mass gets a looser bound than one
     composed from full propagators.
 
-    A solve whose peak, counted below, would hold more than MAX_DOUBLES
-    doubles is refused before anything is allocated: 1 GiB, far above a
-    10^5-state, 4-step or a 10^4-state, 200-step solve (under 7 * 10^6
-    doubles each).  An order past scalar.MAX_SERIES_PRODUCTS stencil
-    products is refused first.
+    engine._plan checks and counts the solve before anything is allocated,
+    the stencil and two copies of the diagonals among its fixed arrays.
     """
     if t_final <= 0:
         raise ValueError(f"final time must be > 0, got {t_final}")
     steps = operator.index(steps)  # 2.5 steps is a TypeError, not a 3-step grid
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    _refuse_long_series(order, len(spec.lam))
-    n = spec.states
-    # The rows and the stencil's order + 1 + p rows, with p + 1 = len(spec.lam);
-    # then 3 (p + 1) n doubles for each of the stencil's family, the family,
-    # and per step of a block its shift, transpose and np.abs temporary.
-    diagonals = 3 * len(spec.lam) * n
-    doubles = (
-        (steps + 1) * n
-        + (order + len(spec.lam)) * (n + 2)
-        + diagonals * (2 + 3 * min(steps, _block_steps(diagonals)))
-    )
-    _refuse(f"{n} states over {steps} steps", doubles, "doubles", MAX_DOUBLES)
+    n, width = spec.states, len(spec.lam)
+    # The stencil, its views and their finiteness check; two families; three n-long temporaries.
+    fixed = (order + width) * (n + 2) + (order + 1) * (48 + n // 8) + 6 * width * n + 3 * n
+    plan = _plan(f"{n} states", order, t_final, t_final / steps, (width, 3, n), n, fixed, 0)
     family = _diagonals(spec.lam, spec.mu, spec)
     family.setflags(write=False)
     p = np.eye(1, n)[0] if initial is None else np.asarray(initial, dtype=float)
@@ -273,13 +258,10 @@ def solve_bdp(
         raise ValueError(f"initial distribution must have shape ({n},), got {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("initial distribution has a non-finite entry")
-    times, hs = _grid(t_final, t_final / steps)
-    stencil = _Stencil(len(family) - 1, n, order)
-    dists = np.empty((len(times), n))
-    dists[0] = p
+    stencil = _Stencil(width - 1, n, order)
     masses = []
 
-    def advance(i, shifted, block_hs):
+    def advance(dists, i, shifted, block_hs):
         finite = []
         forward = _transposed(shifted).swapaxes(0, 1)
         for k, (step_family, h) in enumerate(zip(forward, block_hs), start=i):
@@ -291,16 +273,12 @@ def solve_bdp(
             dists[k + 1] = _horner(terms, h)
         return finite
 
-    bounds_loc = _step_grid(family, _diagonal_norm_bounds, 3, times, hs, order, diagonals, advance)
-    with np.errstate(over="ignore", invalid="ignore"):
-        leakage = np.abs(1.0 - dists.sum(axis=1))
+    times, dists, bounds_loc = _step_grid(plan, family, _diagonal_norm_bounds, 3, p, advance)
     bounds = [0.0]
     for mass, bound_loc in zip(masses, bounds_loc):
         # A zero row stays exactly zero, even where the local bound is inf.
         bounds.append(_up(bounds[-1] + mass * bound_loc, 2) if mass else bounds[-1])
-    dists.setflags(write=False)
-    leakage.setflags(write=False)
-    return DistributionTrajectory(_frozen(times), dists, leakage, _frozen(bounds)), family
+    return DistributionTrajectory(times, dists, _frozen(bounds)), family
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,8 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     More than EXPLICIT_TERM_BUDGET exponent vectors, counted from a Gaussian
     binomial coefficient, are refused before any is visited; and, first, a
     count that would itself take more than EXPLICIT_TERM_BUDGET integer
-    additions.
+    additions.  Then, before n! is formed, its n products and a division of
+    it a vector, each on pi_sum's 64-bit words of n!, are refused likewise.
     """
     _check_restricted(n, q, p)
     largest, parts = min(p, q), n - q
@@ -234,6 +235,8 @@ def multinomial_pi_sum(n: int, q: int, p: int) -> Fraction:
     _refuse(what, work, "integer additions to count its exponent vectors", EXPLICIT_TERM_BUDGET)
     count = _partition_count(q, largest, parts)
     _refuse(what, count, "exponent vectors", EXPLICIT_TERM_BUDGET)
+    words = (n * n.bit_length() + 63) // 64  # n! <= n^n
+    _refuse(what, (n + count) * words, "word operations", EXPLICIT_TERM_BUDGET)
     factorial = math.factorial(n)
     numerator = 0
     for counts in _partitions(q, largest, parts):

@@ -27,7 +27,7 @@ from .combinatorics import (
     _refuse,
     max_total_index,
 )
-from .scalar import MAX_SERIES_PRODUCTS, _refuse_long_series, scalar_coefficients
+from .scalar import MAX_SERIES_PRODUCTS, _check_order, scalar_coefficients
 
 __all__ = [
     "Orientation",
@@ -49,14 +49,14 @@ __all__ = [
 ]
 
 # Most doubles one array of series terms may hold: 1 GiB.  _expand refuses a
-# larger term stack, and solve_bdp counts its peak against the same cap.
+# larger term stack, and _plan counts a stepped solve's peak against the same cap.
 MAX_DOUBLES = 2**27
 # Largest grid solve_stepped accepts: a million local expansions already take
 # minutes even for 2x2 families, so a larger count is a mistaken step.
 MAX_STEPS = 1_000_000
-# Most doubles one block of steps of a stepped solve holds (_block_steps).
-# Enough steps to spread numpy's per-call cost over many, few enough that a
-# long grid of large matrices does not raise the peak memory.
+# Most doubles of series or shift one block of a stepped solve holds, and of
+# series one _local_bound call stacks (_plan): enough steps to spread numpy's
+# per-call cost, few enough that a long grid does not raise the peak memory.
 _BLOCK_DOUBLES = 2**16
 # Unit roundoff of a double: a rounded operation has relative error at most _U.
 _U = 2.0**-53
@@ -193,8 +193,6 @@ def compute_coefficients(
     right instead.  Coefficients beyond the stored degree are zero, so the
     inner sum truncates at min(p, n-1).
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
     stack = _expand(coeffs.stack, coeffs.orientation, np.eye(coeffs.dim), order)
     stack.setflags(write=False)
     return MatrixSeries(stack)
@@ -209,13 +207,13 @@ def _expand(
     any start block: the identity gives the series terms R_n.  A
     (p+1, S, d, d) family with a (S, d, d) start expands S families at
     once; each one's products and sums are those of its own expansion, so
-    the bits are too.  A stack over MAX_DOUBLES doubles, or an order past
-    MAX_SERIES_PRODUCTS products, is refused before the stack is allocated.
+    the bits are too.  A stack over MAX_DOUBLES doubles, then a bad order
+    (_check_order), is refused before the stack is allocated.
     """
     left = orientation is Orientation.LEFT
     degree = len(mats) - 1
-    _refuse(f"series order {order}", (order + 1) * start.size, "doubles of terms", MAX_DOUBLES)
-    _refuse_long_series(order, degree + 1)
+    _refuse_terms(order, (order + 1) * start.size)
+    _check_order(order, degree + 1)
     # Lists of views: a list lookup costs less than indexing the array.
     mats = list(mats)
     stack = np.zeros((order + 1, *start.shape))
@@ -379,8 +377,7 @@ def tail_bound(coeffs: MatrixPolyCoefficients, order: int, t: float) -> float:
     _local_bound of the family as given (a shift to 0, exact): the tail and the
     recursion's and Horner's rounding.  Finite unless the exponential overflows.
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
+    _check_order(order, coeffs.degree + 1)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and >= 0, got {t}")
     # A norm that overflows is inf, and so is the bound: no numpy warning.
@@ -497,7 +494,7 @@ def _local_bound(
     runs it, so each row's bound has that call's bits.  Only exp runs per
     row, as math.exp: numpy's vectorised exp is not promised within the one
     ulp the rounding model assumes.  A call costs about 0.15 ms at order 30
-    however few rows it has, so _step_grid makes one call a solve.
+    however few rows it has, so _step_grid stacks many rows a call.
     """
     p = norms.shape[1] - 1
     h = np.array(hs, dtype=float)
@@ -635,13 +632,6 @@ def _shift(mats: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _refuse_overflow(finite: list[bool], starts: list[float]) -> None:
-    """The one refusal of both solvers: the first step s with finite[s] False, from starts[s]."""
-    if not all(finite):
-        t0 = starts[finite.index(False)]
-        raise ValueError(f"the series overflows on the step from t = {t0}")
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A stepped solve, one row per grid time, as read-only arrays.
@@ -680,41 +670,79 @@ def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
     return times, [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
 
 
-def _block_steps(step_doubles: int) -> int:
-    """Steps in one block of a stepped solve, each step holding step_doubles doubles."""
-    return max(1, _BLOCK_DOUBLES // max(1, step_doubles))
+def _refuse_terms(order: int, doubles: int) -> None:
+    """Refuse an expansion to order whose term stack would hold over MAX_DOUBLES doubles."""
+    _refuse(f"series order {order}", doubles, "doubles of terms", MAX_DOUBLES)
 
 
-def _step_grid(family, norm_bounds, dim: int, times, hs, order: int, step_doubles: int, advance):
-    """The stepping loop of both certified solvers: the local bound of every step.
+def _plan(what: str, order: int, t_final: float, step: float, shape, row, fixed, terms):
+    """Check a stepped solve and count its peak doubles, before its solver allocates anything.
 
-    family is A_0..A_p, a dense (p+1, d, d) stack or the (p+1, 3, n)
-    diagonals of tridiagonal matrices; norm_bounds maps it or a shift of it
-    to the (..., p+1) norm rows of _local_bound.  The steps [times[k],
-    times[k] + hs[k]] run in blocks of _block_steps(step_doubles).  One
-    _shift call moves a block to its step starts and one norm_bounds call
-    bounds that shift; advance(i, shifted, block_hs), i the block's first
-    step, runs the steps and returns whether each one's series and shift are
-    finite, and the first that is not is refused by _refuse_overflow.  A
-    block's shift is dropped before the next is made.  The powers of the
-    starts (_powers) and the unshifted norms are formed once, and after the
-    last block one _local_bound call, dim products an entry, bounds every
-    step.  Overflow shows as that refusal or as inf values and bounds: all
-    runs under one np.errstate, so numpy warns of nothing.
+    shape is the family's, (p+1, d, d) or (p+1, 3, n): one step's shift holds
+    shift = prod(shape) doubles.  A row holds row doubles, the solver's own
+    arrays fixed, and one step's _expand term stack terms (0 for solve_bdp).
+    Refused in order: such a stack over MAX_DOUBLES, in _expand's words; the
+    order (_check_order); the grid (_grid).  A block holds _BLOCK_DOUBLES //
+    max(terms, shift) steps, one _local_bound call _BLOCK_DOUBLES // (order
+    + 1), each at least one.  The count: the rows and fixed; a block at 9/8
+    terms (their finiteness check) + 3 shift (the norms' or a copy's
+    temporary) a step, and one more term stack (an autonomous block's one
+    expansion); a bound call's series and their stack, 2 (order + 1) a step,
+    and 24 (order + 1) of numpy overhead; 32 a step of Python floats and
+    arrays; 1024 more.  A count over MAX_DOUBLES is refused.  Returns the
+    plan, (times, hs, order, block, chunk).
     """
-    starts = times[:-1]
-    powers = _powers(starts, len(family) - 1)
-    per_block = _block_steps(step_doubles)
-    family_norms = []
+    shift = math.prod(shape)
+    _refuse_terms(order, terms)
+    _check_order(order, shape[0])
+    times, hs = _grid(t_final, step)
+    steps = len(hs)
+    block = max(1, _BLOCK_DOUBLES // max(terms, shift))
+    chunk = max(1, _BLOCK_DOUBLES // (order + 1))
+    peak = (steps + 1) * row + fixed + min(steps, block) * (terms * 9 // 8 + 3 * shift) + terms
+    peak += (2 * min(steps, chunk) + 24) * (order + 1) + 32 * steps + 1024
+    _refuse(f"{what} over {steps} steps", peak, "doubles", MAX_DOUBLES)
+    return times, hs, order, block, chunk
+
+
+def _step_grid(plan, family, norm_bounds, dim: int, start, advance):
+    """The stepping loop of both certified solvers: the rows and the local bound of every step.
+
+    plan is _plan's, which counted what this holds: the rows, a block, a
+    bound chunk and a step's bookkeeping.  family is A_0..A_p, (p+1, d, d)
+    or the (p+1, 3, n) diagonals of tridiagonal matrices; norm_bounds maps
+    it or a shift of it to _local_bound's (..., p+1) norm rows.  The rows
+    are one (S+1, *start.shape) stack, row 0 start.  One _shift call moves
+    the family to a block's step starts, dropped before the next block's,
+    and one norm_bounds call bounds it; advance(rows, i, shifted, block_hs),
+    i the block's first step, writes its rows and returns whether each step
+    is finite, and the first that is not is refused.  _local_bound then
+    bounds a chunk of steps a call, with one-row calls' bits.  All runs under
+    one np.errstate: overflow shows as that refusal or as inf, never a numpy
+    warning.  Returns the read-only times and rows, and the local bounds.
+    """
+    times, hs, order, block, chunk = plan
+    rows = np.empty((len(times), *np.shape(start)))
+    rows[0] = start
+    powers = _powers(times[:-1], len(family) - 1)
+    norms = np.empty((len(hs), len(family)))
     with np.errstate(over="ignore", invalid="ignore"):
         unshifted = norm_bounds(family).tolist()
-        for i in range(0, len(hs), per_block):
-            block = slice(i, i + per_block)
-            shifted = _shift(family, powers[block])
-            family_norms.append(norm_bounds(shifted))
-            _refuse_overflow(advance(i, shifted, hs[block]), starts[block])
+        for i in range(0, len(hs), block):
+            span = slice(i, i + block)
+            shifted = _shift(family, powers[span])
+            norms[span] = norm_bounds(shifted)
+            finite = advance(rows, i, shifted, hs[span])
+            if not all(finite):
+                t0 = times[i + finite.index(False)]
+                raise ValueError(f"the series overflows on the step from t = {t0}")
             del shifted  # before the next block's is made
-    return _local_bound(np.concatenate(family_norms), unshifted, powers, dim, order, hs)
+    bounds = []
+    for i in range(0, len(hs), chunk):
+        span = slice(i, i + chunk)
+        bounds += _local_bound(norms[span], unshifted, powers[span], dim, order, hs[span])
+    rows.setflags(write=False)
+    return _frozen(times), rows, bounds
 
 
 def solve_stepped(
@@ -724,30 +752,23 @@ def solve_stepped(
 
     Each step recenters the coefficients at its start, expands to the given
     order and sums the local series at the step length; _step_grid runs the
-    steps, a step of a block holding (order + 1) d^2 doubles of series terms,
-    and _local_propagators expands a block as one stack, bit for bit what
-    recenter, compute_coefficients and value_at give step by step.  The
+    steps, and _local_propagators expands a block as one stack, bit for bit
+    what recenter, compute_coefficients and value_at give step by step.  The
     propagators are composed on the orientation side, in place into the one
     (S+1, d, d) stack of values.  The bound carries the local bounds through
     the products, e_new = e_loc (||R_prev|| + e_prev) + ||R_loc|| (e_prev +
     gamma_d ||R_prev||), the last term the product's own rounding, so it
     certifies the composed float value.  The first step's bound is
-    tail_bound over that step, bit for bit.  The grid is _grid(t_final, step),
-    with no float sliver at its end; an order below 1 is refused first, for
-    the lone t = 0 point too.
+    tail_bound over that step, bit for bit.  _plan checks the solve first,
+    the lone t = 0 point too, counting the values and a block's series terms.
     """
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    times, hs = _grid(t_final, step)
     dim, orientation = coeffs.dim, coeffs.orientation
-    if not hs:
-        return Trajectory(_frozen(times), _frozen([np.eye(dim)]), _frozen([0.0]))
+    what, terms = f"{dim}x{dim} propagators", (order + 1) * dim * dim
+    plan = _plan(what, order, t_final, step, coeffs.stack.shape, dim * dim, 0, terms)
     left = orientation is Orientation.LEFT
-    values = np.empty((len(times), dim, dim))
-    values[0] = np.eye(dim)
     norms_loc, norms_prev = [], []
 
-    def advance(i, shifted, block_hs):
+    def advance(values, i, shifted, block_hs):
         r_locs, finite = _local_propagators(coeffs, shifted, block_hs, order)
         for k, r_loc in enumerate(r_locs, start=i):
             # R(0) = I exactly: no product, and no inf * 0 from an overflowed step.
@@ -759,20 +780,18 @@ def solve_stepped(
         norms_prev.extend(_norm_bounds(values[i : i + len(r_locs)], orientation).tolist())
         return finite
 
-    bounds = _step_grid(
-        coeffs.stack, lambda mats: _norm_bounds(mats, orientation).T, dim, times, hs, order,
-        (order + 1) * dim * dim, advance,
+    times, values, bounds = _step_grid(
+        plan, coeffs.stack, lambda m: _norm_bounds(m, orientation).T, dim, np.eye(dim), advance
     )
     g_dim, six = _gamma(dim), _up(1.0, 6)  # _up(x, 6) is x * six
-    err = bounds[0]
-    errs = [0.0, err]
+    errs = [0.0, *bounds[:1]]
+    err = errs[-1]
     for bound_loc, norm_loc, norm_prev in zip(bounds[1:], norms_loc[1:], norms_prev[1:]):
         err = bound_loc * (norm_prev + err) + norm_loc * (err + g_dim * norm_prev)
         # Six roundings; a NaN norm or inf * 0 means an overflow.
         err = math.inf if math.isnan(err) else err * six
         errs.append(err)
-    values.setflags(write=False)
-    return Trajectory(_frozen(times), values, _frozen(errs))
+    return Trajectory(times, values, _frozen(errs))
 
 
 def _local_propagators(

@@ -33,12 +33,13 @@ __all__ = ["MAX_SERIES_PRODUCTS", "scalar_coefficients", "scalar_closed_form"]
 MAX_SERIES_PRODUCTS = 10**6
 
 
-def _refuse_long_series(order: int, width: int) -> None:
-    """Refuse an order whose recursion over width coefficients forms over MAX_SERIES_PRODUCTS.
+def _check_order(order: int, width: int) -> None:
+    """Refuse an order below 1, then a recursion of more than MAX_SERIES_PRODUCTS products.
 
-    Order n sums min(width, n) products, so order * min(width, order)
-    bounds them all.
+    Over width coefficients order n sums min(width, n) products: order * min(width, order) in all.
     """
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
     _refuse(f"series order {order}", order * min(width, order), "products", MAX_SERIES_PRODUCTS)
 
 
@@ -55,9 +56,7 @@ def scalar_coefficients(a: Sequence[float], order: int) -> np.ndarray:
     """
     if len(a) == 0:
         raise ValueError("need at least the constant coefficient a_0")
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
-    _refuse_long_series(order, len(a))
+    _check_order(order, len(a))
     r = [1.0]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order + 1):

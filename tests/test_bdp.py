@@ -11,7 +11,6 @@ from scipy.linalg import expm
 
 from evoseries import bdp, engine
 from evoseries.bdp import (
-    MAX_DOUBLES,
     BirthDeathSpec,
     Boundary,
     DistributionTrajectory,
@@ -26,6 +25,7 @@ from evoseries.bdp import (
 )
 from evoseries.combinatorics import TermBudgetError
 from evoseries.engine import (
+    MAX_DOUBLES,
     MatrixPolyCoefficients,
     Orientation,
     _expand,
@@ -35,7 +35,6 @@ from evoseries.engine import (
     _local_bound,
     _norm_bounds,
     _powers,
-    _refuse_overflow,
     _shift,
     _up,
     compute_coefficients,
@@ -122,17 +121,17 @@ def reference_solve(spec, t_final, steps, order, initial=None) -> DistributionTr
         for k, (t_prev, h) in enumerate(zip(times, hs)):
             masses.append(_up(float(np.abs(p).sum()), spec.states))
             terms = reference_stencil(forward[:, k], p, order)
-            _refuse_overflow([np.isfinite(terms).all()], [t_prev])
+            if not np.isfinite(terms).all():
+                raise ValueError(f"the series overflows on the step from t = {t_prev}")
             p = _horner(terms, h)
             dists.append(p)
         dists = np.vstack(dists)
-        leakage = np.abs(1.0 - dists.sum(axis=1))
         norms = _diagonal_norm_bounds(shifted)
     local_bounds = _local_bound(norms, unshifted, powers, 3, order, hs)
     bounds = [0.0]
     for mass, local_bound in zip(masses, local_bounds):
         bounds.append(_up(bounds[-1] + mass * local_bound, 2) if mass else bounds[-1])
-    return DistributionTrajectory(np.array(times), dists, leakage, np.array(bounds))
+    return DistributionTrajectory(np.array(times), dists, np.array(bounds))
 
 
 def test_spec_validation():
@@ -245,10 +244,16 @@ def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypat
 
     monkeypatch.setattr(bdp, "_diagonals", refuse)
     monkeypatch.setattr(bdp, "_Stencil", refuse)
-    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=10**9)
-    # (50 + 1) * 10^9 doubles of rows, (30 + 2) * (10^9 + 2) of stencil, and
-    # five arrays of 6 * 10^9 diagonals, a block being one step.
-    doubles = 51 * 10**9 + 32 * (10**9 + 2) + 5 * 6 * 10**9
+    n = 10**9
+    spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=n)
+    # engine._plan's count: (50 + 1) n doubles of rows; the stencil's
+    # (30 + 2) (n + 2), its views and finiteness check, 31 (48 + n / 8), its
+    # family, the family and three n-long temporaries, 15 n; a block of one
+    # step, 3 * 6 n; a bound chunk of all 50 steps, (2 * 50 + 24) * 31; and
+    # 32 * 50 + 1024 of bookkeeping.
+    doubles = (
+        51 * n + 32 * (n + 2) + 31 * (48 + n // 8) + 15 * n + 18 * n + 124 * 31 + 32 * 50 + 1024
+    )
     with pytest.raises(TermBudgetError) as refused:
         solve_bdp(spec, 1.0, 50, 30)
     assert (refused.value.count, refused.value.cap) == (doubles, MAX_DOUBLES)
@@ -258,24 +263,46 @@ def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypat
     )
 
 
-@pytest.mark.parametrize(("states", "steps"), [(10**5, 1), (10**5, 4), (4 * 10**5, 1)])
-def test_counted_doubles_cover_the_solve_peak(monkeypatch, states, steps):
-    # The count that the cap refuses is the solve's real peak, within 10%.
-    spec = BirthDeathSpec(
-        lam=(1.0, 0.5), mu=(1.0, 0.5), states=states, boundary=Boundary.REFLECT_NONE
-    )
+def assert_counted_doubles_cover_the_peak(monkeypatch, solve):
+    # The count that engine._plan refuses is at least the solve's real peak,
+    # less 10%.  solve_stepped's term-stack check is skipped to reach it.
     with monkeypatch.context() as patched:
-        patched.setattr(bdp, "MAX_DOUBLES", 0)
+        patched.setattr(engine, "MAX_DOUBLES", 0)
+        patched.setattr(engine, "_refuse_terms", lambda order, doubles: None)
         with pytest.raises(TermBudgetError) as refused:
-            solve_bdp(spec, 1.0, steps, 30)
+            solve()
     counted = refused.value.count
     tracemalloc.start()
     try:
-        solve_bdp(spec, 1.0, steps, 30)
+        solve()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8 * counted, (peak / 8, counted)
+
+
+@pytest.mark.parametrize(
+    ("states", "steps", "order"),
+    [(10**5, 1, 30), (10**5, 4, 30), (4 * 10**5, 1, 30), (3, 2000, 30), (5, 200, 1000)],
+)
+def test_counted_doubles_cover_the_solve_peak(monkeypatch, states, steps, order):
+    # The step-heavy grids peak in the local bound's stacked series, about
+    # 2 (order + 1) doubles a step of one _local_bound call.
+    spec = BirthDeathSpec(
+        lam=(1.0, 0.5), mu=(1.0, 0.5), states=states, boundary=Boundary.REFLECT_NONE
+    )
+    assert_counted_doubles_cover_the_peak(monkeypatch, lambda: solve_bdp(spec, 1.0, steps, order))
+
+
+def test_counted_doubles_cover_the_stepped_solve_peak(monkeypatch):
+    mats = 0.1 * np.random.default_rng(3).standard_normal((2, 2, 2))
+    coeffs = MatrixPolyCoefficients(mats)
+
+    def solve():
+        return solve_stepped(coeffs, 5.0, 0.01, 300)
+
+    assert len(solve().times) == 501
+    assert_counted_doubles_cover_the_peak(monkeypatch, solve)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -499,7 +526,7 @@ def test_stochasticity_report_flags_negatives():
     doctored = traj.distributions.copy()
     doctored[-1, 2] = -1e-6
     bad = stochasticity_report(
-        type(traj)(traj.times, doctored, traj.leakage, traj.tail_bounds)
+        type(traj)(traj.times, doctored, traj.tail_bounds)
     )
     assert bad.any_negative
     assert bad.worst_entry == -1e-6
@@ -525,7 +552,7 @@ def test_each_solver_steps_through_the_one_driver_once(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[0].shape)
+        calls.append(args[1].shape)  # the family; args[0] is the plan
         return step_grid(*args)
 
     step_grid = engine._step_grid

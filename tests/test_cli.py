@@ -1,4 +1,6 @@
 import math
+import os
+import resource
 import subprocess
 import sys
 import re
@@ -653,7 +655,8 @@ def test_shared_parser_matches_a_fresh_process(capsys, tmp_path):
 
 
 # One row for every cap: a command over it and the one line it exits 1 with.
-# README.md's cap table quotes these lines.  A.mat is EXAMPLE_MAT.
+# README.md's cap table quotes these lines.  A.mat is EXAMPLE_MAT and I12.mat
+# the 12 x 12 identity.
 CAP_REFUSALS = [
     (
         ["scalar", "--a", "1,1", "--t", "0.5", "--order", "100000000"],
@@ -695,9 +698,17 @@ CAP_REFUSALS = [
     ),
     pytest.param(
         ["bdp", "--states", "1000000000"],
-        "error: 1000000000 states over 20 steps needs 83000000064 doubles,"
+        "error: 1000000000 states over 20 steps needs 89875005200 doubles,"
         " over the cap of 134217728",
         id="bdp-states",
+    ),
+    # At MAX_STEPS itself, a (10^6 + 1, 12, 12) stack of values: allocated
+    # before the stepped solve counted its peak, refused now.
+    pytest.param(
+        ["solve", "--coeffs", "I12.mat", "--t", "1000000", "--step", "1"],
+        "error: 12x12 propagators over 1000000 steps needs 176216250 doubles,"
+        " over the cap of 134217728",
+        id="solve-stack",
     ),
     pytest.param(
         ["algebra", "power", "33"],
@@ -749,13 +760,22 @@ CAP_REFUSALS = [
     "argv, want", CAP_REFUSALS, ids=lambda value: value[0] if isinstance(value, list) else ""
 )
 def test_huge_orders_are_counted_and_refused_in_one_line(tmp_path, argv, want):
-    # Each route counts its own work before it starts; a subprocess with a
-    # timeout, so an order that is not counted fails the test instead of hanging it.
-    path = tmp_path / "A.mat"
-    path.write_text(EXAMPLE_MAT)
-    argv = [str(path) if arg == "A.mat" else arg for arg in argv]
+    # Each route counts its own work before it starts.  A subprocess with a
+    # timeout and 1 GiB of address space, the cap itself, so work that is
+    # not counted, or memory taken before the count, fails the test instead
+    # of hanging it or taking the runner's memory.
+    identity = "\n".join(" ".join("1" if j == i else "0" for j in range(12)) for i in range(12))
+    files = {"A.mat": EXAMPLE_MAT, "I12.mat": identity + "\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
     proc = subprocess.run(
-        [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True, timeout=20
+        [sys.executable, "-m", "evoseries", *argv], capture_output=True, text=True, timeout=20,
+        preexec_fn=limit_memory, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want + "\n")
 

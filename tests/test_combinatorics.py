@@ -364,6 +364,24 @@ def test_multinomial_sum_refuses_a_count_over_the_budget_before_counting(monkeyp
     assert "10000100000 integer additions to count its exponent vectors" in str(err.value)
 
 
+def test_multinomial_sum_weighs_its_integer_work_by_the_words_of_n_factorial(monkeypatch):
+    # One exponent vector, counted in 2 additions, but n! spans 70 313 words:
+    # the call took 1.34 s, 0.64 s of it forming n!.  Refused before n! is formed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated exponent vectors over the budget")
+
+    monkeypatch.setattr(combinatorics, "_partitions", refuse)
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetError) as err:
+        multinomial_pi_sum(250_000, 1, 1)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.count == (250_000 + 1) * 70_313
+    assert str(err.value) == (
+        "multinomial_pi_sum(250000, 1, 1) needs 17578320313 word operations, "
+        "over the cap of 1000000"
+    )
+
+
 def test_multinomial_sum_admits_every_size_the_composition_count_admitted():
     # One partition of 1000 has at most one part: the single 1001-cycle.  The
     # compositions of n - q = 1 into 1001 counts numbered only 1001.
