@@ -4,15 +4,19 @@ Output is deterministic text: CSV with '.' decimals and ',' separators, or
 fixed-width tables.  Floats print with 12 significant digits unless --digits
 says otherwise; exact rationals print as num/den.  Every error path exits
 nonzero after a single diagnostic line on stderr.
+
+Handlers return their lines; main writes them with _emit, the one writer of stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
+import itertools
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +32,7 @@ from .combinatorics import (
     pi_sum,
 )
 from .engine import (
+    _BLOCK_DOUBLES,
     MatrixPolyCoefficients,
     Orientation,
     _horner,
@@ -71,13 +76,18 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
+    """Write each line, or block of rows, and a newline as it comes, to out_path or stdout."""
+    opened = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+    with opened as handle:
+        handle.writelines(line + "\n" for line in lines)
+
+
+def _warn_after(message: str) -> Iterator[str]:
+    """Chained after a handler's lines: prints message, if any, to stderr once they are written."""
+    if message:
+        print(message, file=sys.stderr)
+    yield from ()
 
 
 def _table(rows: list[list[str]]) -> list[str]:
@@ -85,22 +95,23 @@ def _table(rows: list[list[str]]) -> list[str]:
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
-def _emit_certified(header: str, table: np.ndarray, digits: int, out_path: str | None) -> None:
-    """A CSV of a 2-D float array, t first and the certified bound last, then _warn_if_lost.
+def _certified(header: str, digits: int, *columns: np.ndarray) -> Iterable[str]:
+    """A certified CSV's lines: header, then the rows of columns, t first and the bound last.
 
-    The whole table is one % call; '%.12g' % x is the text _fmt(x, 12) gives.
+    Each column, an entry or a row of entries a time, is read in place; a
+    block of at most _BLOCK_DOUBLES cells (one row at least) is one % call,
+    and '%.12g' % x is _fmt(x, 12).  Once the rows are written, a stderr
+    line names the first time whose bound is not finite.
     """
-    row = ",".join([f"%.{digits}g"] * table.shape[1])
-    body = "\n".join([row] * len(table)) % tuple(table.ravel().tolist())
-    _emit([header, body], out_path)
-    _warn_if_lost(table[:, 0].tolist(), table[:, -1].tolist(), digits)
-
-
-def _warn_if_lost(times, bounds, digits: int) -> None:
-    """One stderr line naming the first time whose certified bound is not finite."""
-    lost = [t for t, bound in zip(times, bounds) if not math.isfinite(bound)]
-    if lost:
-        print(f"warning: certificate lost from t = {_fmt(lost[0], digits)}", file=sys.stderr)
+    times, bounds = columns[0], columns[-1]
+    lost = times[~np.isfinite(bounds)]
+    warning = f"warning: certificate lost from t = {_fmt(lost[0], digits)}" if len(lost) else ""
+    columns = [np.reshape(column, (len(times), -1)) for column in columns]
+    width = sum(column.shape[1] for column in columns)
+    row, size = ",".join([f"%.{digits}g"] * width), max(1, _BLOCK_DOUBLES // width)
+    blocks = (np.hstack([c[i : i + size] for c in columns]) for i in range(0, len(times), size))
+    text = ("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
+    return itertools.chain([header], text, _warn_after(warning))
 
 
 def _load_poly(path: str, orientation: str) -> MatrixPolyCoefficients:
@@ -112,7 +123,7 @@ def _entry_headers(dim: int) -> list[str]:
     return [f"r_{i}_{j}" for i in range(1, dim + 1) for j in range(1, dim + 1)]
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> list[str]:
     n, q, p = args.n, args.q, args.p
     if p is None:
         indices = enumerate_index_set(n, q)
@@ -127,19 +138,14 @@ def cmd_coeffs(args) -> int:
         pi = pi_coefficient(m)
         running += pi
         rows.append([" ".join(str(e) for e in m), _frac(pi), _frac(running)])
-    if args.format == "csv":
-        _emit([",".join(row) for row in rows], None)
-    else:
-        _emit(_table(rows), None)
-    return 0
+    return [",".join(row) for row in rows] if args.format == "csv" else _table(rows)
 
 
-def cmd_pisum(args) -> int:
+def cmd_pisum(args) -> list[str]:
     lhs = pi_sum(args.n, args.q, args.p)
     rhs = multinomial_pi_sum(args.n, args.q, args.p)
     verdict = "EQUAL" if lhs == rhs else "UNEQUAL"
-    print(f"{_frac(lhs)}  {_frac(rhs)}  {verdict}")
-    return 0
+    return [f"{_frac(lhs)}  {_frac(rhs)}  {verdict}"]
 
 
 def _float_list(option: str, text: str) -> list[float]:
@@ -153,44 +159,39 @@ def _float_list(option: str, text: str) -> list[float]:
     return [float(tok) for tok in fields if tok]
 
 
-def cmd_scalar(args) -> int:
+def cmd_scalar(args) -> Iterable[str]:
     a = _float_list("--a", args.a)
     series = float(_horner(scalar_coefficients(a, args.order), args.t))
     with warnings.catch_warnings(record=True) as overflowed:
         warnings.simplefilter("always")
         closed = scalar_closed_form(a, args.t)
-    print(f"series {_fmt(series, args.digits)}")
-    print(f"closed_form {_fmt(closed, args.digits)}")
-    print(f"abs_gap {_fmt(abs(series - closed), args.digits)}")
-    if overflowed:
-        print("warning: closed-form value exceeds float range", file=sys.stderr)
-    return 0
+    values = {"series": series, "closed_form": closed, "abs_gap": abs(series - closed)}
+    lines = [f"{name} {_fmt(value, args.digits)}" for name, value in values.items()]
+    warning = "warning: closed-form value exceeds float range" if overflowed else ""
+    return itertools.chain(lines, _warn_after(warning))
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> Iterable[str]:
     coeffs = _load_poly(args.coeffs, args.orientation)
     header = "t," + ",".join(_entry_headers(coeffs.dim)) + ",tail_bound"
     step = max(args.t, 1.0) if args.step is None else args.step
     traj = solve_stepped(coeffs, args.t, step, args.order)
-    values = traj.values.reshape(len(traj.times), -1)
-    table = np.column_stack((traj.times, values, traj.tail_bounds))
+    columns = (traj.times, traj.values, traj.tail_bounds)
     if args.step is None:  # one step, or the lone t = 0 point: print its end only
-        table = table[-1:]
-    _emit_certified(header, table, args.digits, args.out)
-    return 0
+        columns = [column[-1:] for column in columns]
+    return _certified(header, args.digits, *columns)
 
 
-def cmd_compare_pb(args) -> int:
+def cmd_compare_pb(args) -> list[str]:
     coeffs = _load_poly(args.coeffs, args.orientation)
     d = args.digits
     lines = ["degree,abs_gap,rel_gap"]
     for row in pb_equivalence_report(coeffs, args.order):
         lines.append(f"{row.degree},{_fmt(row.abs_gap, d)},{_fmt(row.rel_gap, d)}")
-    _emit(lines, args.out)
-    return 0
+    return lines
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> list[str]:
     times = tuple(_float_list("--times", args.times))
     if not times:
         raise ValueError(f"--times: no time given in {args.times!r}")
@@ -208,26 +209,19 @@ def cmd_counterexample(args) -> int:
                 _fmt(row.ratio, d),
             ]
         )
-    _emit(_table(rows), None)
-    return 0
+    return _table(rows)
 
 
-def _print_shift_poly(poly: shift_algebra.ShiftPolynomial) -> None:
-    if poly.is_zero():
-        print("0")
-        return
-    for (s, k), coeff in poly.terms:
-        print(f"{_frac(coeff)} * S^{s} U^{k}")
+def _shift_poly_lines(poly: shift_algebra.ShiftPolynomial) -> list[str]:
+    return [f"{_frac(coeff)} * S^{s} U^{k}" for (s, k), coeff in poly.terms] or ["0"]
 
 
-def cmd_algebra_reduce(args) -> int:
-    _print_shift_poly(shift_algebra.reduce(args.word))
-    return 0
+def cmd_algebra_reduce(args) -> list[str]:
+    return _shift_poly_lines(shift_algebra.reduce(args.word))
 
 
-def cmd_algebra_group(args) -> int:
-    _print_shift_poly(shift_algebra.binomial_group(args.m, args.j).combined())
-    return 0
+def cmd_algebra_group(args) -> list[str]:
+    return _shift_poly_lines(shift_algebra.binomial_group(args.m, args.j).combined())
 
 
 def _rational(option: str, text: str) -> Fraction:
@@ -237,14 +231,13 @@ def _rational(option: str, text: str) -> Fraction:
         raise ValueError(f"{option}: {text!r} is not a rational number") from None
 
 
-def cmd_algebra_power(args) -> int:
+def cmd_algebra_power(args) -> list[str]:
     lam = _rational("--lam", args.lam)
     mu = _rational("--mu", args.mu)
-    _print_shift_poly(shift_algebra.power_expand(args.k, lam, mu))
-    return 0
+    return _shift_poly_lines(shift_algebra.power_expand(args.k, lam, mu))
 
 
-def cmd_bdp(args) -> int:
+def cmd_bdp(args) -> Iterable[str]:
     spec = bdp_mod.BirthDeathSpec(
         lam=(args.lam0, args.lam1),
         mu=(args.mu0, args.mu1),
@@ -254,14 +247,14 @@ def cmd_bdp(args) -> int:
     traj, _ = bdp_mod.solve_bdp(spec, args.T, args.steps, args.order)
     header = "t," + ",".join(f"p_{i}" for i in range(1, spec.states + 1)) + ",leakage,tail_bound"
     columns = (traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
-    _emit_certified(header, np.column_stack(columns), args.digits, args.out)
-    return 0
+    return _certified(header, args.digits, *columns)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and shared after it."""
-    parser = _Parser(prog="evoseries", description=__doc__)
+    # The help text is the docstring's user-facing part, before its last paragraph.
+    parser = _Parser(prog="evoseries", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="index set with exact weights and running sum")
@@ -345,11 +338,12 @@ def main(argv=None) -> int:
     command = "_".join(filter(None, (args.command, vars(args).get("algebra_command"))))
     handler = globals()["cmd_" + command.replace("-", "_")]
     try:
-        return handler(args)
+        _emit(handler(args), vars(args).get("out"))
     except Exception as exc:  # contract: one diagnostic line, nonzero exit
         # An exception with no message, such as MemoryError, is named by its type.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -646,15 +646,11 @@ class Trajectory:
     tail_bounds: np.ndarray
 
 
-def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
-    """The grid times 0, step, 2 step, ..., t_final of a stepped solve, and its step lengths.
+def _steps(t_final: float, step: float) -> int:
+    """The step count of _grid(t_final, step), refused over MAX_STEPS before a list is built.
 
-    When t_final is a multiple of step up to a few ulps, the grid has
-    round(t_final / step) steps and ends exactly at t_final, with no sliver
-    step; otherwise a final partial step covers t_final.  A grid of more than
-    MAX_STEPS steps is refused before any work.  hs[k] is times[k + 1] -
-    times[k], exact by Sterbenz: after the first step, which starts at 0,
-    each step ends at most twice as late as it starts.
+    round(t_final / step) when t_final is a multiple of step up to a few ulps,
+    with no sliver step; otherwise one more, a final partial step to t_final.
     """
     if not math.isfinite(t_final) or t_final < 0:
         raise ValueError(f"time must be finite and >= 0, got {t_final}")
@@ -664,8 +660,16 @@ def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
     most = math.ceil(ratio) if ratio < math.inf else ratio  # a subnormal step gives inf
     _refuse(f"final time {t_final} over step {step}", most, "steps", MAX_STEPS)
     steps = round(ratio)
-    if abs(steps * step - t_final) > 4 * math.ulp(t_final):
-        steps = most
+    return most if abs(steps * step - t_final) > 4 * math.ulp(t_final) else steps
+
+
+def _grid(t_final: float, step: float) -> tuple[list[float], list[float]]:
+    """The grid times 0, step, 2 step, ..., t_final of a stepped solve, and its step lengths.
+
+    hs[k] is times[k + 1] - times[k], exact by Sterbenz: after the first step,
+    which starts at 0, each step ends at most twice as late as it starts.
+    """
+    steps = _steps(t_final, step)
     times = [0.0] + [k * step for k in range(1, steps)] + [t_final] if steps else [0.0]
     return times, [t_next - t_prev for t_prev, t_next in zip(times, times[1:])]
 
@@ -682,34 +686,35 @@ def _plan(what: str, order: int, t_final: float, step: float, shape, row, fixed,
     shift = prod(shape) doubles.  A row holds row doubles, the solver's own
     arrays fixed, and one step's _expand term stack terms (0 for solve_bdp).
     Refused in order: such a stack over MAX_DOUBLES, in _expand's words; the
-    order (_check_order); the grid (_grid).  A block holds _BLOCK_DOUBLES //
-    max(terms, shift) steps, one _local_bound call _BLOCK_DOUBLES // (order
-    + 1), each at least one.  The count: the rows and fixed; a block at 9/8
-    terms (their finiteness check) + 3 shift (the norms' or a copy's
-    temporary) a step, and one more term stack (an autonomous block's one
-    expansion); a bound call's series and their stack, 2 (order + 1) a step,
-    and 24 (order + 1) of numpy overhead; 32 a step of Python floats and
-    arrays; 1024 more.  A count over MAX_DOUBLES is refused.  Returns the
+    order (_check_order); the step count (_steps).  A block holds _BLOCK_DOUBLES
+    // max(terms, shift) steps, one _local_bound call _BLOCK_DOUBLES // (order
+    + 1), each at least one.  The count: the rows and fixed; the larger of a
+    block, 9/8 terms (their finiteness check) + 3 shift (the norms' or a
+    copy's temporary) a step and one more term stack (an autonomous block's
+    one expansion), and a bound call, 2 (order + 1) a step of series and
+    their stack and 24 (order + 1) of numpy overhead, as _step_grid drops
+    each block before the first call; 32 a step of Python floats and arrays;
+    1024 more.  Only a count within MAX_DOUBLES builds the grid.  Returns the
     plan, (times, hs, order, block, chunk).
     """
     shift = math.prod(shape)
     _refuse_terms(order, terms)
     _check_order(order, shape[0])
-    times, hs = _grid(t_final, step)
-    steps = len(hs)
+    steps = _steps(t_final, step)
     block = max(1, _BLOCK_DOUBLES // max(terms, shift))
     chunk = max(1, _BLOCK_DOUBLES // (order + 1))
-    peak = (steps + 1) * row + fixed + min(steps, block) * (terms * 9 // 8 + 3 * shift) + terms
-    peak += (2 * min(steps, chunk) + 24) * (order + 1) + 32 * steps + 1024
+    held = min(steps, block) * (terms * 9 // 8 + 3 * shift) + terms
+    held = max(held, (2 * min(steps, chunk) + 24) * (order + 1))
+    peak = (steps + 1) * row + fixed + held + 32 * steps + 1024
     _refuse(f"{what} over {steps} steps", peak, "doubles", MAX_DOUBLES)
-    return times, hs, order, block, chunk
+    return *_grid(t_final, step), order, block, chunk
 
 
 def _step_grid(plan, family, norm_bounds, dim: int, start, advance):
     """The stepping loop of both certified solvers: the rows and the local bound of every step.
 
-    plan is _plan's, which counted what this holds: the rows, a block, a
-    bound chunk and a step's bookkeeping.  family is A_0..A_p, (p+1, d, d)
+    plan is _plan's, which counted what this holds: the rows, a block or a
+    bound chunk, and a step's bookkeeping.  family is A_0..A_p, (p+1, d, d)
     or the (p+1, 3, n) diagonals of tridiagonal matrices; norm_bounds maps
     it or a shift of it to _local_bound's (..., p+1) norm rows.  The rows
     are one (S+1, *start.shape) stack, row 0 start.  One _shift call moves

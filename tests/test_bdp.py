@@ -248,11 +248,11 @@ def test_solve_refuses_rows_and_stencil_over_the_cap_before_allocating(monkeypat
     spec = BirthDeathSpec(lam=(1.0, 0.5), mu=(1.0, 0.5), states=n)
     # engine._plan's count: (50 + 1) n doubles of rows; the stencil's
     # (30 + 2) (n + 2), its views and finiteness check, 31 (48 + n / 8), its
-    # family, the family and three n-long temporaries, 15 n; a block of one
-    # step, 3 * 6 n; a bound chunk of all 50 steps, (2 * 50 + 24) * 31; and
-    # 32 * 50 + 1024 of bookkeeping.
+    # family, the family and three n-long temporaries, 15 n; the larger of a
+    # block of one step, 3 * 6 n, and a bound chunk of all 50 steps,
+    # (2 * 50 + 24) * 31; and 32 * 50 + 1024 of bookkeeping.
     doubles = (
-        51 * n + 32 * (n + 2) + 31 * (48 + n // 8) + 15 * n + 18 * n + 124 * 31 + 32 * 50 + 1024
+        51 * n + 32 * (n + 2) + 31 * (48 + n // 8) + 15 * n + max(18 * n, 124 * 31) + 32 * 50 + 1024
     )
     with pytest.raises(TermBudgetError) as refused:
         solve_bdp(spec, 1.0, 50, 30)

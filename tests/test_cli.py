@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import resource
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -564,20 +566,38 @@ def per_row_csv(header: str, table: np.ndarray, digits: int) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-@pytest.mark.parametrize("digits", [1, 12, 17])
-@pytest.mark.parametrize("header", ["t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound", "t,p_1,p_2,p_3,leakage,tail_bound"])
-def test_certified_table_is_one_format_call_with_the_per_cell_text(capsys, header, digits):
+def certified_table(digits: int) -> np.ndarray:
+    """Seven rows of six cells, t first and the bound last, lost from the sixth time on."""
     rng = np.random.default_rng(digits)
     table = rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-320, 300, (7, 6))
     table[1, 1:3] = -0.0, 0.0
     table[2, 2], table[3, 3] = math.inf, -math.inf
     table[4, 1] = math.nan
-    table[5:, -1] = math.inf  # the certificate is lost from the sixth time on
+    table[5:, -1] = math.inf
     table[:, 0] = [0.0, 0.125, 0.25, 1 / 3, 0.5, 1e-7, 123456789.0]
-    cli._emit_certified(header, table, digits, None)
+    return table
+
+
+@pytest.mark.parametrize("digits", [1, 12, 17])
+@pytest.mark.parametrize("header", ["t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound", "t,p_1,p_2,p_3,leakage,tail_bound"])
+def test_certified_table_is_one_format_call_with_the_per_cell_text(capsys, header, digits):
+    table = certified_table(digits)
+    cli._emit(cli._certified(header, digits, *table.T), None)
     out, err = capsys.readouterr()
     assert out == per_row_csv(header, table, digits)
     assert err == f"warning: certificate lost from t = {1e-7:.{digits}g}\n"
+
+
+@pytest.mark.parametrize(("cells", "blocks"), [(1, 7), (6, 7), (13, 4), (41, 2), (42, 1)])
+def test_certified_rows_in_several_blocks_keep_the_per_cell_text(capsys, monkeypatch, cells, blocks):
+    # A block of fewer cells than a row still holds one row; 13 cells hold two.
+    monkeypatch.setattr(cli, "_BLOCK_DOUBLES", cells)
+    table = certified_table(17)
+    header = "t,r_1_1,r_1_2,r_2_1,r_2_2,tail_bound"
+    lines = list(cli._certified(header, 17, table[:, 0], table[:, 1:5].reshape(7, 2, 2), table[:, 5]))
+    assert len(lines) == 1 + blocks and capsys.readouterr().err.startswith("warning: certificate lost")
+    cli._emit(lines, None)
+    assert capsys.readouterr().out == per_row_csv(header, table, 17)
 
 
 @pytest.mark.parametrize("digits", ["1", "17"])
@@ -599,6 +619,58 @@ def test_solve_and_bdp_csv_bytes_equal_per_cell_formatting(capsys, tmp_path, dig
     columns = (traj.times, traj.distributions, traj.leakage, traj.tail_bounds)
     header = "t,p_1,p_2,p_3,p_4,leakage,tail_bound"
     assert code == 0 and out == per_row_csv(header, np.column_stack(columns), int(digits))
+
+
+def test_lost_certificate_with_an_unwritable_out_is_one_error_line(capsys, tmp_path):
+    # The warning follows the rows it qualifies: rows never written get none.
+    path = tmp_path / "lost.mat"
+    path.write_text("300 1\n0 -0.5\n\n0 0\n-1 0\n")
+    out_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "solve", "--coeffs", str(path), "--t", "4", "--step", "1", "--order", "30",
+        "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+def test_the_cli_holds_the_trajectory_and_one_block(tmp_path):
+    # The CSV is formatted from the trajectory's columns a block at a time,
+    # so the CLI peaks near the solve itself; a table of the whole
+    # trajectory and the CSV as one string took it to 5.9 times that.
+    path = tmp_path / "small.mat"
+    rows = (" ".join("1e-4" if j == i else "0" for j in range(12)) for i in range(12))
+    path.write_text("\n".join(rows) + "\n")
+    argv = ["solve", "--coeffs", str(path), "--step", "1", "--out", str(tmp_path / "r.csv")]
+    coeffs = _load_poly(str(path), "left")
+    assert main([*argv, "--t", "2"]) == 0  # imports and caches outside the measured runs
+    peaks = []
+    for run in (lambda: solve_stepped(coeffs, 5000.0, 1.0, 20), lambda: main([*argv, "--t", "5000"])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "r.csv").read_text().count("\n") == 5002
+    assert peaks[1] <= 1.5 * peaks[0], [peak / 1e6 for peak in peaks]
+
+
+def test_only_emit_writes_stdout():
+    # Every handler returns its lines; main hands them to _emit, the one writer.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    writers = {f.name for f in functions if "sys.stdout" in ast.unparse(f)}
+    callers = [
+        f.name for f in functions for node in ast.walk(f)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_emit"
+    ]
+    prints = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "print"
+    ]
+    assert writers == {"_emit"} and callers == ["main"]
+    assert prints and all("file=sys.stderr" in ast.unparse(node) for node in prints)
 
 
 def test_output_is_deterministic(capsys):
@@ -698,7 +770,7 @@ CAP_REFUSALS = [
     ),
     pytest.param(
         ["bdp", "--states", "1000000000"],
-        "error: 1000000000 states over 20 steps needs 89875005200 doubles,"
+        "error: 1000000000 states over 20 steps needs 89875003216 doubles,"
         " over the cap of 134217728",
         id="bdp-states",
     ),
@@ -706,7 +778,7 @@ CAP_REFUSALS = [
     # before the stepped solve counted its peak, refused now.
     pytest.param(
         ["solve", "--coeffs", "I12.mat", "--t", "1000000", "--step", "1"],
-        "error: 12x12 propagators over 1000000 steps needs 176216250 doubles,"
+        "error: 12x12 propagators over 1000000 steps needs 176132712 doubles,"
         " over the cap of 134217728",
         id="solve-stack",
     ),

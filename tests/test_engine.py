@@ -615,6 +615,20 @@ def test_solve_stepped_refuses_step_count_over_cap(example_left):
     assert len(_grid(1.0, 1.0 / MAX_STEPS)[1]) == MAX_STEPS  # at the cap itself, admitted
 
 
+def test_a_refused_stepped_solve_builds_no_grid():
+    # MAX_STEPS steps of a 12x12 family: the peak is counted from the step
+    # count, where the grid's two lists of 10^6 + 1 floats held 72 MB.
+    coeffs = MatrixPolyCoefficients((np.eye(12),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermBudgetError, match=r"^12x12 propagators over 1000000 steps needs"):
+            solve_stepped(coeffs, 1e6, 1.0, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_solve_stepped_single_step_equals_direct(example_left):
     # final time below the step size collapses to one local expansion
     traj = solve_stepped(example_left, 0.2, 0.5, 15)
